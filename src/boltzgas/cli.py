@@ -85,6 +85,14 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
+def _write(out, text: str) -> None:
+    """Write text to the path ``out`` atomically, or to stdout when it is empty."""
+    if out:
+        write_atomic(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _render_csv(header, rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -107,11 +115,7 @@ def _emit(args, header, rows) -> None:
         if getattr(args, "format", "csv") == "json"
         else _render_csv(header, rows)
     )
-    out = getattr(args, "out", None)
-    if out:
-        write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
+    _write(getattr(args, "out", None), text)
 
 
 def _parse_int_list(raw: str) -> list:
@@ -238,11 +242,7 @@ def cmd_covariance(args) -> int:
             "means": [float(v) for v in means],
             "covariance": [[float(v) for v in row] for row in matrix.entries],
         }
-        text = json.dumps(payload, indent=2) + "\n"
-        if args.out:
-            write_atomic(args.out, text)
-        else:
-            sys.stdout.write(text)
+        _write(args.out, json.dumps(payload, indent=2) + "\n")
         return 0
     header = ["level_a", "level_b", "covariance"]
     rows = [
@@ -298,11 +298,7 @@ def cmd_identities(args) -> int:
         reports = [r for r in reports if r.name == args.name]
         if not reports:
             raise UsageError(f"no identity named {args.name!r}")
-    text = reports_to_json(reports) + "\n"
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, reports_to_json(reports) + "\n")
     if any(r.verdict == "mismatch" for r in reports):
         raise VerificationError("an asserted identity failed")
     return 0

@@ -119,15 +119,26 @@ def triangle_coefficient(s: int, m: int) -> int:
     return stirling_like_row(m)[s - 1]
 
 
+def weak_compositions(total: int, parts: int) -> int:
+    """Ways to write ``total`` as an ordered sum of ``parts`` nonnegative integers.
+
+    C(total+parts-1, parts-1) for parts >= 1; a zero total fits into zero
+    parts in exactly one way, and a negative total fits in none.
+    """
+    if parts == 0:
+        return 1 if total == 0 else 0
+    return binomial(total + parts - 1, parts - 1)
+
+
 def power_of_sum_coefficient(p: int, j: int, N: int, q: int) -> int:
     """Coefficient of z^p u^q in ((1 - z^(M+1))/(1 - z) + z^j u)^N, truncated at z^M.
 
-    Valid for 0 <= q <= N-1; the separate u^N boundary term at p = N*j is not
-    included. Returns 0 whenever q*j > p (the gated region) or q is out of
-    range, so summations may run unguarded.
+    C(N, q) ways to pick the q particles on level j, times the weak
+    compositions of the leftover energy p - q*j into the other N - q. Valid
+    for 0 <= q <= N; at q = N it is the indicator of N*j == p. Returns 0
+    whenever q*j > p (the gated region) or q is out of range, so summations
+    may run unguarded.
     """
-    if q < 0 or q > N - 1 or p < 0 or j < 0:
+    if q < 0 or q > N or p < 0 or j < 0:
         return 0
-    if q * j > p:
-        return 0
-    return binomial(N, q) * binomial(p - q * j + N - 1 - q, N - 1 - q)
+    return binomial(N, q) * weak_compositions(p - q * j, N - q)

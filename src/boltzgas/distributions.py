@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import binomial, multinomial_weight
+from .combinatorics import (
+    binomial,
+    multinomial_weight,
+    power_of_sum_coefficient,
+    weak_compositions,
+)
 from .moments import conditioned_variance_limit, density_moment_limit
 from .system import OccupationVector, SystemParams, as_occupation
 from .enumeration import normalize_selection
@@ -43,13 +48,14 @@ class DistributionTable:
             raise ValueError(f"mode must be 'exact' or 'limit', got {self.mode!r}")
         if len(self.support) != len(self.probabilities):
             raise ValueError("support and probabilities must have equal length")
-        if any(p < 0 for p in self.probabilities):
+        # written so that a NaN fails both checks
+        if not all(p >= 0 for p in self.probabilities):
             raise ValueError("probabilities must be nonnegative")
         total = sum(self.probabilities)
         if self.mode == "exact":
             if total != 1:
                 raise ValueError(f"exact probabilities must sum to 1, got {total}")
-        elif abs(total - 1.0) > _LIMIT_SUM_TOLERANCE:
+        elif not abs(total - 1.0) <= _LIMIT_SUM_TOLERANCE:
             raise ValueError(f"limit probabilities sum to {total!r}, off by more than 1e-12")
 
     def probability(self, outcome):
@@ -81,19 +87,8 @@ class DistributionTable:
 
 @lru_cache(maxsize=64)
 def _pdf_term_weights(n: int, m: int, level: int) -> tuple:
-    """Integer weights A_q for the exact occupation law at one level.
-
-    A_q = [q*level <= M] C(N,q) C(M - q*level + N-1-q, N-1-q) for q < N, and
-    A_N = [N*level == M] (the boundary term folded in as the q = N entry).
-    """
-    weights = []
-    for q in range(n):
-        if q * level <= m:
-            weights.append(binomial(n, q) * binomial(m - q * level + n - 1 - q, n - 1 - q))
-        else:
-            weights.append(0)
-    weights.append(1 if n * level == m else 0)
-    return tuple(weights)
+    """Integer weights A_q, q = 0..N: the z^M u^q coefficients at ``level``."""
+    return tuple(power_of_sum_coefficient(m, level, n, q) for q in range(n + 1))
 
 
 def _pdf_numerator(weights: tuple, n: int, count: int) -> int:
@@ -112,13 +107,8 @@ def _pdf_numerator(weights: tuple, n: int, count: int) -> int:
 
 def occupation_pdf_exact(params: SystemParams, level: int) -> DistributionTable:
     """Exact law of the occupation number at ``level``: P(n_j = k) for k = 0..N."""
-    if not 0 <= level <= params.energy_units:
-        raise ValueError(f"level must lie in 0..{params.energy_units}, got {level}")
-    n, m = params.n_particles, params.energy_units
-    weights = _pdf_term_weights(n, m, level)
-    total = binomial(m + n - 1, n - 1)
-    probs = tuple(Fraction(_pdf_numerator(weights, n, k), total) for k in range(n + 1))
-    return DistributionTable(tuple(range(n + 1)), probs, "exact")
+    counts, probs = occupation_pdf_window(params, level, 0, params.n_particles)
+    return DistributionTable(tuple(counts), tuple(probs), "exact")
 
 
 def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
@@ -127,6 +117,7 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
     Returns (counts, probabilities) as plain lists; the probabilities are the
     same exact values as the full table restricted to the window. Intended for
     plotting large systems where the full support is mostly negligible mass.
+    A window is not a ``DistributionTable``: its mass need not sum to 1.
     """
     if not 0 <= level <= params.energy_units:
         raise ValueError(f"level must lie in 0..{params.energy_units}, got {level}")
@@ -149,15 +140,6 @@ def _binomial_log_pmf(n: int, p: float, k: int) -> float:
     )
 
 
-def _warn_outside_validity(temperature, level, stacklevel=3):
-    if level >= temperature:
-        warnings.warn(
-            f"the limit law is only valid for level < T; got level={level}, T={temperature}",
-            LimitValidityWarning,
-            stacklevel=stacklevel,
-        )
-
-
 def _success_probability(n_particles: int, temperature, level: int) -> float:
     """Validated p = T^j/(T+1)^(j+1) for a limit law over the counts 0..N.
 
@@ -165,7 +147,12 @@ def _success_probability(n_particles: int, temperature, level: int) -> float:
     """
     if n_particles < 1:
         raise ValueError(f"need at least one particle, got {n_particles}")
-    _warn_outside_validity(temperature, level, stacklevel=4)
+    if level >= temperature:
+        warnings.warn(
+            f"the limit law is only valid for level < T; got level={level}, T={temperature}",
+            LimitValidityWarning,
+            stacklevel=3,
+        )
     p = float(density_moment_limit(temperature, level))
     if p <= 0.0 or p >= 1.0:
         raise ValueError(f"success probability degenerate for level={level}, T={temperature}")
@@ -233,10 +220,7 @@ def occupation_pdf_normal_limit(n_particles: int, temperature, level: int) -> No
     exact law converges to ``occupation_pdf_conditioned_limit``, whose
     variance is smaller by the part that moves with the fixed total energy.
     """
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
-    _warn_outside_validity(temperature, level)
-    p = float(density_moment_limit(temperature, level))
+    p = _success_probability(n_particles, temperature, level)
     return NormalApproximation(mean=n_particles * p, variance=n_particles * p * (1.0 - p))
 
 
@@ -254,25 +238,18 @@ def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     """Composition-indexed terms of the exact joint law at ``levels``.
 
     Each entry is (composition, weight) where the composition (m_1..m_p) sums
-    to some q <= N and the integer weight is q!/prod(m_l!) times the gated
-    binomial product for q < N, or the bare multiplicity for the boundary
-    q = N terms (which require the composition energy to equal M exactly).
+    to some q <= N and the integer weight is q!/prod(m_l!) times C(N, q) times
+    the weak compositions of the leftover energy into the other N - q
+    particles (the multi-level ``power_of_sum_coefficient``).
     """
-    p = len(levels)
     terms = []
-    for q in range(n):
+    for q in range(n + 1):
         base = binomial(n, q)
-        for comp in _compositions(q, p):
+        for comp in _compositions(q, len(levels)):
             energy = sum(mi * ji for mi, ji in zip(comp, levels))
-            if energy > m:
-                continue
-            weight = multinomial_weight(comp) * base * binomial(m - energy + n - 1 - q, n - 1 - q)
+            weight = multinomial_weight(comp) * base * weak_compositions(m - energy, n - q)
             if weight:
                 terms.append((comp, weight))
-    for comp in _compositions(n, p):
-        energy = sum(mi * ji for mi, ji in zip(comp, levels))
-        if energy == m:
-            terms.append((comp, multinomial_weight(comp)))
     return tuple(terms)
 
 

@@ -156,10 +156,7 @@ def check_power_of_sum(n: int, m: int, level: int) -> IdentityReport:
         poly = nxt
     for p in range(m + 1):
         for q in range(n + 1):
-            if q == n:
-                expected = 1 if n * level == p else 0
-            else:
-                expected = power_of_sum_coefficient(p, level, n, q)
+            expected = power_of_sum_coefficient(p, level, n, q)
             if poly[p][q] != expected:
                 return IdentityReport(
                     name="power-of-sum",

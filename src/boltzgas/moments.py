@@ -9,7 +9,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .combinatorics import binomial, triangle_coefficient
+from .combinatorics import (
+    binomial,
+    power_of_sum_coefficient,
+    triangle_coefficient,
+    weak_compositions,
+)
 from .system import SystemParams
 
 BOLTZMANN_CONSTANT = 1.380649e-23  # J/K, exact SI value
@@ -25,12 +30,13 @@ def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
 
     Evaluates the finite alternating-free sum
 
-        sum_{q=1}^{min(N-1, m)} [q*j <= M] a_q^(m) q! C(N,q) C(M-qj+N-1-q, N-1-q)
-        + [N*j == M] N! a_N^(m),
+        sum_{q=1}^{min(N, m)} a_q^(m) q! A_q,   A_q = C(N,q) W(M-qj, N-q),
 
     normalized by C(M+N-1, N-1), where a_q^(m) are the coefficient-triangle
-    entries. The boundary term fires only when all N particles can sit on the
-    requested level (N*j == M) and N <= m.
+    entries and A_q is ``power_of_sum_coefficient`` at z^M u^q: the weak
+    compositions W of the leftover energy times the ways to pick the q
+    particles. The q = N term is nonzero only when N*j == M, i.e. all N
+    particles can sit on the requested level.
     """
     _check_level(params, level)
     if order < 0:
@@ -38,43 +44,29 @@ def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
     if order == 0:
         return Fraction(1)
     n, m_units, j = params.n_particles, params.energy_units, level
-    total = 0
-    for q in range(1, min(n - 1, order) + 1):
-        if q * j > m_units:
-            continue
-        total += (
-            triangle_coefficient(q, order)
-            * math.factorial(q)
-            * binomial(n, q)
-            * binomial(m_units - q * j + n - 1 - q, n - 1 - q)
-        )
-    if n * j == m_units:
-        total += math.factorial(n) * triangle_coefficient(n, order)
+    total = sum(
+        triangle_coefficient(q, order)
+        * math.factorial(q)
+        * power_of_sum_coefficient(m_units, j, n, q)
+        for q in range(1, min(n, order) + 1)
+    )
     return Fraction(total, binomial(m_units + n - 1, n - 1))
 
 
 def density_moment_factorized(params: SystemParams, level: int, order: int) -> Fraction:
     """Leading-order m-th moment of the occupation density x_j = n_j / N.
 
-    Returns [m*j <= M] C(M-mj+N-1-m, N-1-m) / C(M+N-1, N-1) exactly; the
-    dropped remainder is O(1/N). The numerator counts weak compositions of
-    the residual energy M-mj into the N-m remaining particles, so at m == N
-    it degenerates to the indicator of mj == M (this keeps the mean densities
-    summing to 1 down to N = 1). For order 1 the value is the exact mean
-    density.
+    Returns W(M-mj, N-m) / C(M+N-1, N-1) exactly, where W counts the weak
+    compositions of the residual energy M-mj into the N-m remaining particles;
+    the dropped remainder is O(1/N). At m == N the numerator is the indicator
+    of mj == M, which keeps the mean densities summing to 1 down to N = 1.
+    For order 1 the value is the exact mean density.
     """
     _check_level(params, level)
     if order < 0:
         raise ValueError(f"moment order must be nonnegative, got {order}")
     n, m_units, j = params.n_particles, params.energy_units, level
-    residual = m_units - order * j
-    parts = n - order
-    if residual < 0 or parts < 0:
-        numerator = 0
-    elif parts == 0:
-        numerator = 1 if residual == 0 else 0
-    else:
-        numerator = binomial(residual + parts - 1, parts - 1)
+    numerator = weak_compositions(m_units - order * j, n - order)
     return Fraction(numerator, binomial(m_units + n - 1, n - 1))
 
 
@@ -95,22 +87,11 @@ def density_moment_limit(temperature, level: int, order: int = 1):
 def variance_exact(params: SystemParams, level: int) -> Fraction:
     """Exact variance of the occupation density x_j = n_j / N.
 
-    Three indicator-gated binomial-ratio terms, plus the boundary terms of the
-    first two raw moments at N*j == M (nonzero only for N <= 2) which the
-    generic expression misses; with them the value equals the enumeration
-    variance for every valid (N, M, j).
+    (<n_j^2> - <n_j>^2) / N^2 from ``exact_moment``, so it equals the
+    enumeration variance for every valid (N, M, j).
     """
-    _check_level(params, level)
-    n, m_units, j = params.n_particles, params.energy_units, level
-    total = binomial(m_units + n - 1, n - 1)
-    r1 = Fraction(binomial(m_units - j + n - 2, n - 2), total)
-    r2 = Fraction(binomial(m_units - 2 * j + n - 3, n - 3), total) if 2 * j <= m_units else Fraction(0)
-    variance = r1 * (Fraction(1, n) - r1) + Fraction(n - 1, n) * r2
-    if n * j == m_units:
-        mean_corner = Fraction(math.factorial(n) * triangle_coefficient(n, 1), n * total)
-        m2_corner = Fraction(math.factorial(n) * triangle_coefficient(n, 2), n * n * total)
-        variance += m2_corner - mean_corner * (2 * r1 + mean_corner)
-    return variance
+    mean = exact_moment(params, level, 1)
+    return (exact_moment(params, level, 2) - mean * mean) / params.n_particles**2
 
 
 def variance_limit(n_particles: int, temperature, level: int):

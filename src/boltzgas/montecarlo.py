@@ -44,16 +44,8 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def sample_microstate(params: SystemParams, rng: np.random.Generator) -> OccupationVector:
-    """Draw one occupation vector uniformly over all microstates."""
-    n, m = params.n_particles, params.energy_units
-    if m == 0:
-        return OccupationVector((n,))
-    slots = m + n - 1
-    bars = np.sort(rng.choice(slots, size=n - 1, replace=False))
-    edges = np.concatenate(([-1], bars, [slots]))
-    energies = np.diff(edges) - 1
-    counts = np.bincount(energies, minlength=m + 1)
-    return OccupationVector(tuple(int(c) for c in counts))
+    """Draw one occupation vector uniformly over all microstates (a batch of one)."""
+    return OccupationVector(tuple(int(c) for c in _level_counts_batch(params, rng, 1)[0]))
 
 
 def _level_counts_batch(params: SystemParams, rng: np.random.Generator, batch: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from boltzgas.combinatorics import (
     power_of_sum_coefficient,
     stirling_like_row,
     triangle_coefficient,
+    weak_compositions,
 )
 
 # rows printed for orders 1..6; everything else is cross-checked internally
@@ -139,6 +141,23 @@ def _brute_bivariate_coefficients(n, m, j):
     return poly
 
 
+class TestWeakCompositions:
+    def test_against_brute_force_count(self):
+        for parts in range(4):
+            for total in range(-2, 7):
+                brute = sum(
+                    1
+                    for split in itertools.product(range(max(total, 0) + 1), repeat=parts)
+                    if sum(split) == total
+                )
+                assert weak_compositions(total, parts) == brute, (total, parts)
+
+    def test_edge_cases(self):
+        assert weak_compositions(0, 0) == 1
+        assert weak_compositions(3, 0) == 0
+        assert weak_compositions(-1, 2) == 0
+
+
 class TestPowerOfSumCoefficient:
     def test_single_u_coefficient(self):
         # the z^2 u coefficient of ((1-z^(M+1))/(1-z) + z u)^2 is 2
@@ -152,7 +171,7 @@ class TestPowerOfSumCoefficient:
         assert power_of_sum_coefficient(1, 2, 3, 1) == 0
 
     def test_out_of_range_q(self):
-        assert power_of_sum_coefficient(3, 1, 2, 2) == 0
+        assert power_of_sum_coefficient(3, 1, 2, 3) == 0
         assert power_of_sum_coefficient(3, 1, 2, -1) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -161,7 +180,5 @@ class TestPowerOfSumCoefficient:
         for j in range(m + 1):
             brute = _brute_bivariate_coefficients(n, m, j)
             for p in range(m + 1):
-                for q in range(n):
+                for q in range(n + 1):
                     assert brute[p][q] == power_of_sum_coefficient(p, j, n, q)
-                boundary = 1 if n * j == p else 0
-                assert brute[p][n] == boundary

@@ -44,6 +44,10 @@ class TestDistributionTable:
         with pytest.raises(ValueError):
             DistributionTable((0, 1), (0.5, 0.51), "limit")
 
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError):
+            DistributionTable((0, 1), (float("nan"), 1.0), "limit")
+
     def test_lookup_and_moments(self):
         table = DistributionTable((0, 2), (Fraction(1, 4), Fraction(3, 4)), "exact")
         assert table.probability(2) == Fraction(3, 4)
@@ -152,7 +156,12 @@ class TestConditionedLimit:
             assert table.variance() == pytest.approx(expected_variance, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "law", [occupation_pdf_binomial_limit, occupation_pdf_conditioned_limit]
+        "law",
+        [
+            occupation_pdf_binomial_limit,
+            occupation_pdf_conditioned_limit,
+            occupation_pdf_normal_limit,
+        ],
     )
     def test_warns_and_raises_like_the_binomial_limit(self, law):
         with warnings.catch_warnings():
@@ -168,6 +177,9 @@ class TestConditionedLimit:
             law(10, 0.0, 0)
         with pytest.warns(LimitValidityWarning), pytest.raises(ValueError):
             law(10, 1e-300, 5)  # p underflows to 0
+        with pytest.warns(LimitValidityWarning) as record:
+            law(10, 1.0, 1)
+        assert record[0].filename == __file__  # the warning points at the caller
 
     def test_rejects_underflowing_variance(self):
         # p = 1e-170 is a float but the variance, about 5 T^2, is not
