@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import figures as figures_mod
+from .combinatorics import json_default
 from .distributions import (
     joint_pdf_exact,
     occupation_pdf_binomial_limit,
@@ -50,18 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _format_cell(value) -> str:
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return json_default(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
-
-
-def _json_cell(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def write_atomic(path, text: str) -> None:
@@ -103,10 +96,8 @@ def _render_csv(header, rows) -> str:
 
 
 def _render_json(header, rows) -> str:
-    records = [
-        {key: _json_cell(value) for key, value in zip(header, row)} for row in rows
-    ]
-    return json.dumps(records, indent=2) + "\n"
+    records = [dict(zip(header, row)) for row in rows]
+    return json.dumps(records, indent=2, default=json_default) + "\n"
 
 
 def _emit(args, header, rows) -> None:

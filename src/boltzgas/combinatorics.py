@@ -16,6 +16,20 @@ from fractions import Fraction
 # rationals throughout the library.
 ExactRational = Fraction
 
+
+def json_default(value):
+    """``default=`` hook for ``json.dumps``.
+
+    An exact rational becomes the string "numerator/denominator" and a NumPy
+    scalar its Python value; anything else is not serializable.
+    """
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if type(value).__module__ == "numpy":
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 # Triangle rows up to this order are cached; higher orders are recomputed on
 # demand so pathological requests cannot grow the cache without bound.
 MEMO_MAX_ORDER = 32

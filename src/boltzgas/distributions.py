@@ -86,23 +86,19 @@ class DistributionTable:
 
 
 @lru_cache(maxsize=64)
-def _pdf_term_weights(n: int, m: int, level: int) -> tuple:
-    """Integer weights A_q, q = 0..N: the z^M u^q coefficients at ``level``."""
-    return tuple(power_of_sum_coefficient(m, level, n, q) for q in range(n + 1))
+def _pdf_numerators(n: int, m: int, level: int) -> tuple:
+    """Integer numerators of P(n_level = k), k = 0..N, over C(M+N-1, N-1).
 
-
-def _pdf_numerator(weights: tuple, n: int, count: int) -> int:
-    # sum_{q >= count} (-1)^(q - count) C(q, count) A_q, with C(q, count)
-    # updated iteratively (exact integer division).
-    total = 0
-    c = 1
-    sign = 1
-    for q in range(count, n + 1):
-        if weights[q]:
-            total += sign * c * weights[q]
-        c = c * (q + 1) // (q + 1 - count)
-        sign = -sign
-    return total
+    With A_q the z^M u^q coefficient at ``level``, the numerator of count k is
+    sum_{q >= k} (-1)^(q-k) C(q, k) A_q: the y^k coefficient of
+    sum_q A_q (y - 1)^q. That Taylor shift by -1 runs in place with integer
+    subtractions only (Ruffini-Horner).
+    """
+    a = [power_of_sum_coefficient(m, level, n, q) for q in range(n + 1)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] -= a[j + 1]
+    return tuple(a)
 
 
 def occupation_pdf_exact(params: SystemParams, level: int) -> DistributionTable:
@@ -124,10 +120,10 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
     n, m = params.n_particles, params.energy_units
     lo = max(0, int(lo))
     hi = min(n, int(hi))
-    weights = _pdf_term_weights(n, m, level)
+    numerators = _pdf_numerators(n, m, level)
     total = binomial(m + n - 1, n - 1)
     counts = list(range(lo, hi + 1))
-    return counts, [Fraction(_pdf_numerator(weights, n, k), total) for k in counts]
+    return counts, [Fraction(numerators[k], total) for k in counts]
 
 
 def _binomial_log_pmf(n: int, p: float, k: int) -> float:
@@ -233,7 +229,7 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     """Composition-indexed terms of the exact joint law at ``levels``.
 
@@ -279,43 +275,6 @@ def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
         if (sum(comp) - count_sum) % 2:
             factor = -factor
         numerator += weight * factor
-    return Fraction(numerator, binomial(m + n - 1, n - 1))
-
-
-def _joint_pdf_gridpoint(params: SystemParams, levels, counts) -> Fraction:
-    """Direct hypercube-gridpoint evaluation of the joint law (p^q terms).
-
-    Cross-check implementation for small systems only; the composition route
-    above is the production path.
-    """
-    import itertools
-
-    levels, counts = normalize_selection(params, levels, counts)
-    n, m = params.n_particles, params.energy_units
-    p = len(levels)
-    numerator = 0
-    for q in range(n + 1):
-        boundary = q == n
-        for gridpoint in itertools.product(range(p), repeat=q):
-            multiplicities = [0] * p
-            for s in gridpoint:
-                multiplicities[s] += 1
-            energy = sum(mi * ji for mi, ji in zip(multiplicities, levels))
-            if boundary:
-                if energy != m:
-                    continue
-                weight = 1
-            else:
-                if energy > m:
-                    continue
-                weight = binomial(n, q) * binomial(m - energy + n - 1 - q, n - 1 - q)
-            factor = 1
-            for mi, ci in zip(multiplicities, counts):
-                if ci > mi:
-                    factor = 0
-                    break
-                factor *= binomial(mi, ci) * (-1) ** (mi - ci)
-            numerator += weight * factor
     return Fraction(numerator, binomial(m + n - 1, n - 1))
 
 

@@ -92,7 +92,7 @@ def microstate_count(params: SystemParams) -> int:
     return binomial(params.energy_units + params.n_particles - 1, params.n_particles - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _weighted_states(n_particles: int, energy_units: int) -> tuple:
     params = SystemParams(n_particles, energy_units)
     return tuple(enumerate_macrostates(params))
@@ -127,7 +127,7 @@ def oracle_pdf(params: SystemParams, level: int):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _joint_weight_table(n_particles: int, energy_units: int, levels: tuple) -> dict:
     table = {}
     for state, weight in _weighted_states(n_particles, energy_units):

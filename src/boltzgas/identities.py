@@ -10,10 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .combinatorics import power_of_sum_coefficient, stirling_like_row
+from .combinatorics import json_default, power_of_sum_coefficient, stirling_like_row
 from .system import SystemParams
 
 
@@ -27,25 +27,9 @@ class IdentityReport:
     residual: object = None
     notes: str = ""
 
-    def to_json_dict(self) -> dict:
-        def encode(value):
-            if isinstance(value, Fraction):
-                return f"{value.numerator}/{value.denominator}"
-            if isinstance(value, (list, tuple)):
-                return [encode(v) for v in value]
-            return value
-
-        return {
-            "name": self.name,
-            "params": {k: encode(v) for k, v in self.params.items()},
-            "verdict": self.verdict,
-            "residual": encode(self.residual),
-            "notes": self.notes,
-        }
-
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)
+    return json.dumps([asdict(r) for r in reports], indent=2, default=json_default)
 
 
 # --------------------------------------------------------------------------

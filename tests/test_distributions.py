@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from boltzgas.combinatorics import binomial
 from boltzgas.distributions import (
     DistributionTable,
     LimitValidityWarning,
-    _joint_pdf_gridpoint,
     joint_pdf_exact,
     joint_pdf_multinomial_limit,
     macrostate_probability_exact,
@@ -20,7 +20,7 @@ from boltzgas.distributions import (
     occupation_pdf_normal_limit,
     occupation_pdf_window,
 )
-from boltzgas.enumeration import oracle_joint_pdf, oracle_pdf
+from boltzgas.enumeration import normalize_selection, oracle_joint_pdf, oracle_pdf
 from boltzgas.moments import (
     conditioned_variance_limit,
     exact_moment,
@@ -89,11 +89,16 @@ class TestOccupationPdfExact:
                     assert table.probabilities == oracle_pdf(params, j).probabilities
 
     def test_first_moment_consistency(self):
-        for n, m in [(4, 6), (6, 8)]:
+        # The two larger systems lie past the enumeration cap: there the
+        # moments are the only exact check of the table.
+        systems = [(4, 6, range(7)), (6, 8, range(9)), (200, 2000, range(6)), (300, 600, range(6))]
+        for n, m, levels in systems:
             params = SystemParams(n, m)
-            for j in range(m + 1):
+            for j in levels:
                 table = occupation_pdf_exact(params, j)
                 assert table.mean() == exact_moment(params, j, 1)
+                second = sum(k * k * p for k, p in zip(table.support, table.probabilities))
+                assert second == exact_moment(params, j, 2)
 
     def test_window_matches_full_table(self):
         params = SystemParams(8, 10)
@@ -214,6 +219,41 @@ class TestNormalLimit:
         density = occupation_pdf_normal_limit(100, 1.0, 0)
         integral, _ = quad(density, -math.inf, math.inf)
         assert abs(integral - 1.0) <= 1e-9
+
+
+def _joint_pdf_gridpoint(params: SystemParams, levels, counts) -> Fraction:
+    """Direct hypercube-gridpoint evaluation of the joint law (p^q terms).
+
+    Cross-check implementation for small systems only; the composition route
+    of ``joint_pdf_exact`` is the production path.
+    """
+    levels, counts = normalize_selection(params, levels, counts)
+    n, m = params.n_particles, params.energy_units
+    p = len(levels)
+    numerator = 0
+    for q in range(n + 1):
+        boundary = q == n
+        for gridpoint in itertools.product(range(p), repeat=q):
+            multiplicities = [0] * p
+            for s in gridpoint:
+                multiplicities[s] += 1
+            energy = sum(mi * ji for mi, ji in zip(multiplicities, levels))
+            if boundary:
+                if energy != m:
+                    continue
+                weight = 1
+            else:
+                if energy > m:
+                    continue
+                weight = binomial(n, q) * binomial(m - energy + n - 1 - q, n - 1 - q)
+            factor = 1
+            for mi, ci in zip(multiplicities, counts):
+                if ci > mi:
+                    factor = 0
+                    break
+                factor *= binomial(mi, ci) * (-1) ** (mi - ci)
+            numerator += weight * factor
+    return Fraction(numerator, binomial(m + n - 1, n - 1))
 
 
 class TestJointPdfExact:
