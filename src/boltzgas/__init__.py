@@ -8,6 +8,8 @@ a uniform Monte Carlo sampler, and executable checks of the algebraic
 identities underlying the closed forms.
 """
 
+import importlib
+
 from .combinatorics import (
     ExactRational,
     binomial,
@@ -39,14 +41,6 @@ from .enumeration import (
     oracle_moment,
     oracle_pdf,
 )
-from .figures import FigureData, figure_data
-from .fluctuations import (
-    CovarianceMatrix,
-    covariance_matrix,
-    mean_vector,
-    pearson_correlation,
-    total_fluctuation_ratio,
-)
 from .identities import (
     IdentityReport,
     TruncatedSeries,
@@ -71,17 +65,44 @@ from .moments import (
     variance_exact,
     variance_limit,
 )
-from .montecarlo import (
-    EmpiricalStats,
-    SamplerConfig,
-    ZScoreRow,
-    empirical_stats,
-    sample_microstate,
-    z_score_report,
-)
 from .system import OccupationVector, SystemParams, as_occupation
 
 __version__ = "0.1.0"
+
+# The public names of the modules that import NumPy, by module. They load on
+# first access (PEP 562), so the exact, NumPy-free paths start without NumPy.
+# Every module that holds a functools cache stays imported above, because
+# bench/worker.py empties the caches of the modules loaded at its start.
+_LAZY = {
+    "FigureData": "figures",
+    "figure_data": "figures",
+    "CovarianceMatrix": "fluctuations",
+    "covariance_matrix": "fluctuations",
+    "mean_vector": "fluctuations",
+    "pearson_correlation": "fluctuations",
+    "total_fluctuation_ratio": "fluctuations",
+    "EmpiricalStats": "montecarlo",
+    "SamplerConfig": "montecarlo",
+    "ZScoreRow": "montecarlo",
+    "empirical_stats": "montecarlo",
+    "sample_microstate": "montecarlo",
+    "z_score_report": "montecarlo",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY.values()))
+
 
 __all__ = [
     "BOLTZMANN_CONSTANT",

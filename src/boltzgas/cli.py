@@ -5,12 +5,17 @@ as "numerator/denominator" strings, floats use 12 significant digits, output
 is UTF-8 with LF line endings, and files are written atomically (temp file
 plus rename). Exit codes: 0 all checks passed, 1 usage error, 2 an internal
 assertion or oracle comparison failed.
+
+The exact commands run on integers and Fractions alone. NumPy, and the
+modules that use it, are imported only inside the commands that need them
+(covariance, fluctuation, mc, figures), so the others start without it.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -19,9 +24,6 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import figures as figures_mod
 from .combinatorics import json_default
 from .distributions import (
     joint_pdf_exact,
@@ -29,10 +31,8 @@ from .distributions import (
     occupation_pdf_exact,
 )
 from .enumeration import microstate_count, oracle_joint_pdf, oracle_moment, oracle_pdf
-from .fluctuations import covariance_matrix, mean_vector, total_fluctuation_ratio
 from .identities import reports_to_json, run_standard_battery
 from .moments import exact_moment
-from .montecarlo import SamplerConfig, z_score_report
 from .system import SystemParams
 
 
@@ -116,7 +116,7 @@ def _parse_int_list(raw: str) -> list:
         raise UsageError(f"expected a comma-separated integer list, got {raw!r}") from exc
 
 
-def _parse_t_grid(raw: str) -> np.ndarray:
+def _parse_t_grid(raw: str):
     parts = raw.split(":")
     if len(parts) != 4 or parts[0] not in ("log", "lin"):
         raise UsageError(
@@ -128,6 +128,8 @@ def _parse_t_grid(raw: str) -> np.ndarray:
         raise UsageError(f"bad t-grid numbers in {raw!r}") from exc
     if count < 2 or start <= 0 or stop <= start:
         raise UsageError(f"t-grid needs 0 < START < STOP and COUNT >= 2, got {raw!r}")
+    import numpy as np
+
     if parts[0] == "log":
         return np.logspace(math.log10(start), math.log10(stop), count)
     return np.linspace(start, stop, count)
@@ -150,6 +152,8 @@ def cmd_microstates(args) -> int:
 
 def cmd_moments(args) -> int:
     params = _system(args)
+    if args.order_max < 0:
+        raise UsageError(f"--order-max must be >= 0, got {args.order_max}")
     levels = _parse_int_list(args.levels) if args.levels else range(params.level_count)
     header = ["level", "order", "exact", "value"]
     if args.check_oracle:
@@ -203,8 +207,6 @@ def cmd_jointpdf(args) -> int:
     else:
         if arity > 3:
             raise UsageError("full lattice output is limited to 3 levels; pass --counts")
-        import itertools
-
         lattice = itertools.product(range(params.n_particles + 1), repeat=arity)
     rows = []
     failed = False
@@ -222,6 +224,8 @@ def cmd_jointpdf(args) -> int:
 def cmd_covariance(args) -> int:
     if args.n < 1:
         raise UsageError("need at least one particle")
+    from .fluctuations import covariance_matrix, mean_vector
+
     temperature = args.t if args.t is not None else args.m / args.n
     matrix = covariance_matrix(args.n, temperature, args.m)
     means = mean_vector(args.n, temperature, args.m)
@@ -249,6 +253,8 @@ def cmd_fluctuation(args) -> int:
     sizes = _parse_int_list(args.n)
     if not sizes or any(n < 1 for n in sizes):
         raise UsageError("--n needs a comma-separated list of positive sizes")
+    from .fluctuations import total_fluctuation_ratio
+
     grid = _parse_t_grid(args.t_grid)
     header = ["temperature"] + [f"n_{n}" for n in sizes]
     rows = [
@@ -260,6 +266,8 @@ def cmd_fluctuation(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from .montecarlo import SamplerConfig, z_score_report
+
     params = _system(args)
     config = SamplerConfig(params=params, sample_count=args.samples, seed=args.seed)
     levels = (
@@ -296,6 +304,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    from . import figures as figures_mod
+
     if args.figure == "all":
         ids = list(figures_mod.FIGURE_IDS)
     else:

@@ -107,6 +107,13 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
     """
     params = config.params
     n, m = params.n_particles, params.energy_units
+    # A level's int64 square sum reaches sample_count * N^2 (all particles on it).
+    square_sum_bound = config.sample_count * n * n
+    if square_sum_bound >= 2**63:
+        raise ValueError(
+            f"sample_count * N^2 = {square_sum_bound} overflows the int64 square sums; "
+            "need sample_count * N^2 < 2^63"
+        )
     if histogram_cutoff is None:
         histogram_cutoff = min(m, 12)
     histogram_cutoff = min(histogram_cutoff, m)

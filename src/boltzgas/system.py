@@ -7,6 +7,8 @@ likely. The "temperature" of a system is the specific energy M/N.
 """
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,10 +21,13 @@ class SystemParams:
     energy_units: int
 
     def __post_init__(self):
-        if not isinstance(self.n_particles, int) or isinstance(self.n_particles, bool):
-            raise TypeError("n_particles must be an integer")
-        if not isinstance(self.energy_units, int) or isinstance(self.energy_units, bool):
-            raise TypeError("energy_units must be an integer")
+        # Any integral type (a NumPy integer, say) is stored as a Python int,
+        # so the exact arithmetic never runs on fixed-width integers.
+        for name in ("n_particles", "energy_units"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer")
+            object.__setattr__(self, name, operator.index(value))
         if self.n_particles < 1:
             raise ValueError(f"need at least one particle, got {self.n_particles}")
         if self.energy_units < 0:

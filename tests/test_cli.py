@@ -210,3 +210,7 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "nonsense")
         assert code == 1
+
+    def test_negative_order_max(self, capsys):
+        code, out, err = run(capsys, "moments", "--n", "4", "--m", "6", "--order-max", "-1")
+        assert code == 1 and out == "" and "--order-max" in err

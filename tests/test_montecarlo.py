@@ -117,6 +117,16 @@ class TestEmpiricalStats:
             sums += counts.sum(axis=0)
         assert tuple(int(v) for v in sums) == reference.count_sums
 
+    def test_rejects_square_sum_overflow(self, monkeypatch):
+        # 2^24 samples of N = 2^20 particles: sample_count * N^2 = 2^64
+        def no_draws(*args):
+            raise AssertionError("sampled before the overflow check")
+
+        monkeypatch.setattr("boltzgas.montecarlo.chunk_rng", no_draws)
+        config = SamplerConfig(SystemParams(2**20, 3), 2**24, 5)
+        with pytest.raises(ValueError, match="2\\^63"):
+            empirical_stats(config)
+
     def test_single_particle_zero_variance(self):
         config = SamplerConfig(SystemParams(1, 5), 5_000, 3)
         stats = empirical_stats(config)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boltzgas.system import OccupationVector, SystemParams, as_occupation
@@ -7,9 +8,11 @@ from boltzgas.system import OccupationVector, SystemParams, as_occupation
 
 class TestSystemParams:
     def test_temperature_is_exact(self):
-        params = SystemParams(3, 7)
-        assert params.temperature == Fraction(7, 3)
-        assert isinstance(params.temperature, Fraction)
+        for n, m in [(3, 7), (np.int64(3), np.uint8(7))]:
+            params = SystemParams(n, m)
+            assert params.temperature == Fraction(7, 3)
+            assert isinstance(params.temperature, Fraction)
+            assert type(params.n_particles) is int and type(params.energy_units) is int
 
     def test_level_count(self):
         assert SystemParams(2, 5).level_count == 6
@@ -20,8 +23,9 @@ class TestSystemParams:
             SystemParams(n, m)
 
     def test_rejects_non_integers(self):
-        with pytest.raises(TypeError):
-            SystemParams(2.0, 3)
+        for n, m in [(2.0, 3), (True, 3), (2, np.float64(3.0))]:
+            with pytest.raises(TypeError):
+                SystemParams(n, m)
 
     def test_hashable(self):
         assert SystemParams(2, 2) == SystemParams(2, 2)
