@@ -36,7 +36,6 @@ from .distributions import (
 from .enumeration import (
     WeightedMacrostate,
     enumerate_macrostates,
-    microstate_count,
     oracle_joint_pdf,
     oracle_moment,
     oracle_pdf,
@@ -65,7 +64,7 @@ from .moments import (
     variance_exact,
     variance_limit,
 )
-from .system import OccupationVector, SystemParams, as_occupation
+from .system import OccupationVector, SystemParams, as_occupation, microstate_count
 
 __version__ = "0.1.0"
 

@@ -30,10 +30,14 @@ from .distributions import (
     occupation_pdf_binomial_limit,
     occupation_pdf_exact,
 )
-from .enumeration import microstate_count, oracle_joint_pdf, oracle_moment, oracle_pdf
+from .enumeration import oracle_joint_pdf, oracle_moment, oracle_pdf
 from .identities import reports_to_json, run_standard_battery
 from .moments import exact_moment
-from .system import SystemParams
+from .system import SystemParams, microstate_count
+
+# The most rows a fluctuation grid or a covariance matrix may have. Larger
+# requests are usage errors, caught before NumPy allocates anything.
+MAX_OUTPUT_ROWS = 1_000_000
 
 
 class UsageError(Exception):
@@ -126,8 +130,11 @@ def _parse_t_grid(raw: str):
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise UsageError(f"bad t-grid numbers in {raw!r}") from exc
-    if count < 2 or start <= 0 or stop <= start:
-        raise UsageError(f"t-grid needs 0 < START < STOP and COUNT >= 2, got {raw!r}")
+    # written so that a NaN START or STOP fails too
+    if not (0 < start < stop < math.inf and 2 <= count <= MAX_OUTPUT_ROWS):
+        raise UsageError(
+            f"t-grid needs 0 < START < STOP < inf and 2 <= COUNT <= {MAX_OUTPUT_ROWS}, got {raw!r}"
+        )
     import numpy as np
 
     if parts[0] == "log":
@@ -224,6 +231,8 @@ def cmd_jointpdf(args) -> int:
 def cmd_covariance(args) -> int:
     if args.n < 1:
         raise UsageError("need at least one particle")
+    if (args.m + 1) ** 2 > MAX_OUTPUT_ROWS:
+        raise UsageError(f"a covariance matrix over 0..{args.m} exceeds {MAX_OUTPUT_ROWS} entries")
     from .fluctuations import covariance_matrix, mean_vector
 
     temperature = args.t if args.t is not None else args.m / args.n

@@ -9,8 +9,8 @@ into falling factorials, and the bivariate expansion coefficients of
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
+from functools import lru_cache
 
 # Exact probabilities and moments are carried as reduced arbitrary-precision
 # rationals throughout the library.
@@ -28,11 +28,6 @@ def json_default(value):
     if type(value).__module__ == "numpy":
         return value.item()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-# Triangle rows up to this order are cached; higher orders are recomputed on
-# demand so pathological requests cannot grow the cache without bound.
-MEMO_MAX_ORDER = 32
 
 
 def binomial(n: int, k: int) -> int:
@@ -72,20 +67,12 @@ def _closed_form_entry(s: int, m: int) -> int:
     return quotient
 
 
-def _next_row(m: int, prev: tuple) -> tuple:
-    # prev is row m, result is row m+1 under a_s(m+1) = s*a_s(m) + a_(s-1)(m).
-    row = []
-    for s in range(1, m + 2):
-        value = 0
-        if s <= m:
-            value += s * prev[s - 1]
-        if s >= 2:
-            value += prev[s - 2]
-        row.append(value)
-    return tuple(row)
-
-
-def _validate_row(m: int, row: tuple) -> tuple:
+@lru_cache(maxsize=32)
+def _triangle_row(m: int) -> tuple:
+    row = (1,)
+    for order in range(1, m):
+        # row is row `order`; a_s(order+1) = s*a_s(order) + a_(s-1)(order)
+        row = tuple(s * a + b for s, a, b in zip(range(1, order + 2), row + (0,), (0,) + row))
     for s, value in enumerate(row, start=1):
         check = _closed_form_entry(s, m)
         if check != value:
@@ -96,41 +83,26 @@ def _validate_row(m: int, row: tuple) -> tuple:
     return row
 
 
-_rows = [_validate_row(1, (1,))]
-_rows_lock = threading.Lock()
-
-
 def stirling_like_row(m: int) -> list:
     """Row m of the coefficient triangle (entries a_s for s = 1..m).
 
-    Row m+1 follows from row m via a_s -> s*a_s + a_(s-1); every entry is
-    cross-checked at construction against the independent inclusion-exclusion
-    closed form sum((-1)^q C(s,q) (s-q)^m) / s! and construction fails loudly
-    on any disagreement. These are the weights expanding the m-th derivative
-    of f(e^y) into falling-factorial derivatives of f.
+    Row m follows from row 1 = (1) via a_s -> s*a_s + a_(s-1); every entry of
+    row m is cross-checked against the independent inclusion-exclusion closed
+    form sum((-1)^q C(s,q) (s-q)^m) / s!, and construction fails loudly on any
+    disagreement. The 32 most recently used rows are cached. These are the
+    weights expanding the m-th derivative of f(e^y) into falling-factorial
+    derivatives of f.
     """
     if m < 1:
         raise ValueError(f"row order must be >= 1, got {m}")
-    if m > MEMO_MAX_ORDER:
-        # warm the cache to its cap, then extend without caching
-        row = tuple(stirling_like_row(MEMO_MAX_ORDER))
-        order = MEMO_MAX_ORDER
-        while order < m:
-            row = _next_row(order, row)
-            order += 1
-        return list(_validate_row(m, row))
-    with _rows_lock:
-        while len(_rows) < m:
-            order = len(_rows)
-            _rows.append(_validate_row(order + 1, _next_row(order, _rows[-1])))
-        return list(_rows[m - 1])
+    return list(_triangle_row(m))
 
 
 def triangle_coefficient(s: int, m: int) -> int:
     """Entry a_s of row m, with the convention 0 outside 1 <= s <= m."""
     if m < 1 or s < 1 or s > m:
         return 0
-    return stirling_like_row(m)[s - 1]
+    return _triangle_row(m)[s - 1]
 
 
 def weak_compositions(total: int, parts: int) -> int:

@@ -8,6 +8,7 @@ and are evaluated in log space to stay finite at large N.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,8 +22,7 @@ from .combinatorics import (
     weak_compositions,
 )
 from .moments import conditioned_variance_limit, density_moment_limit
-from .system import OccupationVector, SystemParams, as_occupation
-from .enumeration import normalize_selection
+from .system import SystemParams, as_occupation, microstate_count, normalize_selection
 
 _LIMIT_SUM_TOLERANCE = 1e-12
 
@@ -115,13 +115,12 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
     plotting large systems where the full support is mostly negligible mass.
     A window is not a ``DistributionTable``: its mass need not sum to 1.
     """
-    if not 0 <= level <= params.energy_units:
-        raise ValueError(f"level must lie in 0..{params.energy_units}, got {level}")
+    params.check_level(level)
     n, m = params.n_particles, params.energy_units
     lo = max(0, int(lo))
     hi = min(n, int(hi))
     numerators = _pdf_numerators(n, m, level)
-    total = binomial(m + n - 1, n - 1)
+    total = microstate_count(params)
     counts = list(range(lo, hi + 1))
     return counts, [Fraction(numerators[k], total) for k in counts]
 
@@ -220,15 +219,6 @@ def occupation_pdf_normal_limit(n_particles: int, temperature, level: int) -> No
     return NormalApproximation(mean=n_particles * p, variance=n_particles * p * (1.0 - p))
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=64)
 def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     """Composition-indexed terms of the exact joint law at ``levels``.
@@ -236,12 +226,16 @@ def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     Each entry is (composition, weight) where the composition (m_1..m_p) sums
     to some q <= N and the integer weight is q!/prod(m_l!) times C(N, q) times
     the weak compositions of the leftover energy into the other N - q
-    particles (the multi-level ``power_of_sum_coefficient``).
+    particles (the multi-level ``power_of_sum_coefficient``). The compositions
+    of q are read off the bar positions of stars and bars.
     """
     terms = []
+    bars = len(levels) - 1
     for q in range(n + 1):
         base = binomial(n, q)
-        for comp in _compositions(q, len(levels)):
+        for cuts in itertools.combinations(range(q + bars), bars):
+            edges = (-1,) + cuts + (q + bars,)
+            comp = tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
             energy = sum(mi * ji for mi, ji in zip(comp, levels))
             weight = multinomial_weight(comp) * base * weak_compositions(m - energy, n - q)
             if weight:
@@ -275,7 +269,7 @@ def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
         if (sum(comp) - count_sum) % 2:
             factor = -factor
         numerator += weight * factor
-    return Fraction(numerator, binomial(m + n - 1, n - 1))
+    return Fraction(numerator, microstate_count(params))
 
 
 def multinomial_trial_probabilities(temperature, arity: int) -> list:
@@ -323,8 +317,7 @@ def macrostate_probability_exact(params: SystemParams, state) -> Fraction:
     """Exact probability of a full macrostate: multiplicity over the microstate total."""
     state = as_occupation(state)
     state.check_conservation(params)
-    total = binomial(params.energy_units + params.n_particles - 1, params.n_particles - 1)
-    return Fraction(multinomial_weight(state), total)
+    return Fraction(multinomial_weight(state), microstate_count(params))
 
 
 def macrostate_probability_largeN(n_particles: int, temperature, state) -> float:

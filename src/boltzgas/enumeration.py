@@ -3,12 +3,15 @@
 This module deliberately shares no summation logic with the closed-form
 modules: every quantity is obtained by walking all occupation vectors that
 satisfy both conservation laws and summing multiplicity weights directly, so
-agreement with the analytic formulas is evidence rather than tautology.
+agreement with the analytic formulas is evidence rather than tautology. From
+the closed forms it imports only their result type, ``DistributionTable``;
+the model's domain (level checks, selections, the microstate total) comes
+from ``system``.
 
 Enumeration size is capped at desk scale (macrostate counts grow like integer
 partitions). The default caps N <= 12, M <= 16 can be raised through the
 ``FLUCT_MAX_ENUM`` environment variable ("N,M" pair or a single integer for
-both) or per call via ``max_size``.
+both).
 """
 from __future__ import annotations
 
@@ -17,8 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .combinatorics import binomial, multinomial_weight
-from .system import OccupationVector, SystemParams
+from .combinatorics import multinomial_weight
+from .distributions import DistributionTable
+from .system import OccupationVector, SystemParams, microstate_count, normalize_selection
 
 DEFAULT_MAX_PARTICLES = 12
 DEFAULT_MAX_UNITS = 16
@@ -50,25 +54,21 @@ def enumeration_cap() -> tuple:
     raise ValueError(f"{ENUM_CAP_ENV} must be an integer or 'N,M' pair, got {raw!r}")
 
 
-def _check_cap(params: SystemParams, max_size) -> None:
-    n_cap, m_cap = max_size if max_size is not None else enumeration_cap()
-    if params.n_particles > n_cap or params.energy_units > m_cap:
-        raise ValueError(
-            f"enumeration of N={params.n_particles}, M={params.energy_units} exceeds "
-            f"the cap N<={n_cap}, M<={m_cap}; raise {ENUM_CAP_ENV} or pass max_size"
-        )
-
-
-def enumerate_macrostates(params: SystemParams, max_size=None) -> Iterator[WeightedMacrostate]:
+def enumerate_macrostates(params: SystemParams) -> Iterator[WeightedMacrostate]:
     """Yield every macrostate of ``params`` exactly once, with its multiplicity.
 
     States are produced by recursive descent from the top energy level, i.e.
     lexicographically over (n_M, n_(M-1), ...); the order is an implementation
     detail, not a contract. The multiplicities over the stream sum to
-    C(M+N-1, N-1).
+    C(M+N-1, N-1). Raises ValueError beyond ``enumeration_cap()``.
     """
-    _check_cap(params, max_size)
     n, m = params.n_particles, params.energy_units
+    n_cap, m_cap = enumeration_cap()
+    if n > n_cap or m > m_cap:
+        raise ValueError(
+            f"enumeration of N={n}, M={m} exceeds the cap N<={n_cap}, M<={m_cap}; "
+            f"raise {ENUM_CAP_ENV}"
+        )
     counts = [0] * (m + 1)
 
     def descend(level, particles, energy):
@@ -87,44 +87,10 @@ def enumerate_macrostates(params: SystemParams, max_size=None) -> Iterator[Weigh
     yield from descend(m, n, m)
 
 
-def microstate_count(params: SystemParams) -> int:
-    """Total number of equally likely labeled assignments: C(M+N-1, N-1)."""
-    return binomial(params.energy_units + params.n_particles - 1, params.n_particles - 1)
-
-
 @lru_cache(maxsize=64)
 def _weighted_states(n_particles: int, energy_units: int) -> tuple:
     params = SystemParams(n_particles, energy_units)
     return tuple(enumerate_macrostates(params))
-
-
-def oracle_moment(params: SystemParams, level: int, order: int) -> Fraction:
-    """m-th raw moment of the occupation number at ``level`` by direct summation."""
-    if not 0 <= level <= params.energy_units:
-        raise ValueError(f"level must lie in 0..{params.energy_units}, got {level}")
-    if order < 0:
-        raise ValueError(f"moment order must be nonnegative, got {order}")
-    total = 0
-    for state, weight in _weighted_states(params.n_particles, params.energy_units):
-        total += weight * state[level] ** order
-    return Fraction(total, microstate_count(params))
-
-
-def oracle_pdf(params: SystemParams, level: int):
-    """Exact distribution of the occupation number at ``level`` by enumeration."""
-    from .distributions import DistributionTable
-
-    if not 0 <= level <= params.energy_units:
-        raise ValueError(f"level must lie in 0..{params.energy_units}, got {level}")
-    weights = [0] * (params.n_particles + 1)
-    for state, weight in _weighted_states(params.n_particles, params.energy_units):
-        weights[state[level]] += weight
-    total = microstate_count(params)
-    return DistributionTable(
-        support=tuple(range(params.n_particles + 1)),
-        probabilities=tuple(Fraction(w, total) for w in weights),
-        mode="exact",
-    )
 
 
 @lru_cache(maxsize=64)
@@ -136,30 +102,27 @@ def _joint_weight_table(n_particles: int, energy_units: int, levels: tuple) -> d
     return table
 
 
-def validate_levels(params: SystemParams, levels) -> tuple:
-    """Validate a selection of distinct levels within 0..M (any order)."""
-    levels = tuple(int(j) for j in levels)
-    if not levels:
-        raise ValueError("need at least one level")
-    if any(j < 0 or j > params.energy_units for j in levels):
-        raise ValueError(f"levels must lie in 0..{params.energy_units}, got {levels}")
-    if len(set(levels)) != len(levels):
-        raise ValueError(f"levels must be distinct, got {levels}")
-    return levels
+def oracle_moment(params: SystemParams, level: int, order: int) -> Fraction:
+    """m-th raw moment of the occupation number at ``level`` by direct summation."""
+    params.check_level(level)
+    if order < 0:
+        raise ValueError(f"moment order must be nonnegative, got {order}")
+    table = _joint_weight_table(params.n_particles, params.energy_units, (level,))
+    total = sum(weight * count**order for (count,), weight in table.items())
+    return Fraction(total, microstate_count(params))
 
 
-def normalize_selection(params: SystemParams, levels, counts) -> tuple:
-    """Sort a (levels, counts) selection into canonical ascending level order.
-
-    Joint probabilities are invariant under simultaneous permutation of the
-    two sequences, so any distinct-level order is accepted.
-    """
-    levels = validate_levels(params, levels)
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != len(levels):
-        raise ValueError("levels and counts must have equal length")
-    pairs = sorted(zip(levels, counts))
-    return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
+def oracle_pdf(params: SystemParams, level: int) -> DistributionTable:
+    """Exact distribution of the occupation number at ``level`` by enumeration."""
+    params.check_level(level)
+    table = _joint_weight_table(params.n_particles, params.energy_units, (level,))
+    support = tuple(range(params.n_particles + 1))
+    total = microstate_count(params)
+    return DistributionTable(
+        support=support,
+        probabilities=tuple(Fraction(table.get((k,), 0), total) for k in support),
+        mode="exact",
+    )
 
 
 def oracle_joint_pdf(params: SystemParams, levels, counts) -> Fraction:

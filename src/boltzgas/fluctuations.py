@@ -16,8 +16,9 @@ import numpy as np
 def _check_args(n_particles, temperature, energy_cutoff):
     if n_particles < 1:
         raise ValueError(f"need at least one particle, got {n_particles}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    # written so that a NaN temperature fails too
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     if energy_cutoff < 0:
         raise ValueError(f"energy cutoff must be nonnegative, got {energy_cutoff}")
 

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .combinatorics import json_default, power_of_sum_coefficient, stirling_like_row
+from .distributions import joint_pdf_exact
 from .system import SystemParams
 
 
@@ -333,8 +334,6 @@ def sum_of_powers_residual_slope(n: int, t_values=range(10, 51), truncation: int
 
 def check_joint_normalization(n: int, m: int, levels) -> IdentityReport:
     """Sum the exact joint law over its whole count lattice; must equal 1."""
-    from .distributions import joint_pdf_exact
-
     params_obj = SystemParams(n, m)
     levels = tuple(int(j) for j in levels)
     params = {"N": n, "M": m, "levels": list(levels)}

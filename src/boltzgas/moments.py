@@ -9,20 +9,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .combinatorics import (
-    binomial,
-    power_of_sum_coefficient,
-    triangle_coefficient,
-    weak_compositions,
-)
-from .system import SystemParams
+from .combinatorics import power_of_sum_coefficient, triangle_coefficient, weak_compositions
+from .system import SystemParams, microstate_count
 
 BOLTZMANN_CONSTANT = 1.380649e-23  # J/K, exact SI value
-
-
-def _check_level(params: SystemParams, level: int) -> None:
-    if not 0 <= level <= params.energy_units:
-        raise ValueError(f"level must lie in 0..{params.energy_units}, got {level}")
 
 
 def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
@@ -38,7 +28,7 @@ def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
     particles. The q = N term is nonzero only when N*j == M, i.e. all N
     particles can sit on the requested level.
     """
-    _check_level(params, level)
+    params.check_level(level)
     if order < 0:
         raise ValueError(f"moment order must be nonnegative, got {order}")
     if order == 0:
@@ -50,7 +40,7 @@ def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
         * power_of_sum_coefficient(m_units, j, n, q)
         for q in range(1, min(n, order) + 1)
     )
-    return Fraction(total, binomial(m_units + n - 1, n - 1))
+    return Fraction(total, microstate_count(params))
 
 
 def density_moment_factorized(params: SystemParams, level: int, order: int) -> Fraction:
@@ -62,12 +52,12 @@ def density_moment_factorized(params: SystemParams, level: int, order: int) -> F
     of mj == M, which keeps the mean densities summing to 1 down to N = 1.
     For order 1 the value is the exact mean density.
     """
-    _check_level(params, level)
+    params.check_level(level)
     if order < 0:
         raise ValueError(f"moment order must be nonnegative, got {order}")
     n, m_units, j = params.n_particles, params.energy_units, level
     numerator = weak_compositions(m_units - order * j, n - order)
-    return Fraction(numerator, binomial(m_units + n - 1, n - 1))
+    return Fraction(numerator, microstate_count(params))
 
 
 def density_moment_limit(temperature, level: int, order: int = 1):

@@ -161,8 +161,8 @@ def z_score_report(config: SamplerConfig, levels) -> list:
     zero exact variance report an exact-match sentinel instead of a z-score.
     """
     levels = [int(j) for j in levels]
-    if any(j < 0 or j > config.params.energy_units for j in levels):
-        raise ValueError(f"levels must lie in 0..{config.params.energy_units}")
+    for level in levels:
+        config.params.check_level(level)
     stats = empirical_stats(config, histogram_cutoff=0)
     rows = []
     for level in levels:

@@ -3,7 +3,9 @@
 The model: N distinguishable particles share M indivisible energy quanta over
 equidistant levels j = 0..M. A macrostate is the vector of per-level particle
 counts; every labeled assignment (microstate) with total energy M is equally
-likely. The "temperature" of a system is the specific energy M/N.
+likely, and there are C(M+N-1, N-1) of them. The "temperature" of a system is
+the specific energy M/N. The level-range check and the level selections of the
+joint laws are defined here, once, for the exact laws and the oracle alike.
 """
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .combinatorics import binomial
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,11 @@ class SystemParams:
     def level_count(self) -> int:
         """Number of accessible energy levels, M + 1 (levels 0..M)."""
         return self.energy_units + 1
+
+    def check_level(self, level: int) -> None:
+        """Raise ValueError unless ``level`` is one of the levels 0..M."""
+        if not 0 <= level <= self.energy_units:
+            raise ValueError(f"level must lie in 0..{self.energy_units}, got {level}")
 
 
 @dataclass(frozen=True)
@@ -94,3 +103,30 @@ def as_occupation(state) -> OccupationVector:
     if isinstance(state, OccupationVector):
         return state
     return OccupationVector(tuple(state))
+
+
+def microstate_count(params: SystemParams) -> int:
+    """Total number of equally likely labeled assignments: C(M+N-1, N-1)."""
+    return binomial(params.energy_units + params.n_particles - 1, params.n_particles - 1)
+
+
+def normalize_selection(params: SystemParams, levels, counts) -> tuple:
+    """Check a (levels, counts) selection and sort it into ascending level order.
+
+    The levels must be distinct and lie in 0..M, with one count each. Joint
+    probabilities are invariant under simultaneous permutation of the two
+    sequences, so any level order is accepted.
+    """
+    levels = tuple(int(j) for j in levels)
+    if not levels:
+        raise ValueError("need at least one level")
+    for level in levels:
+        params.check_level(level)
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"levels must be distinct, got {levels}")
+    counts = tuple(int(c) for c in counts)
+    if len(counts) != len(levels):
+        raise ValueError("levels and counts must have equal length")
+    pairs = sorted(zip(levels, counts))
+    return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
+

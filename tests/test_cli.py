@@ -214,3 +214,18 @@ class TestExitCodes:
     def test_negative_order_max(self, capsys):
         code, out, err = run(capsys, "moments", "--n", "4", "--m", "6", "--order-max", "-1")
         assert code == 1 and out == "" and "--order-max" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fluctuation --n 10 --t-grid lin:1:2:100000000000",
+            "fluctuation --n 10 --t-grid log:1:nan:3",
+            "fluctuation --n 10 --t-grid lin:1:inf:3",
+            "covariance --n 10 --m 100000000",
+            "covariance --n 10 --m 5 --t nan",
+            "covariance --n 10 --m 5 --t inf",
+        ],
+    )
+    def test_oversized_or_nonfinite_request(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == "" and err.startswith("error:")

@@ -20,14 +20,14 @@ from boltzgas.distributions import (
     occupation_pdf_normal_limit,
     occupation_pdf_window,
 )
-from boltzgas.enumeration import normalize_selection, oracle_joint_pdf, oracle_pdf
+from boltzgas.enumeration import oracle_joint_pdf, oracle_pdf
 from boltzgas.moments import (
     conditioned_variance_limit,
     exact_moment,
     variance_exact,
     variance_limit,
 )
-from boltzgas.system import SystemParams
+from boltzgas.system import SystemParams, normalize_selection
 
 
 class TestDistributionTable:

@@ -32,6 +32,11 @@ class TestMeanVector:
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError):
             mean_vector(10, 0.0, 4)
+        for temperature in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                mean_vector(10, temperature, 4)
+            with pytest.raises(ValueError, match="finite"):
+                covariance_matrix(10, temperature, 4)
 
 
 class TestCovarianceMatrix:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boltzgas.distributions import occupation_pdf_exact
-from boltzgas.enumeration import enumerate_macrostates, microstate_count
+from boltzgas.enumeration import enumerate_macrostates
 from boltzgas.montecarlo import (
     CHUNK_SIZE,
     SamplerConfig,
@@ -15,7 +15,7 @@ from boltzgas.montecarlo import (
     sample_microstate,
     z_score_report,
 )
-from boltzgas.system import SystemParams
+from boltzgas.system import SystemParams, microstate_count
 
 
 class TestSamplerConfig:

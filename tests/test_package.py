@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -10,6 +11,11 @@ import pytest
 import boltzgas
 
 SRC = str(Path(boltzgas.__file__).resolve().parents[1])
+
+# The closed forms and the model's domain, which the enumeration oracle checks.
+ORACLE_FREE = ("combinatorics", "system", "moments", "distributions")
+# Imported inside the commands of cli, so that NumPy loads only when needed.
+DEFERRED = ("figures", "fluctuations", "montecarlo")
 
 
 def _functools_caches():
@@ -33,6 +39,33 @@ def _fresh_modules(code: str) -> set:
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     return set(result.stdout.splitlines()[-1].split())
+
+
+def _sibling_imports(module: str) -> list:
+    """(sibling, imported inside a function?) for each relative import of a package module."""
+    tree = ast.parse((Path(boltzgas.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    nested = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+    }
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            imports.extend((name.split(".")[0], id(node) in nested) for name in names)
+    return imports
+
+
+def test_import_graph_runs_one_way():
+    modules = [info.name for info in pkgutil.iter_modules(boltzgas.__path__)]
+    assert set(ORACLE_FREE) | set(DEFERRED) <= set(modules)
+    graph = {module: _sibling_imports(module) for module in modules}
+    oracle_users = [m for m in ORACLE_FREE if any(s == "enumeration" for s, _ in graph[m])]
+    late = [(m, s) for m, imports in graph.items() for s, nested in imports if nested and s not in DEFERRED]
+    assert oracle_users == []
+    assert late == []
 
 
 def test_every_cache_is_bounded():
