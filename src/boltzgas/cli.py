@@ -142,23 +142,16 @@ def _parse_t_grid(raw: str):
     return np.linspace(start, stop, count)
 
 
-def _system(args) -> SystemParams:
-    try:
-        return SystemParams(args.n, args.m)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
 def cmd_microstates(args) -> int:
-    print(microstate_count(_system(args)))
+    print(microstate_count(SystemParams(args.n, args.m)))
     return 0
 
 
 def cmd_moments(args) -> int:
-    params = _system(args)
+    params = SystemParams(args.n, args.m)
     if args.order_max < 0:
         raise UsageError(f"--order-max must be >= 0, got {args.order_max}")
     levels = _parse_int_list(args.levels) if args.levels else range(params.level_count)
@@ -183,7 +176,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_pdf(args) -> int:
-    params = _system(args)
+    params = SystemParams(args.n, args.m)
     table = occupation_pdf_exact(params, args.level)
     header = ["count", "exact", "value"]
     columns = [table.support, table.probabilities, table.as_floats()]
@@ -203,7 +196,7 @@ def cmd_pdf(args) -> int:
 
 
 def cmd_jointpdf(args) -> int:
-    params = _system(args)
+    params = SystemParams(args.n, args.m)
     levels = _parse_int_list(args.levels)
     arity = len(levels)
     header = [f"count_level_{j}" for j in levels] + ["exact", "value"]
@@ -277,7 +270,7 @@ def cmd_fluctuation(args) -> int:
 def cmd_mc(args) -> int:
     from .montecarlo import SamplerConfig, z_score_report
 
-    params = _system(args)
+    params = SystemParams(args.n, args.m)
     config = SamplerConfig(params=params, sample_count=args.samples, seed=args.seed)
     levels = (
         _parse_int_list(args.levels)
@@ -418,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("identities", help="run the identity-check battery (JSON)")
-    p.add_argument("--all", action="store_true", help="run every check (the default)")
     p.add_argument("--name", help="restrict to one identity name")
     p.add_argument("--out", help="output path (atomic write); default stdout")
     p.set_defaults(func=cmd_identities)
@@ -436,10 +428,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (VerificationError, AssertionError) as exc:

@@ -21,7 +21,12 @@ from .combinatorics import (
     power_of_sum_coefficient,
     weak_compositions,
 )
-from .moments import conditioned_variance_limit, density_moment_limit
+from .moments import (
+    check_particle_count,
+    check_temperature,
+    conditioned_variance_limit,
+    density_moment_limit,
+)
 from .system import SystemParams, as_occupation, microstate_count, normalize_selection
 
 _LIMIT_SUM_TOLERANCE = 1e-12
@@ -140,8 +145,7 @@ def _success_probability(n_particles: int, temperature, level: int) -> float:
 
     Warns on behalf of the public law that calls it when level >= T.
     """
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
+    check_particle_count(n_particles)
     if level >= temperature:
         warnings.warn(
             f"the limit law is only valid for level < T; got level={level}, T={temperature}",
@@ -278,13 +282,10 @@ def multinomial_trial_probabilities(temperature, arity: int) -> list:
     Classes l = 1..arity are the selected levels (l-1 quanta each); class
     arity+1 collects everything above. The probabilities sum to exactly 1.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
-    ratio = temperature / (temperature + 1)
-    probs = [ratio**l / temperature for l in range(1, arity + 1)]
-    probs.append(ratio**arity)
+    probs = [density_moment_limit(temperature, l) for l in range(arity)]
+    probs.append((temperature / (temperature + 1)) ** arity)
     return probs
 
 
@@ -300,8 +301,7 @@ def joint_pdf_multinomial_limit(n_particles: int, temperature, counts) -> float:
     occupied = sum(counts)
     if occupied > n_particles:
         raise ValueError(f"counts sum to {occupied} > N = {n_particles}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check_temperature(temperature)
     t = float(temperature)
     log_ratio = math.log(t) - math.log1p(t)
     arity = len(counts)
@@ -327,8 +327,7 @@ def macrostate_probability_largeN(n_particles: int, temperature, state) -> float
     exact-to-limit ratio approaches 1/sqrt(2 pi N T (T+1)) as the system
     grows. Requires the state to hold exactly N particles and M = T*N quanta.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check_temperature(temperature)
     state = as_occupation(state)
     if state.particle_count != n_particles:
         raise ValueError(

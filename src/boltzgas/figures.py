@@ -23,8 +23,6 @@ from .fluctuations import pearson_correlation, total_fluctuation_ratio
 from .moments import density_moment_limit, std_over_mean, variance_limit
 from .system import SystemParams
 
-FIGURE_IDS = tuple(range(1, 8))
-
 
 @dataclass(frozen=True)
 class Panel:
@@ -41,12 +39,9 @@ class FigureData:
     manifest: dict
 
 
-def _log_grid(start_exp: float, stop_exp: float, points: int) -> np.ndarray:
-    return np.logspace(start_exp, stop_exp, points)
-
-
-def _relative_std_panels():
-    grid = _log_grid(-3, 3, 121)
+def figure_relative_std() -> FigureData:
+    """Relative fluctuation of each level's density over temperature (figure 1)."""
+    grid = np.logspace(-3, 3, 121)
     sizes = (10, 100, 1_000, 10_000, 100_000)
     levels = range(6)
     panels = []
@@ -62,18 +57,12 @@ def _relative_std_panels():
         "levels": list(levels),
         "temperature_grid": "logspace(-3, 3, 121)",
     }
-    return panels, manifest
-
-
-def figure_relative_std() -> FigureData:
-    """Relative fluctuation of each level's density over temperature (figure 1)."""
-    panels, manifest = _relative_std_panels()
     return FigureData(1, "relative occupation fluctuations", tuple(panels), manifest)
 
 
 def figure_mean_vs_std() -> FigureData:
     """Mean density of level 1 with its standard deviation (figure 2)."""
-    grid = _log_grid(-3, 3, 121)
+    grid = np.logspace(-3, 3, 121)
     panels = []
     for n in (10, 100):
         rows = tuple(
@@ -172,7 +161,7 @@ def figure_high_temperature_spread() -> FigureData:
 
 def figure_correlations() -> FigureData:
     """Correlation magnitude between level pairs over temperature (figure 6)."""
-    grid = _log_grid(-3, 3, 121)
+    grid = np.logspace(-3, 3, 121)
     partners = range(6)
     panels = []
     for j in (1, 2, 3, 4):
@@ -194,7 +183,7 @@ def figure_correlations() -> FigureData:
 
 def figure_total_fluctuation() -> FigureData:
     """Total fluctuation ratio over temperature for several sizes (figure 7)."""
-    grid = _log_grid(-2, 4, 181)
+    grid = np.logspace(-2, 4, 181)
     sizes = (10, 30, 50, 70, 90)
     header = ("temperature",) + tuple(f"n_{n}" for n in sizes)
     rows = tuple(
@@ -217,6 +206,7 @@ _BUILDERS = {
     6: figure_correlations,
     7: figure_total_fluctuation,
 }
+FIGURE_IDS = tuple(_BUILDERS)
 
 
 def figure_data(figure_id: int) -> FigureData:

@@ -3,7 +3,8 @@
 All quantities here live in the limit model where the occupation vector is
 multinomial with per-level probabilities p_l = T^l/(T+1)^(l+1): the mean
 vector, the covariance matrix, pairwise correlations, and the trace-based
-total-fluctuation ratio with its low- and high-temperature branches.
+total-fluctuation ratio with its low- and high-temperature branches. The
+domain checks and the direct form of p_l live in ``moments``.
 """
 from __future__ import annotations
 
@@ -12,28 +13,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .moments import check_particle_count, check_temperature, density_moment_limit
 
-def _check_args(n_particles, temperature, energy_cutoff):
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
-    # written so that a NaN temperature fails too
-    if not 0 < temperature < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+
+def _level_probabilities(n_particles, temperature, energy_cutoff: int) -> np.ndarray:
+    """Validated p_0..p_M of the limit model for N particles at temperature T."""
+    check_particle_count(n_particles)
+    check_temperature(temperature)
     if energy_cutoff < 0:
         raise ValueError(f"energy cutoff must be nonnegative, got {energy_cutoff}")
-
-
-def _level_probabilities(temperature: float, energy_cutoff: int) -> np.ndarray:
-    # p_l = (1/(T+1)) * (T/(T+1))^l, evaluated in log space for large cutoffs
+    # log-space p_l, not density_moment_limit's T^l/(T+1)^(l+1): T^l overflows at large cutoffs
+    t = float(temperature)
     levels = np.arange(energy_cutoff + 1, dtype=np.float64)
-    log_ratio = math.log(temperature) - math.log1p(temperature)
-    return np.exp(levels * log_ratio - math.log1p(temperature))
+    log_ratio = math.log(t) - math.log1p(t)
+    return np.exp(levels * log_ratio - math.log1p(t))
 
 
 def mean_vector(n_particles: int, temperature: float, energy_cutoff: int) -> np.ndarray:
     """Mean occupation numbers (N p_0, ..., N p_M) in the limit model."""
-    _check_args(n_particles, temperature, energy_cutoff)
-    return n_particles * _level_probabilities(float(temperature), energy_cutoff)
+    return n_particles * _level_probabilities(n_particles, temperature, energy_cutoff)
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,7 @@ class CovarianceMatrix:
 
 def covariance_matrix(n_particles: int, temperature: float, energy_cutoff: int) -> CovarianceMatrix:
     """Covariance matrix of (n_0, ..., n_M) in the limit model."""
-    _check_args(n_particles, temperature, energy_cutoff)
-    p = _level_probabilities(float(temperature), energy_cutoff)
+    p = _level_probabilities(n_particles, temperature, energy_cutoff)
     entries = -n_particles * np.outer(p, p)
     entries[np.diag_indices_from(entries)] = n_particles * p * (1.0 - p)
     entries.setflags(write=False)
@@ -79,13 +76,7 @@ def pearson_correlation(temperature: float, level_a: int, level_b: int) -> float
     """
     if level_a == level_b:
         raise ValueError("correlation formula requires two distinct levels")
-    if min(level_a, level_b) < 0:
-        raise ValueError("levels must be nonnegative")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    t = float(temperature)
-    pa = t**level_a / (t + 1) ** (level_a + 1)
-    pb = t**level_b / (t + 1) ** (level_b + 1)
+    pa, pb = (density_moment_limit(float(temperature), level) for level in (level_a, level_b))
     return -math.sqrt(pa * pb / ((1.0 - pa) * (1.0 - pb)))
 
 
@@ -103,11 +94,11 @@ def total_fluctuation_ratio(n_particles: int, energy_units) -> float:
     of x near 1 are evaluated through expm1/log1p so the high-T plateau
     survives very large M.
     """
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
+    check_particle_count(n_particles)
     m = float(energy_units)
-    if m < 0:
-        raise ValueError(f"energy must be nonnegative, got {energy_units}")
+    # written so that a NaN energy fails too
+    if not 0 <= m < math.inf:
+        raise ValueError(f"energy must be nonnegative and finite, got {energy_units}")
     if m == 0.0:
         return 0.0
     t = m / n_particles

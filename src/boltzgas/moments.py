@@ -2,7 +2,8 @@
 
 Exact quantities are reduced rationals valid for any (N, M); the ``*_limit``
 functions evaluate the large-system forms, which depend on the specific energy
-T = M/N alone.
+T = M/N alone. The domain checks and the level probability p_j of that model
+live here only; ``distributions`` and ``fluctuations`` use them too.
 """
 from __future__ import annotations
 
@@ -13,6 +14,19 @@ from .combinatorics import power_of_sum_coefficient, triangle_coefficient, weak_
 from .system import SystemParams, microstate_count
 
 BOLTZMANN_CONSTANT = 1.380649e-23  # J/K, exact SI value
+
+
+def check_particle_count(n_particles) -> None:
+    """Reject a large-system model without particles."""
+    if n_particles < 1:
+        raise ValueError(f"need at least one particle, got {n_particles}")
+
+
+def check_temperature(temperature) -> None:
+    """Reject a temperature outside the large-system domain 0 < T < inf."""
+    # written so that a NaN temperature fails too
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
 
 
 def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
@@ -61,13 +75,12 @@ def density_moment_factorized(params: SystemParams, level: int, order: int) -> F
 
 
 def density_moment_limit(temperature, level: int, order: int = 1):
-    """Thermodynamic-limit density moment (T^j / (T+1)^(j+1))^m.
+    """Thermodynamic-limit density moment p_j^m, with p_j = T^j / (T+1)^(j+1).
 
-    Accepts a float or an exact rational temperature; the result follows the
-    input type, so rational inputs give exact values.
+    The one place p_j is written. A float or an exact rational temperature gives
+    a result of its own type, so rational inputs give exact values.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check_temperature(temperature)
     if level < 0 or order < 0:
         raise ValueError("level and order must be nonnegative")
     base = temperature**level / (temperature + 1) ** (level + 1)
@@ -92,8 +105,7 @@ def variance_limit(n_particles: int, temperature, level: int):
     narrows every other level, and ``conditioned_variance_limit`` is the limit
     of the exact variance. A Fraction temperature gives an exact result.
     """
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
+    check_particle_count(n_particles)
     p = density_moment_limit(temperature, level)
     if not isinstance(p, Fraction):
         p = float(p)
@@ -113,8 +125,8 @@ def conditioned_variance_limit(n_particles: int, temperature, level: int):
     nearly cancel. A Fraction temperature gives the exact result; any other
     gives it rounded to a float.
     """
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
+    check_particle_count(n_particles)
+    check_temperature(temperature)
     t = Fraction(temperature)
     p = density_moment_limit(t, level)
     value = (p * (1 - p) - p * p * (level - t) ** 2 / (t * (t + 1))) / n_particles
@@ -127,8 +139,7 @@ def std_over_mean(n_particles: int, temperature, level: int) -> float:
     Diverges like T^(-j/2)/sqrt(N) as T -> 0 (for j >= 1) and like
     sqrt(T/N) as T -> infinity.
     """
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
+    check_particle_count(n_particles)
     p = float(density_moment_limit(temperature, level))
     return math.sqrt((1.0 - p) / p) / math.sqrt(n_particles)
 
@@ -141,9 +152,8 @@ def max_variance_point(n_particles: int, level: int) -> tuple:
     """
     if level < 1:
         raise ValueError(f"the variance peak is defined for levels >= 1, got {level}")
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
-    x_max = level**level / float((level + 1) ** (level + 1))
+    check_particle_count(n_particles)
+    x_max = density_moment_limit(level, level)
     return (float(level), x_max, x_max * (1.0 - x_max) / n_particles)
 
 

@@ -4,9 +4,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boltzgas.distributions import (
+    joint_pdf_multinomial_limit,
+    macrostate_probability_largeN,
+    multinomial_trial_probabilities,
+    occupation_pdf_binomial_limit,
+    occupation_pdf_conditioned_limit,
+    occupation_pdf_normal_limit,
+)
 from boltzgas.enumeration import oracle_moment
+from boltzgas.fluctuations import (
+    covariance_matrix,
+    mean_vector,
+    pearson_correlation,
+    total_fluctuation_ratio,
+)
 from boltzgas.moments import (
     BOLTZMANN_CONSTANT,
+    conditioned_variance_limit,
     density_moment_factorized,
     density_moment_limit,
     exact_moment,
@@ -245,3 +260,37 @@ class TestPhysicalTemperature:
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             physical_temperature(SystemParams(1, 1), 0.0)
+
+
+# Every public entry point of the large-system model, as a function of T.
+LARGE_N_ENTRY_POINTS = {
+    "density_moment_limit": lambda t: density_moment_limit(t, 1),
+    "variance_limit": lambda t: variance_limit(10, t, 1),
+    "conditioned_variance_limit": lambda t: conditioned_variance_limit(10, t, 1),
+    "std_over_mean": lambda t: std_over_mean(10, t, 1),
+    "occupation_pdf_binomial_limit": lambda t: occupation_pdf_binomial_limit(10, t, 1),
+    "occupation_pdf_conditioned_limit": lambda t: occupation_pdf_conditioned_limit(10, t, 1),
+    "occupation_pdf_normal_limit": lambda t: occupation_pdf_normal_limit(10, t, 1),
+    "multinomial_trial_probabilities": lambda t: multinomial_trial_probabilities(t, 2),
+    "joint_pdf_multinomial_limit": lambda t: joint_pdf_multinomial_limit(10, t, [1, 2]),
+    "macrostate_probability_largeN": lambda t: macrostate_probability_largeN(10, t, [10]),
+    "mean_vector": lambda t: mean_vector(10, t, 3),
+    "covariance_matrix": lambda t: covariance_matrix(10, t, 3),
+    "pearson_correlation": lambda t: pearson_correlation(t, 0, 1),
+}
+
+
+@pytest.mark.filterwarnings("ignore::boltzgas.distributions.LimitValidityWarning")
+@pytest.mark.parametrize("temperature", [0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call", LARGE_N_ENTRY_POINTS.values(), ids=LARGE_N_ENTRY_POINTS.keys()
+)
+def test_large_n_entry_points_reject_temperature_outside_domain(call, temperature):
+    with pytest.raises(ValueError, match="temperature must be positive and finite"):
+        call(temperature)
+
+
+@pytest.mark.parametrize("energy", [-1, math.nan, math.inf])
+def test_total_fluctuation_ratio_rejects_energy_outside_domain(energy):
+    with pytest.raises(ValueError, match="energy must be nonnegative and finite"):
+        total_fluctuation_ratio(10, energy)
