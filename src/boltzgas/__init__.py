@@ -9,6 +9,7 @@ identities underlying the closed forms.
 """
 
 import importlib
+import types
 
 from .combinatorics import (
     ExactRational,
@@ -42,7 +43,6 @@ from .enumeration import (
 )
 from .identities import (
     IdentityReport,
-    TruncatedSeries,
     check_differential_identity,
     check_joint_normalization,
     check_power_of_sum,
@@ -88,6 +88,16 @@ _LAZY = {
     "z_score_report": "montecarlo",
 }
 
+# Every name imported above is public, and so is every lazy name.
+__all__ = sorted(
+    {
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    | set(_LAZY)
+)
+
 
 def __getattr__(name):
     if name in _LAZY.values():
@@ -101,68 +111,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(_LAZY) | set(_LAZY.values()))
-
-
-__all__ = [
-    "BOLTZMANN_CONSTANT",
-    "CovarianceMatrix",
-    "DistributionTable",
-    "EmpiricalStats",
-    "ExactRational",
-    "FigureData",
-    "IdentityReport",
-    "LimitValidityWarning",
-    "NormalApproximation",
-    "OccupationVector",
-    "SamplerConfig",
-    "SystemParams",
-    "TruncatedSeries",
-    "WeightedMacrostate",
-    "ZScoreRow",
-    "as_occupation",
-    "binomial",
-    "check_differential_identity",
-    "check_joint_normalization",
-    "check_power_of_sum",
-    "check_simplex_sum_ii",
-    "conditioned_variance_limit",
-    "covariance_matrix",
-    "density_moment_factorized",
-    "density_moment_limit",
-    "empirical_stats",
-    "enumerate_macrostates",
-    "exact_moment",
-    "figure_data",
-    "joint_pdf_exact",
-    "joint_pdf_multinomial_limit",
-    "macrostate_probability_exact",
-    "macrostate_probability_largeN",
-    "max_variance_point",
-    "mean_vector",
-    "measure_sum_of_powers_residual",
-    "microstate_count",
-    "multinomial_trial_probabilities",
-    "multinomial_weight",
-    "occupation_pdf_binomial_limit",
-    "occupation_pdf_conditioned_limit",
-    "occupation_pdf_exact",
-    "occupation_pdf_normal_limit",
-    "occupation_pdf_window",
-    "oracle_joint_pdf",
-    "oracle_moment",
-    "oracle_pdf",
-    "pearson_correlation",
-    "physical_temperature",
-    "power_of_sum_coefficient",
-    "reports_to_json",
-    "run_standard_battery",
-    "sample_microstate",
-    "stirling_like_row",
-    "std_over_mean",
-    "sum_of_powers_residual_slope",
-    "total_fluctuation_ratio",
-    "triangle_coefficient",
-    "variance_exact",
-    "variance_limit",
-    "z_score_report",
-]

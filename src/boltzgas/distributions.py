@@ -295,6 +295,7 @@ def joint_pdf_multinomial_limit(n_particles: int, temperature, counts) -> float:
     counts[l] is the occupation of level l; the remaining N - sum(counts)
     particles fall in the overflow class. Evaluated in log space.
     """
+    check_particle_count(n_particles)
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts):
         raise ValueError(f"counts must be nonnegative, got {counts}")
@@ -327,6 +328,7 @@ def macrostate_probability_largeN(n_particles: int, temperature, state) -> float
     exact-to-limit ratio approaches 1/sqrt(2 pi N T (T+1)) as the system
     grows. Requires the state to hold exactly N particles and M = T*N quanta.
     """
+    check_particle_count(n_particles)
     check_temperature(temperature)
     state = as_occupation(state)
     if state.particle_count != n_particles:

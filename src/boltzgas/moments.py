@@ -78,12 +78,18 @@ def density_moment_limit(temperature, level: int, order: int = 1):
     """Thermodynamic-limit density moment p_j^m, with p_j = T^j / (T+1)^(j+1).
 
     The one place p_j is written. A float or an exact rational temperature gives
-    a result of its own type, so rational inputs give exact values.
+    a result of its own type, so rational inputs give exact values. A float
+    temperature so large that (T+1)^(j+1) leaves the float range is rejected.
     """
     check_temperature(temperature)
     if level < 0 or order < 0:
         raise ValueError("level and order must be nonnegative")
-    base = temperature**level / (temperature + 1) ** (level + 1)
+    try:
+        base = temperature**level / (temperature + 1) ** (level + 1)
+    except OverflowError:
+        raise ValueError(
+            f"p_j leaves the float range at temperature {temperature}, level {level}"
+        ) from None
     return base**order
 
 

@@ -2,10 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import boltzgas.identities as identities
 from boltzgas.identities import (
     SIMPLEX_RATIOS,
-    TruncatedSeries,
     check_differential_identity,
     check_joint_normalization,
     check_power_of_sum,
@@ -15,35 +17,6 @@ from boltzgas.identities import (
     run_standard_battery,
     sum_of_powers_residual_slope,
 )
-
-
-class TestTruncatedSeries:
-    def test_exponential_product(self):
-        a = TruncatedSeries.exponential(1, 10)
-        b = TruncatedSeries.exponential(2, 10)
-        assert (a * b).coefficients == TruncatedSeries.exponential(3, 10).coefficients
-
-    def test_expm1_relation(self):
-        expm1 = TruncatedSeries.expm1(8)
-        exp = TruncatedSeries.exponential(1, 8)
-        one = TruncatedSeries.constant(1, 8)
-        assert (expm1 + one).coefficients == exp.coefficients
-
-    def test_derivative_of_expm1_is_exp(self):
-        assert (
-            TruncatedSeries.expm1(9).derivative().coefficients
-            == TruncatedSeries.exponential(1, 8).coefficients
-        )
-
-    def test_power(self):
-        square = TruncatedSeries.expm1(6) ** 2
-        # (e^y - 1)^2 = e^(2y) - 2 e^y + 1
-        direct = (
-            TruncatedSeries.exponential(2, 6)
-            - TruncatedSeries.exponential(1, 6).scale(2)
-            + TruncatedSeries.constant(1, 6)
-        )
-        assert square.coefficients == direct.coefficients
 
 
 class TestPowerOfSum:
@@ -66,9 +39,22 @@ class TestDifferentialIdentity:
     def test_exact_equal(self, q, m, order):
         assert check_differential_identity(q, m, series_order=order).verdict == "exact-equal"
 
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
+    def test_exact_equal_at_smallest_order(self, q, m):
+        assert check_differential_identity(q, m, series_order=m + q + 4).verdict == "exact-equal"
+
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
             check_differential_identity(4, 4, series_order=8)
+
+    def test_perturbed_row_is_a_mismatch(self, monkeypatch):
+        row = identities.stirling_like_row
+        monkeypatch.setattr(identities, "stirling_like_row", lambda m: [row(m)[0] + 1] + row(m)[1:])
+        report = check_differential_identity(3, 2)
+        # a_1 + 1 adds 3 e^y (e^y - 1)^2 to the right side, which starts at 3 y^2
+        assert report.verdict == "mismatch"
+        assert report.residual == -3
+        assert report.notes == "first differing series coefficient at y^2"
 
 
 class TestSimplexSumII:

@@ -290,6 +290,32 @@ def test_large_n_entry_points_reject_temperature_outside_domain(call, temperatur
         call(temperature)
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "density_moment_limit",
+        "variance_limit",
+        "std_over_mean",
+        "pearson_correlation",
+        "multinomial_trial_probabilities",
+        "occupation_pdf_binomial_limit",
+        "occupation_pdf_conditioned_limit",
+        "occupation_pdf_normal_limit",
+    ],
+)
+def test_float_p_overflow_is_a_value_error(name):
+    # (T+1)^2 leaves the float range, so p_1 has no float form
+    with pytest.raises(ValueError, match=r"temperature 1e\+200, level 1"):
+        LARGE_N_ENTRY_POINTS[name](1e200)
+
+
+@pytest.mark.parametrize("n_particles", [0, -1])
+@pytest.mark.parametrize("law", [joint_pdf_multinomial_limit, macrostate_probability_largeN])
+def test_multinomial_laws_reject_empty_system(law, n_particles):
+    with pytest.raises(ValueError, match="need at least one particle"):
+        law(n_particles, 1.0, [])
+
+
 @pytest.mark.parametrize("energy", [-1, math.nan, math.inf])
 def test_total_fluctuation_ratio_rejects_energy_outside_domain(energy):
     with pytest.raises(ValueError, match="energy must be nonnegative and finite"):
