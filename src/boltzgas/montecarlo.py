@@ -1,11 +1,16 @@
 """Uniform microstate sampling and empirical validation statistics.
 
-Sampling uses the stars-and-bars bijection: a uniform (N-1)-subset of the
-M+N-1 slot positions determines per-particle energies, so every labeled
-microstate is drawn with equal probability and no rejection. Work is split
-into fixed-size chunks whose generators derive from (seed, chunk index);
-statistics accumulate in exact integer counters, so results are bit-identical
-however the chunks are distributed over workers.
+Sampling uses the stars-and-bars bijection (Nijenhuis & Wilf, *Combinatorial
+Algorithms*, 1978): a uniform (N-1)-subset of the M+N-1 slot positions
+determines per-particle energies, so every labeled microstate is drawn with
+equal probability and no rejection.
+
+The output contract: sample i belongs to chunk i // CHUNK_SIZE, whose generator
+derives from (seed, chunk index) alone. A chunk is drawn in blocks of at most
+BLOCK_ROWS rows that consume its generator in order, and each block's counts
+are added to exact integer accumulators. So neither the block size nor the
+order in which chunks are reduced changes the result: a fixed config gives
+bit-identical statistics.
 """
 from __future__ import annotations
 
@@ -18,9 +23,11 @@ from typing import Optional
 import numpy as np
 
 from .moments import exact_moment
-from .system import OccupationVector, SystemParams
+from .system import OccupationVector, SystemParams, store_integral_fields
 
 CHUNK_SIZE = 1 << 14
+# Rows held in memory at once; a block's arrays are about 16 * BLOCK_ROWS * (M+N-1) bytes.
+BLOCK_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,7 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self):
+        store_integral_fields(self, "sample_count", "seed")
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if not 0 <= self.seed < 2**64:
@@ -51,12 +59,9 @@ def sample_microstate(params: SystemParams, rng: np.random.Generator) -> Occupat
 def _level_counts_batch(params: SystemParams, rng: np.random.Generator, batch: int) -> np.ndarray:
     """(batch, M+1) array of level counts for a batch of independent microstates."""
     n, m = params.n_particles, params.energy_units
-    counts = np.zeros((batch, m + 1), dtype=np.int64)
-    if m == 0:
-        counts[:, 0] = n
-        return counts
-    if n == 1:
-        counts[:, m] = 1
+    if m == 0 or n == 1:  # one microstate: every particle on level M
+        counts = np.zeros((batch, m + 1), dtype=np.int64)
+        counts[:, m] = n
         return counts
     slots = m + n - 1
     keys = rng.random((batch, slots))
@@ -69,7 +74,7 @@ def _level_counts_batch(params: SystemParams, rng: np.random.Generator, batch: i
         raise AssertionError("sampled microstate violates a conservation law")
     flat = energies + (m + 1) * np.arange(batch)[:, None]
     counts = np.bincount(flat.ravel(), minlength=batch * (m + 1)).reshape(batch, m + 1)
-    return counts.astype(np.int64)
+    return counts.astype(np.int64, copy=False)  # bincount may return int32 on Windows
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,8 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
         )
     if histogram_cutoff is None:
         histogram_cutoff = min(m, 12)
+    elif histogram_cutoff < 0:
+        raise ValueError(f"histogram_cutoff must be >= 0, got {histogram_cutoff}")
     histogram_cutoff = min(histogram_cutoff, m)
     sums = np.zeros(m + 1, dtype=np.int64)
     square_sums = np.zeros(m + 1, dtype=np.int64)
@@ -123,13 +130,15 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
     remaining = config.sample_count
     chunk_index = 0
     while remaining > 0:
-        batch = min(CHUNK_SIZE, remaining)
-        counts = _level_counts_batch(params, chunk_rng(config.seed, chunk_index), batch)
-        sums += counts.sum(axis=0)
-        square_sums += (counts * counts).sum(axis=0)
-        for level in range(histogram_cutoff + 1):
-            histograms[level] += np.bincount(counts[:, level], minlength=n + 1)
-        remaining -= batch
+        rng = chunk_rng(config.seed, chunk_index)
+        chunk_rows = min(CHUNK_SIZE, remaining)
+        for start in range(0, chunk_rows, BLOCK_ROWS):
+            counts = _level_counts_batch(params, rng, min(BLOCK_ROWS, chunk_rows - start))
+            sums += counts.sum(axis=0)
+            square_sums += np.einsum("ij,ij->j", counts, counts)
+            for level in range(histogram_cutoff + 1):
+                histograms[level] += np.bincount(counts[:, level], minlength=n + 1)
+        remaining -= chunk_rows
         chunk_index += 1
     return EmpiricalStats(
         config=config,

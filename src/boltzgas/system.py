@@ -17,6 +17,20 @@ from fractions import Fraction
 from .combinatorics import binomial
 
 
+def store_integral_fields(instance, *names) -> None:
+    """Store each named field of a frozen dataclass as a Python int.
+
+    Any integral type (a NumPy integer, say) is accepted, so the exact
+    arithmetic and the overflow guards never run on fixed-width integers;
+    bool, float and other non-integers raise TypeError.
+    """
+    for name in names:
+        value = getattr(instance, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer")
+        object.__setattr__(instance, name, operator.index(value))
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """An isolated system: particle count N >= 1 and total energy quanta M >= 0."""
@@ -25,13 +39,7 @@ class SystemParams:
     energy_units: int
 
     def __post_init__(self):
-        # Any integral type (a NumPy integer, say) is stored as a Python int,
-        # so the exact arithmetic never runs on fixed-width integers.
-        for name in ("n_particles", "energy_units"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer")
-            object.__setattr__(self, name, operator.index(value))
+        store_integral_fields(self, "n_particles", "energy_units")
         if self.n_particles < 1:
             raise ValueError(f"need at least one particle, got {self.n_particles}")
         if self.energy_units < 0:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from boltzgas import montecarlo
 from boltzgas.distributions import occupation_pdf_exact
 from boltzgas.enumeration import enumerate_macrostates
 from boltzgas.montecarlo import (
@@ -18,6 +20,16 @@ from boltzgas.montecarlo import (
 from boltzgas.system import SystemParams, microstate_count
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Make any sampling fail, to show that a check raises before the first draw."""
+
+    def fail(*args):
+        raise AssertionError("sampled before the input check")
+
+    monkeypatch.setattr(montecarlo, "chunk_rng", fail)
+
+
 class TestSamplerConfig:
     def test_rejects_bad_values(self):
         params = SystemParams(2, 2)
@@ -27,6 +39,16 @@ class TestSamplerConfig:
             SamplerConfig(params, 10, -1)
         with pytest.raises(ValueError):
             SamplerConfig(params, 10, 2**64)
+
+    @pytest.mark.parametrize("sample_count, seed", [(True, 1), (2.5, 1), (10, True), (10, 1.0)])
+    def test_rejects_non_integers(self, sample_count, seed):
+        with pytest.raises(TypeError, match="must be an integer"):
+            SamplerConfig(SystemParams(2, 2), sample_count, seed)
+
+    def test_numpy_integers_stored_as_int(self):
+        config = SamplerConfig(SystemParams(2, 2), np.int64(10), np.uint64(2**64 - 1))
+        assert type(config.sample_count) is int and config.sample_count == 10
+        assert type(config.seed) is int and config.seed == 2**64 - 1
 
 
 class TestSampleMicrostate:
@@ -117,15 +139,40 @@ class TestEmpiricalStats:
             sums += counts.sum(axis=0)
         assert tuple(int(v) for v in sums) == reference.count_sums
 
-    def test_rejects_square_sum_overflow(self, monkeypatch):
-        # 2^24 samples of N = 2^20 particles: sample_count * N^2 = 2^64
-        def no_draws(*args):
-            raise AssertionError("sampled before the overflow check")
+    def test_rejects_square_sum_overflow(self, no_draws):
+        # 2^24 samples of N = 2^20 particles: sample_count * N^2 = 2^64, which
+        # wraps to 0 if the product is taken in int64
+        for sample_count in (2**24, np.int64(2**24)):
+            config = SamplerConfig(SystemParams(2**20, 3), sample_count, 5)
+            with pytest.raises(ValueError, match="2\\^63"):
+                empirical_stats(config)
 
-        monkeypatch.setattr("boltzgas.montecarlo.chunk_rng", no_draws)
-        config = SamplerConfig(SystemParams(2**20, 3), 2**24, 5)
-        with pytest.raises(ValueError, match="2\\^63"):
+    @pytest.mark.parametrize("cutoff", [-1, -3])
+    def test_rejects_negative_histogram_cutoff(self, no_draws, cutoff):
+        config = SamplerConfig(SystemParams(4, 6), 100, 5)
+        with pytest.raises(ValueError, match="histogram_cutoff must be >= 0"):
+            empirical_stats(config, histogram_cutoff=cutoff)
+
+    @pytest.mark.parametrize("n, m", [(4, 6), (3, 0), (1, 5)])
+    def test_block_size_does_not_change_stream(self, monkeypatch, n, m):
+        # 20_000 samples: a full chunk plus 3616 rows, neither a multiple of 7 or 1000
+        config = SamplerConfig(SystemParams(n, m), 20_000, 31)
+        reference = empirical_stats(config)
+        for rows in (1, 7, 1000, CHUNK_SIZE):
+            monkeypatch.setattr(montecarlo, "BLOCK_ROWS", rows)
+            assert empirical_stats(config) == reference
+
+    def test_peak_memory_is_bounded_by_a_block(self):
+        # One 16384-row chunk of the wide system: 438 MiB traced if the whole
+        # chunk is held at once, 28 MiB in 1024-row blocks.
+        config = SamplerConfig(SystemParams(100, 1000), CHUNK_SIZE, 101)
+        tracemalloc.start()
+        try:
             empirical_stats(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
     def test_single_particle_zero_variance(self):
         config = SamplerConfig(SystemParams(1, 5), 5_000, 3)
