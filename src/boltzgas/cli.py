@@ -186,12 +186,10 @@ def cmd_pdf(args) -> int:
         )
         header.append("limit")
         columns.append(limit.probabilities)
-    if args.check_oracle:
-        reference = oracle_pdf(params, args.level)
-        if reference.probabilities != table.probabilities:
-            raise VerificationError("closed-form law disagrees with the enumeration oracle")
-    rows = list(zip(*columns))
-    _emit(args, header, rows)
+    failed = args.check_oracle and oracle_pdf(params, args.level).probabilities != table.probabilities
+    _emit(args, header, list(zip(*columns)))
+    if failed:
+        raise VerificationError("closed-form law disagrees with the enumeration oracle")
     return 0
 
 

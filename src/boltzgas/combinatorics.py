@@ -3,12 +3,13 @@
 Everything here is integer or rational arithmetic with no rounding: binomial
 coefficients under the zero-outside-range convention, multinomial placement
 weights, the Stirling-style coefficient triangle that converts log-derivatives
-into falling factorials, and the bivariate expansion coefficients of
-((1 - z^(M+1))/(1 - z) + z^j u)^N.
+into falling factorials, and the expansion coefficients of
+((1 - z^(M+1))/(1 - z) + sum_s z^(j_s) u_s)^N.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -116,15 +117,21 @@ def weak_compositions(total: int, parts: int) -> int:
     return binomial(total + parts - 1, parts - 1)
 
 
-def power_of_sum_coefficient(p: int, j: int, N: int, q: int) -> int:
-    """Coefficient of z^p u^q in ((1 - z^(M+1))/(1 - z) + z^j u)^N, truncated at z^M.
+def joint_power_of_sum_coefficient(p: int, levels, N: int, counts) -> int:
+    """Coefficient of z^p prod_s u_s^(r_s) in ((1 - z^(M+1))/(1 - z) + sum_s z^(j_s) u_s)^N.
 
-    C(N, q) ways to pick the q particles on level j, times the weak
-    compositions of the leftover energy p - q*j into the other N - q. Valid
-    for 0 <= q <= N; at q = N it is the indicator of N*j == p. Returns 0
-    whenever q*j > p (the gated region) or q is out of range, so summations
-    may run unguarded.
+    For r = ``counts`` at j = ``levels`` (one or more): N!/(prod_s r_s! (N - |r|)!)
+    placements of the picked particles, times W(p - r.j, N - |r|) weak compositions
+    of the leftover energy. Over C(p+N-1, N-1) it is E[prod_s C(n_(j_s), r_s)].
+    Returns 0 for a negative count, |r| > N or r.j > p, so sums may run unguarded.
     """
-    if q < 0 or q > N or p < 0 or j < 0:
+    rest = N - sum(counts)
+    energy = sum(map(operator.mul, counts, levels))
+    if rest < 0 or energy > p or min(counts) < 0 or min(levels) < 0:
         return 0
-    return binomial(N, q) * weak_compositions(p - q * j, N - q)
+    return multinomial_weight((*counts, rest)) * weak_compositions(p - energy, rest)
+
+
+def power_of_sum_coefficient(p: int, j: int, N: int, q: int) -> int:
+    """The one-level joint coefficient C(N, q) W(p - q*j, N - q); at q = N, [N*j == p]."""
+    return joint_power_of_sum_coefficient(p, (j,), N, (q,))

@@ -17,9 +17,9 @@ from functools import lru_cache
 
 from .combinatorics import (
     binomial,
+    joint_power_of_sum_coefficient,
     multinomial_weight,
     power_of_sum_coefficient,
-    weak_compositions,
 )
 from .moments import (
     check_particle_count,
@@ -130,14 +130,17 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
     return counts, [Fraction(numerators[k], total) for k in counts]
 
 
-def _binomial_log_pmf(n: int, p: float, k: int) -> float:
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
+def _multinomial_log_pmf(n: int, counts, log_probs) -> float:
+    """log(n!/prod(c!) prod(p^c)) at ``counts`` summing to n: the limit laws' one log-factorial.
+
+    Summed left to right: log n!, then each -log c!, then each c log p.
+    """
+    log_prob = math.lgamma(n + 1)
+    for c in counts:
+        log_prob -= math.lgamma(c + 1)
+    for c, log_p in zip(counts, log_probs):
+        log_prob += c * log_p
+    return log_prob
 
 
 def _success_probability(n_particles: int, temperature, level: int) -> float:
@@ -170,8 +173,10 @@ def occupation_pdf_binomial_limit(n_particles: int, temperature, level: int) -> 
     validity; the exact law remains the source of truth there.
     """
     p = _success_probability(n_particles, temperature, level)
+    log_probs = (math.log(p), math.log1p(-p))
     probs = tuple(
-        math.exp(_binomial_log_pmf(n_particles, p, k)) for k in range(n_particles + 1)
+        math.exp(_multinomial_log_pmf(n_particles, (k, n_particles - k), log_probs))
+        for k in range(n_particles + 1)
     )
     return DistributionTable(tuple(range(n_particles + 1)), probs, "limit")
 
@@ -225,39 +230,28 @@ def occupation_pdf_normal_limit(n_particles: int, temperature, level: int) -> No
 
 @lru_cache(maxsize=64)
 def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
-    """Composition-indexed terms of the exact joint law at ``levels``.
+    """Nonzero binomial moments B[r] of the occupations at ``levels``, as (r, B[r]) pairs.
 
-    Each entry is (composition, weight) where the composition (m_1..m_p) sums
-    to some q <= N and the integer weight is q!/prod(m_l!) times C(N, q) times
-    the weak compositions of the leftover energy into the other N - q
-    particles (the multi-level ``power_of_sum_coefficient``). The compositions
-    of q are read off the bar positions of stars and bars.
+    B[r] is ``joint_power_of_sum_coefficient`` at z^M and the count tuple r,
+    over the lattice 0..N per level: B[r] / C(M+N-1, N-1) is the joint
+    binomial moment E[prod_s C(n_(j_s), r_s)].
     """
     terms = []
-    bars = len(levels) - 1
-    for q in range(n + 1):
-        base = binomial(n, q)
-        for cuts in itertools.combinations(range(q + bars), bars):
-            edges = (-1,) + cuts + (q + bars,)
-            comp = tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
-            energy = sum(mi * ji for mi, ji in zip(comp, levels))
-            weight = multinomial_weight(comp) * base * weak_compositions(m - energy, n - q)
-            if weight:
-                terms.append((comp, weight))
+    for r in itertools.product(range(n + 1), repeat=len(levels)):
+        weight = joint_power_of_sum_coefficient(m, levels, n, r)
+        if weight:
+            terms.append((r, weight))
     return tuple(terms)
 
 
 def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
     """Exact probability that the occupation at levels[s] equals counts[s] for all s.
 
-    The hypercube-gridpoint expansion is re-indexed by compositions (grouping
-    gridpoints by their coordinate multiplicities), which shrinks p^q terms to
-    C(q+p-1, p-1) per order without changing the exact value. Impossible joint
-    events return 0.
+    Inverts the binomial moments B[r] of ``_joint_term_table``: the numerator
+    is sum_r (-1)^(|r| - |c|) prod_s C(r_s, c_s) B[r] over C(M+N-1, N-1).
+    Impossible joint events return 0.
     """
     levels, counts = normalize_selection(params, levels, counts)
-    if any(c < 0 or c > params.n_particles for c in counts):
-        return Fraction(0)
     n, m = params.n_particles, params.energy_units
     count_sum = sum(counts)
     numerator = 0
@@ -306,12 +300,9 @@ def joint_pdf_multinomial_limit(n_particles: int, temperature, counts) -> float:
     t = float(temperature)
     log_ratio = math.log(t) - math.log1p(t)
     arity = len(counts)
-    log_prob = math.lgamma(n_particles + 1) - math.lgamma(n_particles - occupied + 1)
-    for l, c in enumerate(counts, start=1):
-        log_prob -= math.lgamma(c + 1)
-        log_prob += c * (l * log_ratio - math.log(t))
-    log_prob += (n_particles - occupied) * arity * log_ratio
-    return math.exp(log_prob)
+    # class l holds level l-1, log p = (l-1) log T - l log(T+1); the overflow (T/(T+1))^arity
+    log_probs = [l * log_ratio - math.log(t) for l in range(1, arity + 1)] + [arity * log_ratio]
+    return math.exp(_multinomial_log_pmf(n_particles, counts + [n_particles - occupied], log_probs))
 
 
 def macrostate_probability_exact(params: SystemParams, state) -> Fraction:
@@ -339,9 +330,5 @@ def macrostate_probability_largeN(n_particles: int, temperature, state) -> float
     expected = float(temperature) * n_particles
     if abs(energy - expected) > 1e-9 * max(1.0, abs(expected)):
         raise ValueError(f"state energy {energy} != T*N = {expected}")
-    t = float(temperature)
-    log_prob = math.lgamma(n_particles + 1)
-    for c in state:
-        log_prob -= math.lgamma(c + 1)
-    log_prob += energy * math.log(t) - (n_particles + energy) * math.log1p(t)
-    return math.exp(log_prob)
+    # the joint limit over every level of the state; its overflow class is empty
+    return joint_pdf_multinomial_limit(n_particles, temperature, state.counts)

@@ -17,6 +17,7 @@ from .distributions import (
     LimitValidityWarning,
     occupation_pdf_binomial_limit,
     occupation_pdf_exact,
+    occupation_pdf_normal_limit,
     occupation_pdf_window,
 )
 from .fluctuations import pearson_correlation, total_fluctuation_ratio
@@ -141,11 +142,10 @@ def figure_high_temperature_spread() -> FigureData:
         rows = []
         for n in sizes:
             params = SystemParams(n, n * t)
-            p = float(density_moment_limit(t, level))
-            mean = n * p
-            sigma = math.sqrt(n * p * (1.0 - p))
-            lo = int(mean - 12.0 * sigma)
-            hi = int(math.ceil(mean + 12.0 * sigma))
+            limit = occupation_pdf_normal_limit(n, t, level)
+            sigma = math.sqrt(limit.variance)
+            lo = int(limit.mean - 12.0 * sigma)
+            hi = int(math.ceil(limit.mean + 12.0 * sigma))
             counts, probs = occupation_pdf_window(params, level, lo, hi)
             rows.extend((n, k, float(v)) for k, v in zip(counts, probs))
         panels.append(Panel(f"t{t}", ("n_particles", "count", "probability"), tuple(rows)))

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .moments import exact_moment
-from .system import OccupationVector, SystemParams, store_integral_fields
+from .moments import exact_moment, variance_exact
+from .system import OccupationVector, SystemParams, integral_value, store_integral_fields
 
 CHUNK_SIZE = 1 << 14
 # Rows held in memory at once; a block's arrays are about 16 * BLOCK_ROWS * (M+N-1) bytes.
@@ -107,8 +107,8 @@ class EmpiricalStats:
 def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = None) -> EmpiricalStats:
     """Sample config.sample_count microstates and tabulate per-level statistics.
 
-    Histograms are kept for levels 0..histogram_cutoff (default: up to level
-    min(M, 12)). Deterministic: a fixed config always returns the same object.
+    Histograms are kept for levels 0..min(histogram_cutoff, M), cutoff 12 by
+    default. Deterministic: a fixed config always returns the same object.
     """
     params = config.params
     n, m = params.n_particles, params.energy_units
@@ -120,8 +120,9 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
             "need sample_count * N^2 < 2^63"
         )
     if histogram_cutoff is None:
-        histogram_cutoff = min(m, 12)
-    elif histogram_cutoff < 0:
+        histogram_cutoff = 12
+    histogram_cutoff = integral_value("histogram_cutoff", histogram_cutoff)
+    if histogram_cutoff < 0:
         raise ValueError(f"histogram_cutoff must be >= 0, got {histogram_cutoff}")
     histogram_cutoff = min(histogram_cutoff, m)
     sums = np.zeros(m + 1, dtype=np.int64)
@@ -176,8 +177,7 @@ def z_score_report(config: SamplerConfig, levels) -> list:
     rows = []
     for level in levels:
         exact_mean = exact_moment(config.params, level, 1)
-        exact_second = exact_moment(config.params, level, 2)
-        variance = exact_second - exact_mean * exact_mean
+        variance = config.params.n_particles**2 * variance_exact(config.params, level)
         empirical = stats.means[level]
         if variance == 0:
             exact = empirical == float(exact_mean)

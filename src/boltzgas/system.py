@@ -17,18 +17,22 @@ from fractions import Fraction
 from .combinatorics import binomial
 
 
-def store_integral_fields(instance, *names) -> None:
-    """Store each named field of a frozen dataclass as a Python int.
+def integral_value(name: str, value) -> int:
+    """``value`` as a Python int, for the input called ``name``.
 
     Any integral type (a NumPy integer, say) is accepted, so the exact
     arithmetic and the overflow guards never run on fixed-width integers;
     bool, float and other non-integers raise TypeError.
     """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer")
+    return operator.index(value)
+
+
+def store_integral_fields(instance, *names) -> None:
+    """Store each named field of a frozen dataclass as a Python int (see ``integral_value``)."""
     for name in names:
-        value = getattr(instance, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an integer")
-        object.__setattr__(instance, name, operator.index(value))
+        object.__setattr__(instance, name, integral_value(name, getattr(instance, name)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from boltzgas import cli
 from boltzgas.cli import main
+from boltzgas.distributions import DistributionTable
+from boltzgas.identities import IdentityReport
 
 GOLDEN_MOMENTS = """\
 level,order,exact,value
@@ -177,6 +181,53 @@ class TestIdentities:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "identities", "--name", "nope")
         assert code == 1 and "nope" in err
+
+
+class TestFailedCheck:
+    """A check that disagrees exits 2 after its rows are written."""
+
+    @pytest.mark.parametrize(
+        "check, fake, argv, first_line",
+        [
+            (
+                "oracle_moment",
+                lambda *args: Fraction(-1),
+                "moments --n 2 --m 2 --order-max 1 --check-oracle",
+                "level,order,exact,value,oracle",
+            ),
+            (
+                "oracle_pdf",
+                lambda *args: DistributionTable((0,), (Fraction(1),), "exact"),
+                "pdf --n 4 --m 6 --level 2 --check-oracle",
+                "count,exact,value",
+            ),
+            (
+                "oracle_joint_pdf",
+                lambda *args: Fraction(-1),
+                "jointpdf --n 2 --m 2 --levels 0,1 --check-oracle",
+                "count_level_0,count_level_1,exact,value",
+            ),
+            (
+                "run_standard_battery",
+                lambda: [IdentityReport("power-of-sum", {"n": 1}, "mismatch")],
+                "identities",
+                "[",
+            ),
+        ],
+    )
+    def test_writes_then_exits_2(self, capsys, monkeypatch, check, fake, argv, first_line):
+        monkeypatch.setattr(cli, check, fake)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert err.startswith("verification failed")
+        lines = out.splitlines()
+        assert lines[0] == first_line and len(lines) > 1
+
+    def test_moment_rows_name_the_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "oracle_moment", lambda *args: Fraction(-1))
+        code, out, _ = run(capsys, "moments", "--n", "2", "--m", "2", "--check-oracle")
+        assert code == 2
+        assert all(line.endswith(",MISMATCH") for line in out.splitlines()[1:])
 
 
 class TestFigures:

@@ -153,6 +153,19 @@ class TestEmpiricalStats:
         with pytest.raises(ValueError, match="histogram_cutoff must be >= 0"):
             empirical_stats(config, histogram_cutoff=cutoff)
 
+    @pytest.mark.parametrize("cutoff", [True, 2.5, "2"])
+    def test_rejects_non_integer_histogram_cutoff(self, no_draws, cutoff):
+        config = SamplerConfig(SystemParams(4, 6), 100, 5)
+        with pytest.raises(TypeError, match="histogram_cutoff must be an integer"):
+            empirical_stats(config, histogram_cutoff=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [np.int64(2), np.uint8(2)])
+    def test_numpy_integer_histogram_cutoff(self, cutoff):
+        config = SamplerConfig(SystemParams(4, 6), 100, 5)
+        stats = empirical_stats(config, histogram_cutoff=cutoff)
+        assert stats == empirical_stats(config, histogram_cutoff=2)
+        assert all(type(level) is int for level in stats.histograms)
+
     @pytest.mark.parametrize("n, m", [(4, 6), (3, 0), (1, 5)])
     def test_block_size_does_not_change_stream(self, monkeypatch, n, m):
         # 20_000 samples: a full chunk plus 3616 rows, neither a multiple of 7 or 1000

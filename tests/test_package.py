@@ -58,6 +58,29 @@ def _sibling_imports(module: str) -> list:
     return imports
 
 
+def _lgamma_owners() -> set:
+    """(module, innermost enclosing function) of every mention of lgamma in the package."""
+    owners = set()
+    for path in sorted(Path(boltzgas.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {}
+        # ast.walk is breadth-first, so an inner function overwrites its outer one
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    enclosing[id(node)] = function.name
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if name == "lgamma":
+                owners.add((path.stem, enclosing.get(id(node))))
+    return owners
+
+
+def test_log_factorials_live_in_one_log_law():
+    # The large-system laws share one multinomial log-pmf; no law writes its own.
+    assert _lgamma_owners() == {("distributions", "_multinomial_log_pmf")}
+
+
 def test_import_graph_runs_one_way():
     modules = [info.name for info in pkgutil.iter_modules(boltzgas.__path__)]
     assert set(ORACLE_FREE) | set(DEFERRED) <= set(modules)
