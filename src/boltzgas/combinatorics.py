@@ -135,3 +135,34 @@ def joint_power_of_sum_coefficient(p: int, levels, N: int, counts) -> int:
 def power_of_sum_coefficient(p: int, j: int, N: int, q: int) -> int:
     """The one-level joint coefficient C(N, q) W(p - q*j, N - q); at q = N, [N*j == p]."""
     return joint_power_of_sum_coefficient(p, (j,), N, (q,))
+
+
+def power_of_sum_row(p: int, j: int, N: int) -> list:
+    """[power_of_sum_coefficient(p, j, N, q) for q = 0..N], from one binomial.
+
+    Entry q is C(N, q) C(a, b) with a = p - qj + N - q - 1, b = N - q - 1. Going
+    to q + 1, C(N, q) gains (N - q)/(q + 1), and C(a, b) becomes C(a - j - 1, b - 1)
+    = C(a, b) b prod_{i<j}(a - b - i) / prod_{i<=j}(a - i). While (q + 1)j <= p and
+    b >= 1, every divisor is at least 1 and each division is exact; past the gate
+    the entries are 0. The last entry is the indicator [N*j == p].
+    """
+    row = [0] * (N + 1)
+    if N < 0 or p < 0 or j < 0:
+        return row
+    row[N] = int(N * j == p)
+    choose = 1
+    a, b = p + N - 1, N - 1
+    compositions = binomial(a, b)
+    for q in range(N):
+        row[q] = choose * compositions
+        if q + 1 == N or (q + 1) * j > p:
+            break
+        up, down = b, a
+        for i in range(j):
+            up *= a - b - i
+            down *= a - i - 1
+        compositions = compositions * up // down
+        choose = choose * (N - q) // (q + 1)
+        a -= j + 1
+        b -= 1
+    return row

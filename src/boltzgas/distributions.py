@@ -8,7 +8,6 @@ and are evaluated in log space to stay finite at large N.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from .combinatorics import (
     binomial,
     joint_power_of_sum_coefficient,
     multinomial_weight,
-    power_of_sum_coefficient,
+    power_of_sum_row,
 )
 from .moments import (
     check_particle_count,
@@ -94,12 +93,13 @@ class DistributionTable:
 def _pdf_numerators(n: int, m: int, level: int) -> tuple:
     """Integer numerators of P(n_level = k), k = 0..N, over C(M+N-1, N-1).
 
-    With A_q the z^M u^q coefficient at ``level``, the numerator of count k is
-    sum_{q >= k} (-1)^(q-k) C(q, k) A_q: the y^k coefficient of
+    The weight row A_0..A_N, the z^M u^q coefficients at ``level``, comes from
+    ``power_of_sum_row`` in one pass of exact updates. The numerator of count k
+    is sum_{q >= k} (-1)^(q-k) C(q, k) A_q: the y^k coefficient of
     sum_q A_q (y - 1)^q. That Taylor shift by -1 runs in place with integer
     subtractions only (Ruffini-Horner).
     """
-    a = [power_of_sum_coefficient(m, level, n, q) for q in range(n + 1)]
+    a = power_of_sum_row(m, level, n)
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             a[j] -= a[j + 1]
@@ -228,16 +228,28 @@ def occupation_pdf_normal_limit(n_particles: int, temperature, level: int) -> No
     return NormalApproximation(mean=n_particles * p, variance=n_particles * p * (1.0 - p))
 
 
+def _bounded_counts(n: int, m: int, levels: tuple):
+    """Count tuples r over ``levels`` with |r| <= n and r.j <= m, in lexicographic order."""
+    if not levels:
+        yield ()
+        return
+    j, rest = levels[0], levels[1:]
+    top = n if j == 0 else min(n, m // j)
+    for r in range(top + 1):
+        for tail in _bounded_counts(n - r, m - r * j, rest):
+            yield (r, *tail)
+
+
 @lru_cache(maxsize=64)
 def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     """Nonzero binomial moments B[r] of the occupations at ``levels``, as (r, B[r]) pairs.
 
     B[r] is ``joint_power_of_sum_coefficient`` at z^M and the count tuple r,
-    over the lattice 0..N per level: B[r] / C(M+N-1, N-1) is the joint
-    binomial moment E[prod_s C(n_(j_s), r_s)].
+    which vanishes unless |r| <= N and r.j <= M, so only those r are walked:
+    B[r] / C(M+N-1, N-1) is the joint binomial moment E[prod_s C(n_(j_s), r_s)].
     """
     terms = []
-    for r in itertools.product(range(n + 1), repeat=len(levels)):
+    for r in _bounded_counts(n, m, levels):
         weight = joint_power_of_sum_coefficient(m, levels, n, r)
         if weight:
             terms.append((r, weight))

@@ -163,17 +163,25 @@ class ZScoreRow:
     note: str = ""
 
 
-def z_score_report(config: SamplerConfig, levels) -> list:
+def z_score_report(config: SamplerConfig | EmpiricalStats, levels) -> list:
     """Per-level z-scores of the empirical mean against the exact mean.
 
-    The standard error uses the exact occupation variance, so z is a clean
-    N(0,1) statistic under the sampler's null; |z| > 4 is flagged. Levels with
-    zero exact variance report an exact-match sentinel instead of a z-score.
+    ``config`` is a ``SamplerConfig``, which is sampled here, or the
+    ``EmpiricalStats`` of a run already drawn; the means do not depend on the
+    histogram cutoff, so both give the same rows. The standard error uses the
+    exact occupation variance, so z is a clean N(0,1) statistic under the
+    sampler's null; |z| > 4 is flagged. Levels with zero exact variance report
+    an exact-match sentinel instead of a z-score.
     """
+    if isinstance(config, EmpiricalStats):
+        stats, config = config, config.config
+    else:
+        stats = None
     levels = [int(j) for j in levels]
     for level in levels:
         config.params.check_level(level)
-    stats = empirical_stats(config, histogram_cutoff=0)
+    if stats is None:
+        stats = empirical_stats(config, histogram_cutoff=0)
     rows = []
     for level in levels:
         exact_mean = exact_moment(config.params, level, 1)

@@ -164,11 +164,11 @@ def test_criterion_7_total_fluctuation_branches():
 def test_criterion_8_monte_carlo_agreement():
     params = SystemParams(50, 100)
     config = SamplerConfig(params, 1_000_000, 42)
-    rows = z_score_report(config, range(11))
+    stats = empirical_stats(config)
+    rows = z_score_report(stats, range(11))
     worst = max(abs(row.z_score) for row in rows)
     if any(row.flagged for row in rows):
         _report(8, False, f"|z| up to {worst:.2f} exceeds 4")
-    stats = empirical_stats(config)
     assert sorted(stats.histograms) == list(range(13))
     tvs = {}
     for level, histogram in stats.histograms.items():

@@ -11,6 +11,7 @@ from boltzgas.combinatorics import (
     joint_power_of_sum_coefficient,
     multinomial_weight,
     power_of_sum_coefficient,
+    power_of_sum_row,
     stirling_like_row,
     triangle_coefficient,
     weak_compositions,
@@ -185,6 +186,44 @@ class TestPowerOfSumCoefficient:
             for p in range(m + 1):
                 for q in range(n + 1):
                     assert brute[p][q] == power_of_sum_coefficient(p, j, n, q)
+
+
+def _coefficients(p, j, n):
+    return [power_of_sum_coefficient(p, j, n, q) for q in range(n + 1)]
+
+
+class TestPowerOfSumRow:
+    @pytest.mark.parametrize(
+        "p, j, n",
+        [
+            (7, 3, 5),  # the gate: qj > p from q = 3 on
+            (6, 2, 3),  # N*j == p: the last entry is 1
+            (7, 2, 3),  # N*j != p: the last entry is 0
+            (9, 0, 6),  # j = 0: no gate
+            (4, 2, 1),  # N = 1
+            (0, 0, 4),  # p = 0
+            (-1, 1, 4),  # a negative p: every entry is 0
+        ],
+    )
+    def test_fixed_cases_match_coefficients(self, p, j, n):
+        assert power_of_sum_row(p, j, n) == _coefficients(p, j, n)
+
+    def test_gated_tail_and_indicator(self):
+        assert power_of_sum_row(7, 3, 5)[3:] == [0, 0, 0]
+        assert power_of_sum_row(6, 2, 3)[-1] == 1
+        assert power_of_sum_row(7, 2, 3)[-1] == 0
+        assert power_of_sum_row(-1, 1, 4) == [0] * 5
+
+    def test_large_row(self):
+        assert power_of_sum_row(10240, 1, 1024) == _coefficients(10240, 1, 1024)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_per_entry_coefficients(self, data):
+        n = data.draw(st.integers(0, 60), label="N")
+        p = data.draw(st.integers(0, 150), label="p")
+        j = data.draw(st.integers(0, p), label="j")
+        assert power_of_sum_row(p, j, n) == _coefficients(p, j, n)
 
 
 def _oracle_binomial_moment(n, m, levels, counts):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from boltzgas.combinatorics import binomial
+from boltzgas import distributions
+from boltzgas.combinatorics import binomial, joint_power_of_sum_coefficient
 from boltzgas.distributions import (
     DistributionTable,
     LimitValidityWarning,
@@ -99,6 +100,31 @@ class TestOccupationPdfExact:
                 assert table.mean() == exact_moment(params, j, 1)
                 second = sum(k * k * p for k, p in zip(table.support, table.probabilities))
                 assert second == exact_moment(params, j, 2)
+
+    def test_level_zero_is_hypergeometric(self):
+        # P(n_0 = k) = C(N, k) C(M-1, N-k-1) / C(M+N-1, N-1) for M >= 1: a
+        # witness independent of the enumeration oracle and past its cap.
+        systems = [(n, m) for n in range(1, 25) for m in range(1, 40)] + [(300, 3000)]
+        for n, m in systems:
+            table = occupation_pdf_exact(SystemParams(n, m), 0)
+            total = binomial(m + n - 1, n - 1)
+            assert table.probabilities == tuple(
+                Fraction(binomial(n, k) * binomial(m - 1, n - k - 1), total)
+                for k in range(n + 1)
+            ), (n, m)
+
+    def test_weight_row_takes_one_binomial(self, monkeypatch):
+        calls = []
+        comb = math.comb
+
+        def counting_comb(n, k):
+            calls.append((n, k))
+            return comb(n, k)
+
+        monkeypatch.setattr(math, "comb", counting_comb)
+        distributions._pdf_numerators.cache_clear()
+        distributions._pdf_numerators(200, 2000, 1)
+        assert len(calls) == 1
 
     def test_window_matches_full_table(self):
         params = SystemParams(8, 10)
@@ -254,6 +280,29 @@ def _joint_pdf_gridpoint(params: SystemParams, levels, counts) -> Fraction:
                 factor *= binomial(mi, ci) * (-1) ** (mi - ci)
             numerator += weight * factor
     return Fraction(numerator, binomial(m + n - 1, n - 1))
+
+
+class TestJointTermTable:
+    @pytest.mark.parametrize(
+        "n, m, levels",
+        [
+            (12, 16, (0, 1, 2)),
+            (12, 16, (0, 2, 4)),
+            (11, 15, (1, 2, 3)),
+            (13, 17, (0, 1, 3)),
+            (40, 60, (0, 1, 2)),
+            (30, 5, (0, 3)),
+            (20, 30, (0, 2)),
+            (5, 0, (0,)),
+        ],
+    )
+    def test_equals_the_filtered_cube(self, n, m, levels):
+        cube = []
+        for r in itertools.product(range(n + 1), repeat=len(levels)):
+            weight = joint_power_of_sum_coefficient(m, levels, n, r)
+            if weight:
+                cube.append((r, weight))
+        assert distributions._joint_term_table(n, m, levels) == tuple(cube)
 
 
 class TestJointPdfExact:

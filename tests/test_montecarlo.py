@@ -235,6 +235,12 @@ class TestZScoreReport:
         ratio = large.standard_error / small.standard_error
         assert abs(ratio - 1 / math.sqrt(2)) <= 0.2 / math.sqrt(2)
 
+    def test_stats_and_config_give_equal_rows(self):
+        config = SamplerConfig(SystemParams(8, 12), 5_000, 17)
+        from_config = z_score_report(config, range(13))
+        assert z_score_report(empirical_stats(config), range(13)) == from_config
+        assert z_score_report(empirical_stats(config, histogram_cutoff=3), range(13)) == from_config
+
     def test_rejects_bad_levels(self):
         config = SamplerConfig(SystemParams(2, 2), 100, 1)
         with pytest.raises(ValueError):
