@@ -14,7 +14,6 @@ import types
 from .combinatorics import (
     ExactRational,
     binomial,
-    joint_power_of_sum_coefficient,
     multinomial_weight,
     power_of_sum_coefficient,
     stirling_like_row,

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import math
 import os
 import sys
@@ -24,7 +23,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from .combinatorics import json_default
+from .combinatorics import json_default, json_text
 from .distributions import (
     joint_pdf_exact,
     occupation_pdf_binomial_limit,
@@ -101,7 +100,7 @@ def _render_csv(header, rows) -> str:
 
 def _render_json(header, rows) -> str:
     records = [dict(zip(header, row)) for row in rows]
-    return json.dumps(records, indent=2, default=json_default) + "\n"
+    return json_text(records) + "\n"
 
 
 def _emit(args, header, rows) -> None:
@@ -237,7 +236,7 @@ def cmd_covariance(args) -> int:
             "means": [float(v) for v in means],
             "covariance": [[float(v) for v in row] for row in matrix.entries],
         }
-        _write(args.out, json.dumps(payload, indent=2) + "\n")
+        _write(args.out, json_text(payload) + "\n")
         return 0
     header = ["level_a", "level_b", "covariance"]
     rows = [
@@ -332,7 +331,7 @@ def cmd_figures(args) -> int:
             entry["panels"].append({"name": panel.name, "file": name})
             print(out_dir / name)
         manifest.append(entry)
-    write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    write_atomic(out_dir / "manifest.json", json_text(manifest) + "\n")
     print(out_dir / "manifest.json")
     return 0
 

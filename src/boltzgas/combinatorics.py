@@ -4,11 +4,15 @@ Everything here is integer or rational arithmetic with no rounding: binomial
 coefficients under the zero-outside-range convention, multinomial placement
 weights, the Stirling-style coefficient triangle that converts log-derivatives
 into falling factorials, and the expansion coefficients of
-((1 - z^(M+1))/(1 - z) + sum_s z^(j_s) u_s)^N.
+((1 - z^(M+1))/(1 - z) + z^j u)^N, whose rows the joint laws nest per level.
+The integer check that every count and level argument passes, and the JSON
+text of exact values, live here too, below every other module.
 """
 from __future__ import annotations
 
+import json
 import math
+import numbers
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +35,25 @@ def json_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def json_text(value) -> str:
+    """``value`` as indented JSON text, exact rationals and NumPy scalars through ``json_default``."""
+    return json.dumps(value, indent=2, default=json_default)
+
+
+def integral_value(name: str, value) -> int:
+    """``value`` as a Python int, for the input called ``name``.
+
+    Any integral type (a NumPy integer, say) is accepted, so the exact
+    arithmetic and the overflow guards never run on fixed-width integers;
+    bool, float and other non-integers raise TypeError.
+    """
+    if type(value) is int:  # the common case, ahead of the slower ABC check
+        return value
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer")
+    return operator.index(value)
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k), with C(n, k) = 0 whenever k < 0, n < 0 or k > n.
 
@@ -51,7 +74,7 @@ def multinomial_weight(occupation) -> int:
     total = 0
     weight = 1
     for n in occupation:
-        n = int(n)
+        n = integral_value("occupation number", n)
         if n < 0:
             raise ValueError("occupation numbers must be nonnegative")
         total += n
@@ -117,24 +140,15 @@ def weak_compositions(total: int, parts: int) -> int:
     return binomial(total + parts - 1, parts - 1)
 
 
-def joint_power_of_sum_coefficient(p: int, levels, N: int, counts) -> int:
-    """Coefficient of z^p prod_s u_s^(r_s) in ((1 - z^(M+1))/(1 - z) + sum_s z^(j_s) u_s)^N.
-
-    For r = ``counts`` at j = ``levels`` (one or more): N!/(prod_s r_s! (N - |r|)!)
-    placements of the picked particles, times W(p - r.j, N - |r|) weak compositions
-    of the leftover energy. Over C(p+N-1, N-1) it is E[prod_s C(n_(j_s), r_s)].
-    Returns 0 for a negative count, |r| > N or r.j > p, so sums may run unguarded.
-    """
-    rest = N - sum(counts)
-    energy = sum(map(operator.mul, counts, levels))
-    if rest < 0 or energy > p or min(counts) < 0 or min(levels) < 0:
-        return 0
-    return multinomial_weight((*counts, rest)) * weak_compositions(p - energy, rest)
-
-
 def power_of_sum_coefficient(p: int, j: int, N: int, q: int) -> int:
-    """The one-level joint coefficient C(N, q) W(p - q*j, N - q); at q = N, [N*j == p]."""
-    return joint_power_of_sum_coefficient(p, (j,), N, (q,))
+    """Coefficient of z^p u^q in ((1 - z^(M+1))/(1 - z) + z^j u)^N, for j >= 0.
+
+    C(N, q) ways to pick the q particles on level j, times W(p - qj, N - q)
+    weak compositions of the leftover energy; at q = N it is [N*j == p]. Zero
+    for q outside 0..N or qj > p, so sums may run unguarded. Entry q of
+    ``power_of_sum_row``; ``exact_moment`` takes it for q <= order alone.
+    """
+    return binomial(N, q) * weak_compositions(p - q * j, N - q)
 
 
 def power_of_sum_row(p: int, j: int, N: int) -> list:

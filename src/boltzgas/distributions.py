@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import (
-    binomial,
-    joint_power_of_sum_coefficient,
-    multinomial_weight,
-    power_of_sum_row,
-)
+from .combinatorics import binomial, integral_value, multinomial_weight, power_of_sum_row
 from .moments import (
     check_particle_count,
     check_temperature,
@@ -89,7 +84,6 @@ class DistributionTable:
         return 0.5 * gap
 
 
-@lru_cache(maxsize=64)
 def _pdf_numerators(n: int, m: int, level: int) -> tuple:
     """Integer numerators of P(n_level = k), k = 0..N, over C(M+N-1, N-1).
 
@@ -120,10 +114,10 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
     plotting large systems where the full support is mostly negligible mass.
     A window is not a ``DistributionTable``: its mass need not sum to 1.
     """
-    params.check_level(level)
+    level = params.check_level(level)
     n, m = params.n_particles, params.energy_units
-    lo = max(0, int(lo))
-    hi = min(n, int(hi))
+    lo = max(0, integral_value("lo", lo))
+    hi = min(n, integral_value("hi", hi))
     numerators = _pdf_numerators(n, m, level)
     total = microstate_count(params)
     counts = list(range(lo, hi + 1))
@@ -228,32 +222,36 @@ def occupation_pdf_normal_limit(n_particles: int, temperature, level: int) -> No
     return NormalApproximation(mean=n_particles * p, variance=n_particles * p * (1.0 - p))
 
 
-def _bounded_counts(n: int, m: int, levels: tuple):
-    """Count tuples r over ``levels`` with |r| <= n and r.j <= m, in lexicographic order."""
-    if not levels:
-        yield ()
-        return
-    j, rest = levels[0], levels[1:]
-    top = n if j == 0 else min(n, m // j)
-    for r in range(top + 1):
-        for tail in _bounded_counts(n - r, m - r * j, rest):
-            yield (r, *tail)
+def _nested_terms(n: int, m: int, levels: tuple) -> list:
+    """(r, B[r]) pairs of ``_joint_term_table``, uncached so the cache holds only whole tables.
+
+    B[(r_1, *rest)] = C(N, r_1) B'[rest], where B' is the table of the remaining
+    levels at N - r_1 particles and M - r_1 j_1 quanta; the last level's B' is
+    its ``power_of_sum_row``. C(N, r_1) steps by exact integer updates.
+    """
+    j = levels[0]
+    if len(levels) == 1:
+        return [((q,), weight) for q, weight in enumerate(power_of_sum_row(m, j, n)) if weight]
+    terms = []
+    choose = 1
+    for r in range(min(n, m // j) + 1 if j else n + 1):
+        for tail, weight in _nested_terms(n - r, m - r * j, levels[1:]):
+            terms.append(((r, *tail), choose * weight))
+        choose = choose * (n - r) // (r + 1)
+    return terms
 
 
 @lru_cache(maxsize=64)
 def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     """Nonzero binomial moments B[r] of the occupations at ``levels``, as (r, B[r]) pairs.
 
-    B[r] is ``joint_power_of_sum_coefficient`` at z^M and the count tuple r,
-    which vanishes unless |r| <= N and r.j <= M, so only those r are walked:
-    B[r] / C(M+N-1, N-1) is the joint binomial moment E[prod_s C(n_(j_s), r_s)].
+    B[r] is the z^M prod_s u_s^(r_s) coefficient of
+    ((1 - z^(M+1))/(1 - z) + sum_s z^(j_s) u_s)^N, namely
+    N!/(prod_s r_s! (N - |r|)!) W(M - r.j, N - |r|), so B[r] / C(M+N-1, N-1) is
+    the joint binomial moment E[prod_s C(n_(j_s), r_s)]. It is the one-level
+    weight row nested once per extra level; r runs in lexicographic order.
     """
-    terms = []
-    for r in _bounded_counts(n, m, levels):
-        weight = joint_power_of_sum_coefficient(m, levels, n, r)
-        if weight:
-            terms.append((r, weight))
-    return tuple(terms)
+    return tuple(_nested_terms(n, m, levels))
 
 
 def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
@@ -302,7 +300,7 @@ def joint_pdf_multinomial_limit(n_particles: int, temperature, counts) -> float:
     particles fall in the overflow class. Evaluated in log space.
     """
     check_particle_count(n_particles)
-    counts = [int(c) for c in counts]
+    counts = [integral_value("count", c) for c in counts]
     if any(c < 0 for c in counts):
         raise ValueError(f"counts must be nonnegative, got {counts}")
     occupied = sum(counts)

@@ -104,7 +104,7 @@ def _joint_weight_table(n_particles: int, energy_units: int, levels: tuple) -> d
 
 def oracle_moment(params: SystemParams, level: int, order: int) -> Fraction:
     """m-th raw moment of the occupation number at ``level`` by direct summation."""
-    params.check_level(level)
+    level = params.check_level(level)
     if order < 0:
         raise ValueError(f"moment order must be nonnegative, got {order}")
     table = _joint_weight_table(params.n_particles, params.energy_units, (level,))
@@ -114,7 +114,7 @@ def oracle_moment(params: SystemParams, level: int, order: int) -> Fraction:
 
 def oracle_pdf(params: SystemParams, level: int) -> DistributionTable:
     """Exact distribution of the occupation number at ``level`` by enumeration."""
-    params.check_level(level)
+    level = params.check_level(level)
     table = _joint_weight_table(params.n_particles, params.energy_units, (level,))
     support = tuple(range(params.n_particles + 1))
     total = microstate_count(params)

@@ -9,12 +9,11 @@ conflict with the classical ones, is measured and reported, never asserted.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .combinatorics import json_default, power_of_sum_coefficient, stirling_like_row
+from .combinatorics import json_text, power_of_sum_row, stirling_like_row
 from .distributions import joint_pdf_exact
 from .system import SystemParams
 
@@ -31,15 +30,16 @@ class IdentityReport:
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2, default=json_default)
+    return json_text([asdict(r) for r in reports])
 
 
 # --------------------------------------------------------------------------
 # asserted identities
 
 def check_power_of_sum(n: int, m: int, level: int) -> IdentityReport:
-    """Compare the closed expansion coefficients of ((1-z^(M+1))/(1-z) + z^j u)^N
-    against brute-force bivariate polynomial multiplication truncated at z^M."""
+    """Compare ``power_of_sum_row``, the weight row of both exact laws, with the
+    coefficients of ((1-z^(M+1))/(1-z) + z^j u)^N from brute-force bivariate
+    polynomial multiplication truncated at z^M."""
     params = {"N": n, "M": m, "j": level}
     base = [[0] * (n + 1) for _ in range(m + 1)]
     for p in range(m + 1):
@@ -61,8 +61,7 @@ def check_power_of_sum(n: int, m: int, level: int) -> IdentityReport:
                             nxt[zp + zb][uq + ub] += c * cb
         poly = nxt
     for p in range(m + 1):
-        for q in range(n + 1):
-            expected = power_of_sum_coefficient(p, level, n, q)
+        for q, expected in enumerate(power_of_sum_row(p, level, n)):
             if poly[p][q] != expected:
                 return IdentityReport(
                     name="power-of-sum",
@@ -228,15 +227,15 @@ def measure_sum_of_powers_residual(n: int, t: int) -> IdentityReport:
     )
 
 
-def sum_of_powers_residual_slope(n: int, t_values=range(10, 51), truncation: int = 1):
-    """Log-log growth slope of the truncated-expansion residual over t.
+def sum_of_powers_residual_slope(n: int):
+    """Log-log growth slope over t = 10..50 of the k<=1 truncation's residual.
 
     Returns None when every residual vanishes (the truncation is exact).
     """
     points = []
-    for t in t_values:
+    for t in range(10, 51):
         lhs = Fraction(sum(l**n for l in range(t)))
-        residual = lhs - _power_sum_rhs(n, t, truncation)
+        residual = lhs - _power_sum_rhs(n, t, truncation=1)
         if residual != 0:
             points.append((math.log(t), math.log(abs(float(residual)))))
     if len(points) < 2:
@@ -256,7 +255,7 @@ def sum_of_powers_residual_slope(n: int, t_values=range(10, 51), truncation: int
 def check_joint_normalization(n: int, m: int, levels) -> IdentityReport:
     """Sum the exact joint law over its whole count lattice; must equal 1."""
     params_obj = SystemParams(n, m)
-    levels = tuple(int(j) for j in levels)
+    levels = tuple(params_obj.check_level(j) for j in levels)
     params = {"N": n, "M": m, "levels": list(levels)}
     total = Fraction(0)
     for counts in itertools.product(range(n + 1), repeat=len(levels)):

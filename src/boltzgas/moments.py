@@ -40,9 +40,10 @@ def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
     entries and A_q is ``power_of_sum_coefficient`` at z^M u^q: the weak
     compositions W of the leftover energy times the ways to pick the q
     particles. The q = N term is nonzero only when N*j == M, i.e. all N
-    particles can sit on the requested level.
+    particles can sit on the requested level. Only the q <= order entries of
+    the weight row are needed, so they are taken one at a time.
     """
-    params.check_level(level)
+    level = params.check_level(level)
     if order < 0:
         raise ValueError(f"moment order must be nonnegative, got {order}")
     if order == 0:
@@ -66,7 +67,7 @@ def density_moment_factorized(params: SystemParams, level: int, order: int) -> F
     of mj == M, which keeps the mean densities summing to 1 down to N = 1.
     For order 1 the value is the exact mean density.
     """
-    params.check_level(level)
+    level = params.check_level(level)
     if order < 0:
         raise ValueError(f"moment order must be nonnegative, got {order}")
     n, m_units, j = params.n_particles, params.energy_units, level

@@ -53,7 +53,7 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def sample_microstate(params: SystemParams, rng: np.random.Generator) -> OccupationVector:
     """Draw one occupation vector uniformly over all microstates (a batch of one)."""
-    return OccupationVector(tuple(int(c) for c in _level_counts_batch(params, rng, 1)[0]))
+    return OccupationVector(tuple(_level_counts_batch(params, rng, 1)[0]))
 
 
 def _level_counts_batch(params: SystemParams, rng: np.random.Generator, batch: int) -> np.ndarray:
@@ -98,10 +98,6 @@ class EmpiricalStats:
             sq / s - (v / s) ** 2
             for v, sq in zip(self.count_sums, self.count_square_sums)
         )
-
-    def histogram_frequencies(self, level: int) -> tuple:
-        counts = self.histograms[level]
-        return tuple(c / self.config.sample_count for c in counts)
 
 
 def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = None) -> EmpiricalStats:
@@ -177,9 +173,7 @@ def z_score_report(config: SamplerConfig | EmpiricalStats, levels) -> list:
         stats, config = config, config.config
     else:
         stats = None
-    levels = [int(j) for j in levels]
-    for level in levels:
-        config.params.check_level(level)
+    levels = [config.params.check_level(j) for j in levels]
     if stats is None:
         stats = empirical_stats(config, histogram_cutoff=0)
     rows = []

@@ -9,24 +9,10 @@ joint laws are defined here, once, for the exact laws and the oracle alike.
 """
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import binomial
-
-
-def integral_value(name: str, value) -> int:
-    """``value`` as a Python int, for the input called ``name``.
-
-    Any integral type (a NumPy integer, say) is accepted, so the exact
-    arithmetic and the overflow guards never run on fixed-width integers;
-    bool, float and other non-integers raise TypeError.
-    """
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer")
-    return operator.index(value)
+from .combinatorics import binomial, integral_value
 
 
 def store_integral_fields(instance, *names) -> None:
@@ -59,10 +45,12 @@ class SystemParams:
         """Number of accessible energy levels, M + 1 (levels 0..M)."""
         return self.energy_units + 1
 
-    def check_level(self, level: int) -> None:
-        """Raise ValueError unless ``level`` is one of the levels 0..M."""
+    def check_level(self, level: int) -> int:
+        """``level`` as a Python int; TypeError unless integral, ValueError outside 0..M."""
+        level = integral_value("level", level)
         if not 0 <= level <= self.energy_units:
             raise ValueError(f"level must lie in 0..{self.energy_units}, got {level}")
+        return level
 
 
 @dataclass(frozen=True)
@@ -72,7 +60,7 @@ class OccupationVector:
     counts: tuple
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(integral_value("occupation number", c) for c in self.counts)
         if any(c < 0 for c in counts):
             raise ValueError(f"occupation numbers must be nonnegative: {counts}")
         object.__setattr__(self, "counts", counts)
@@ -129,14 +117,12 @@ def normalize_selection(params: SystemParams, levels, counts) -> tuple:
     probabilities are invariant under simultaneous permutation of the two
     sequences, so any level order is accepted.
     """
-    levels = tuple(int(j) for j in levels)
+    levels = tuple(params.check_level(j) for j in levels)
     if not levels:
         raise ValueError("need at least one level")
-    for level in levels:
-        params.check_level(level)
     if len(set(levels)) != len(levels):
         raise ValueError(f"levels must be distinct, got {levels}")
-    counts = tuple(int(c) for c in counts)
+    counts = tuple(integral_value("count", c) for c in counts)
     if len(counts) != len(levels):
         raise ValueError("levels and counts must have equal length")
     pairs = sorted(zip(levels, counts))

@@ -3,10 +3,13 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boltzgas import distributions
-from boltzgas.combinatorics import binomial, joint_power_of_sum_coefficient
+from boltzgas.combinatorics import binomial, multinomial_weight, weak_compositions
 from boltzgas.distributions import (
     DistributionTable,
     LimitValidityWarning,
@@ -21,7 +24,7 @@ from boltzgas.distributions import (
     occupation_pdf_normal_limit,
     occupation_pdf_window,
 )
-from boltzgas.enumeration import oracle_joint_pdf, oracle_pdf
+from boltzgas.enumeration import enumerate_macrostates, oracle_joint_pdf, oracle_pdf
 from boltzgas.moments import (
     conditioned_variance_limit,
     exact_moment,
@@ -122,9 +125,26 @@ class TestOccupationPdfExact:
             return comb(n, k)
 
         monkeypatch.setattr(math, "comb", counting_comb)
-        distributions._pdf_numerators.cache_clear()
         distributions._pdf_numerators(200, 2000, 1)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("level", [True, 1.0, np.float64(1.0)])
+    def test_rejects_non_integer_levels(self, level):
+        with pytest.raises(TypeError, match="level must be an integer"):
+            occupation_pdf_exact(SystemParams(4, 6), level)
+
+    def test_numpy_level_gives_the_same_law(self):
+        params = SystemParams(6, 9)
+        assert occupation_pdf_exact(params, np.int64(2)) == occupation_pdf_exact(params, 2)
+        assert occupation_pdf_window(params, 2, np.int64(1), np.uint8(3)) == (
+            occupation_pdf_window(params, 2, 1, 3)
+        )
+
+    def test_window_rejects_non_integer_bounds(self):
+        with pytest.raises(TypeError, match="lo must be an integer"):
+            occupation_pdf_window(SystemParams(6, 9), 2, 1.5, 3)
+        with pytest.raises(TypeError, match="hi must be an integer"):
+            occupation_pdf_window(SystemParams(6, 9), 2, 1, 3.0)
 
     def test_window_matches_full_table(self):
         params = SystemParams(8, 10)
@@ -282,6 +302,36 @@ def _joint_pdf_gridpoint(params: SystemParams, levels, counts) -> Fraction:
     return Fraction(numerator, binomial(m + n - 1, n - 1))
 
 
+def _joint_coefficient(m, levels, n, counts):
+    """Per-entry reference for the term table: N!/(prod_s r_s! (N - |r|)!) W(M - r.j, N - |r|).
+
+    Built from a fresh multinomial and a fresh weak-composition count for
+    every r; 0 for a negative count, |r| > N or r.j > M.
+    """
+    rest = n - sum(counts)
+    energy = sum(r * j for r, j in zip(counts, levels))
+    if rest < 0 or energy > m or min(counts) < 0:
+        return 0
+    return multinomial_weight((*counts, rest)) * weak_compositions(m - energy, rest)
+
+
+def _reference_table(n, m, levels):
+    """The nonzero (r, ``_joint_coefficient``) over the whole cube 0..N per level."""
+    cube = itertools.product(range(n + 1), repeat=len(levels))
+    return tuple((r, w) for r in cube if (w := _joint_coefficient(m, levels, n, r)))
+
+
+def _oracle_term_table(n, m, levels):
+    """Every nonzero (r, sum of multiplicity * prod_s C(n_(j_s), r_s)), r in lexicographic order."""
+    moments = {}
+    for weighted in enumerate_macrostates(SystemParams(n, m)):
+        occupied = [weighted.state[j] for j in levels]
+        for r in itertools.product(*(range(k + 1) for k in occupied)):
+            term = weighted.multiplicity * math.prod(map(binomial, occupied, r))
+            moments[r] = moments.get(r, 0) + term
+    return tuple(sorted(moments.items()))
+
+
 class TestJointTermTable:
     @pytest.mark.parametrize(
         "n, m, levels",
@@ -296,13 +346,63 @@ class TestJointTermTable:
             (5, 0, (0,)),
         ],
     )
-    def test_equals_the_filtered_cube(self, n, m, levels):
-        cube = []
-        for r in itertools.product(range(n + 1), repeat=len(levels)):
-            weight = joint_power_of_sum_coefficient(m, levels, n, r)
-            if weight:
-                cube.append((r, weight))
-        assert distributions._joint_term_table(n, m, levels) == tuple(cube)
+    def test_equals_the_per_entry_reference(self, n, m, levels):
+        assert distributions._joint_term_table(n, m, levels) == _reference_table(n, m, levels)
+
+    @pytest.mark.parametrize(
+        "n, m, levels, counts",
+        [
+            (3, 4, (1, 2), (2, 1)),  # |r| = N and r.j = M
+            (4, 4, (0, 2), (1, 2)),  # r.j = M with particles left over
+            (4, 6, (0, 1, 3), (0, 0, 0)),  # the plain microstate count
+            (4, 6, (0, 1, 3), (2, 2, 0)),  # |r| = N
+            (3, 5, (1, 2), (2, 2)),  # r.j > M
+            (3, 5, (0, 1), (2, 2)),  # |r| = N + 1
+            (3, 5, (0, 1), (-1, 1)),  # a negative count
+            (3, 5, (2,), (4,)),  # a count above N
+        ],
+    )
+    def test_boundary_entries_match_oracle(self, n, m, levels, counts):
+        oracle = dict(_oracle_term_table(n, m, levels)).get(counts, 0)
+        assert dict(distributions._joint_term_table(n, m, levels)).get(counts, 0) == oracle
+
+    def test_out_of_range_entries_are_absent(self):
+        assert distributions._joint_term_table(3, -1, (0,)) == ()
+        for r, weight in distributions._joint_term_table(12, 16, (0, 2, 4)):
+            assert sum(r) <= 12 and 2 * r[1] + 4 * r[2] <= 16 and weight > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_is_the_oracle_and_the_reference(self, data):
+        n = data.draw(st.integers(1, 8), label="N")
+        m = data.draw(st.integers(0, 12), label="M")
+        levels = tuple(
+            data.draw(
+                st.lists(st.integers(0, m), min_size=1, max_size=4, unique=True).map(sorted),
+                label="levels",
+            )
+        )
+        table = distributions._joint_term_table(n, m, levels)
+        assert table == _reference_table(n, m, levels) == _oracle_term_table(n, m, levels)
+
+    def test_takes_one_binomial_per_last_level_row(self, monkeypatch):
+        comb, row = math.comb, distributions.power_of_sum_row
+        comb_calls, rows = [], []
+
+        def counting_comb(n, k):
+            comb_calls.append((n, k))
+            return comb(n, k)
+
+        def counting_row(p, j, n):
+            rows.append((p, j, n))
+            return row(p, j, n)
+
+        monkeypatch.setattr(math, "comb", counting_comb)
+        monkeypatch.setattr(distributions, "power_of_sum_row", counting_row)
+        distributions._joint_term_table.cache_clear()
+        distributions._joint_term_table(12, 16, (0, 1, 2))
+        assert len(rows) == 91  # one row per (r_0, r_1) with r_0 + r_1 <= 12
+        assert len(comb_calls) <= len(rows)
 
 
 class TestJointPdfExact:
@@ -310,6 +410,19 @@ class TestJointPdfExact:
         params = SystemParams(2, 2)
         assert joint_pdf_exact(params, [0, 1], [1, 0]) == Fraction(2, 3)
         assert joint_pdf_exact(params, [0, 1, 2], [0, 2, 0]) == Fraction(1, 3)
+
+    @pytest.mark.parametrize(
+        "levels, counts", [((0, 1), (1.9, 0)), ((0.0, 1), (1, 0)), ((0, True), (1, 0))]
+    )
+    def test_rejects_non_integers(self, levels, counts):
+        with pytest.raises(TypeError, match="must be an integer"):
+            joint_pdf_exact(SystemParams(4, 6), levels, counts)
+
+    def test_numpy_integers_give_the_same_fraction(self):
+        params = SystemParams(4, 6)
+        value = joint_pdf_exact(params, np.array([2, 0]), np.array([1, 2], dtype=np.uint8))
+        assert value == joint_pdf_exact(params, (2, 0), (1, 2))
+        assert type(value.numerator) is int
 
     def test_single_level_reduces_to_univariate(self):
         for n, m in [(2, 2), (4, 5), (6, 7)]:
@@ -384,6 +497,16 @@ class TestMultinomialLimit:
                 assert sum(multinomial_trial_probabilities(t, arity)) == pytest.approx(
                     1.0, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("counts", [(1.5, 0), (True, 2), (np.float64(1.0),)])
+    def test_rejects_non_integer_counts(self, counts):
+        with pytest.raises(TypeError, match="count must be an integer"):
+            joint_pdf_multinomial_limit(4, 1.0, counts)
+
+    def test_numpy_counts(self):
+        assert joint_pdf_multinomial_limit(8, 1.0, np.array([4, 2])) == (
+            joint_pdf_multinomial_limit(8, 1.0, [4, 2])
+        )
 
     def test_single_level_reduces_to_binomial(self):
         n, t = 30, 2.0

@@ -113,6 +113,15 @@ class TestOracleJointPdf:
         assert oracle_joint_pdf(params, [0, 1, 2], [0, 2, 0]) == Fraction(1, 3)
         assert oracle_joint_pdf(params, [0], [2]) == 0
 
+    def test_rejects_non_integers(self):
+        params = SystemParams(4, 6)
+        with pytest.raises(TypeError, match="level must be an integer"):
+            oracle_joint_pdf(params, (0.9,), (3,))
+        with pytest.raises(TypeError, match="level must be an integer"):
+            oracle_pdf(params, True)
+        with pytest.raises(TypeError, match="level must be an integer"):
+            oracle_moment(params, 1.0, 2)
+
     def test_permutation_invariance(self):
         params = SystemParams(4, 5)
         levels, counts = (0, 2, 4), (1, 2, 0)

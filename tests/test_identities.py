@@ -117,6 +117,10 @@ class TestJointNormalization:
     def test_exact_equal(self, n, m, levels):
         assert check_joint_normalization(n, m, levels).verdict == "exact-equal"
 
+    def test_rejects_non_integer_levels(self):
+        with pytest.raises(TypeError, match="level must be an integer"):
+            check_joint_normalization(3, 4, (0, 1.0))
+
 
 class TestReports:
     def test_json_round_trip(self):

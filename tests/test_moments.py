@@ -41,6 +41,14 @@ class TestExactMoment:
         assert exact_moment(params, 1, 2) == Fraction(4, 3)
         assert exact_moment(params, 2, 0) == 1
 
+    def test_level_types(self):
+        params = SystemParams(5, 7)
+        with pytest.raises(TypeError, match="level must be an integer"):
+            exact_moment(params, True, 2)
+        with pytest.raises(TypeError, match="level must be an integer"):
+            exact_moment(params, 1.0, 2)
+        assert exact_moment(params, np.int64(2), 3) == exact_moment(params, 2, 3)
+
     def test_matches_oracle_small_grid(self):
         for n in range(1, 7):
             for m in range(0, 9):

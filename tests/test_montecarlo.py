@@ -68,6 +68,10 @@ class TestSampleMicrostate:
         state = sample_microstate(SystemParams(4, 0), chunk_rng(3, 0))
         assert tuple(state) == (4,)
 
+    def test_counts_are_python_ints(self):
+        state = sample_microstate(SystemParams(5, 7), chunk_rng(3, 0))
+        assert all(type(c) is int for c in state.counts)
+
     def test_conservation(self):
         rng = chunk_rng(13, 0)
         for n, m in [(2, 2), (5, 7), (9, 4), (3, 11)]:
@@ -245,3 +249,13 @@ class TestZScoreReport:
         config = SamplerConfig(SystemParams(2, 2), 100, 1)
         with pytest.raises(ValueError):
             z_score_report(config, [5])
+        with pytest.raises(TypeError, match="level must be an integer"):
+            z_score_report(config, [1.0])
+        with pytest.raises(TypeError, match="level must be an integer"):
+            z_score_report(config, [True])
+
+    def test_numpy_levels(self):
+        config = SamplerConfig(SystemParams(4, 6), 500, 3)
+        rows = z_score_report(config, np.array([0, 2]))
+        assert rows == z_score_report(config, [0, 2])
+        assert [type(row.level) for row in rows] == [int, int]
