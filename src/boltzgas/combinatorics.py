@@ -5,8 +5,9 @@ coefficients under the zero-outside-range convention, multinomial placement
 weights, the Stirling-style coefficient triangle that converts log-derivatives
 into falling factorials, and the expansion coefficients of
 ((1 - z^(M+1))/(1 - z) + z^j u)^N, whose rows the joint laws nest per level.
-The integer check that every count and level argument passes, and the JSON
-text of exact values, live here too, below every other module.
+The one integer check of the library, ``integral_value``, which every count,
+level, order and size argument of the public API passes with its lower bound,
+and the JSON text of exact values live here too, below every other module.
 """
 from __future__ import annotations
 
@@ -40,18 +41,22 @@ def json_text(value) -> str:
     return json.dumps(value, indent=2, default=json_default)
 
 
-def integral_value(name: str, value) -> int:
-    """``value`` as a Python int, for the input called ``name``.
+def integral_value(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a Python int: the one check of every integer argument called ``name``.
 
     Any integral type (a NumPy integer, say) is accepted, so the exact
     arithmetic and the overflow guards never run on fixed-width integers;
-    bool, float and other non-integers raise TypeError.
+    bool, float and other non-integers raise TypeError, and a value below
+    ``minimum`` raises ValueError; both messages name the argument. Upper
+    bounds, such as level <= M, stay with the callers that know them.
     """
-    if type(value) is int:  # the common case, ahead of the slower ABC check
-        return value
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer")
-    return operator.index(value)
+    if type(value) is not int:  # the common case skips the slower ABC check
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def binomial(n: int, k: int) -> int:
@@ -74,9 +79,7 @@ def multinomial_weight(occupation) -> int:
     total = 0
     weight = 1
     for n in occupation:
-        n = integral_value("occupation number", n)
-        if n < 0:
-            raise ValueError("occupation numbers must be nonnegative")
+        n = integral_value("occupation number", n, 0)
         total += n
         weight *= math.comb(total, n)
     return weight
@@ -117,9 +120,7 @@ def stirling_like_row(m: int) -> list:
     weights expanding the m-th derivative of f(e^y) into falling-factorial
     derivatives of f.
     """
-    if m < 1:
-        raise ValueError(f"row order must be >= 1, got {m}")
-    return list(_triangle_row(m))
+    return list(_triangle_row(integral_value("m", m, 1)))
 
 
 def triangle_coefficient(s: int, m: int) -> int:

@@ -137,12 +137,13 @@ def _multinomial_log_pmf(n: int, counts, log_probs) -> float:
     return log_prob
 
 
-def _success_probability(n_particles: int, temperature, level: int) -> float:
-    """Validated p = T^j/(T+1)^(j+1) for a limit law over the counts 0..N.
+def _success_probability(n_particles: int, temperature, level: int) -> tuple:
+    """Checked (N, p), p = T^j/(T+1)^(j+1), for a limit law over the counts 0..N.
 
     Warns on behalf of the public law that calls it when level >= T.
     """
-    check_particle_count(n_particles)
+    n_particles = check_particle_count(n_particles)
+    level = integral_value("level", level, 0)
     if level >= temperature:
         warnings.warn(
             f"the limit law is only valid for level < T; got level={level}, T={temperature}",
@@ -152,7 +153,7 @@ def _success_probability(n_particles: int, temperature, level: int) -> float:
     p = float(density_moment_limit(temperature, level))
     if p <= 0.0 or p >= 1.0:
         raise ValueError(f"success probability degenerate for level={level}, T={temperature}")
-    return p
+    return n_particles, p
 
 
 def occupation_pdf_binomial_limit(n_particles: int, temperature, level: int) -> DistributionTable:
@@ -166,7 +167,7 @@ def occupation_pdf_binomial_limit(n_particles: int, temperature, level: int) -> 
     Warns (not errors) when level >= T, where the limit is outside its stated
     validity; the exact law remains the source of truth there.
     """
-    p = _success_probability(n_particles, temperature, level)
+    n_particles, p = _success_probability(n_particles, temperature, level)
     log_probs = (math.log(p), math.log1p(-p))
     probs = tuple(
         math.exp(_multinomial_log_pmf(n_particles, (k, n_particles - k), log_probs))
@@ -185,7 +186,7 @@ def occupation_pdf_conditioned_limit(
     normalized. Validates and warns as the binomial limit does, and also
     raises when the variance underflows to 0 (far outside validity, T ~ 1e-170).
     """
-    p = _success_probability(n_particles, temperature, level)
+    n_particles, p = _success_probability(n_particles, temperature, level)
     mean = n_particles * p
     variance = n_particles**2 * float(conditioned_variance_limit(n_particles, temperature, level))
     if variance <= 0.0:
@@ -218,7 +219,7 @@ def occupation_pdf_normal_limit(n_particles: int, temperature, level: int) -> No
     exact law converges to ``occupation_pdf_conditioned_limit``, whose
     variance is smaller by the part that moves with the fixed total energy.
     """
-    p = _success_probability(n_particles, temperature, level)
+    n_particles, p = _success_probability(n_particles, temperature, level)
     return NormalApproximation(mean=n_particles * p, variance=n_particles * p * (1.0 - p))
 
 
@@ -286,8 +287,7 @@ def multinomial_trial_probabilities(temperature, arity: int) -> list:
     Classes l = 1..arity are the selected levels (l-1 quanta each); class
     arity+1 collects everything above. The probabilities sum to exactly 1.
     """
-    if arity < 1:
-        raise ValueError(f"arity must be >= 1, got {arity}")
+    arity = integral_value("arity", arity, 1)
     probs = [density_moment_limit(temperature, l) for l in range(arity)]
     probs.append((temperature / (temperature + 1)) ** arity)
     return probs
@@ -299,10 +299,8 @@ def joint_pdf_multinomial_limit(n_particles: int, temperature, counts) -> float:
     counts[l] is the occupation of level l; the remaining N - sum(counts)
     particles fall in the overflow class. Evaluated in log space.
     """
-    check_particle_count(n_particles)
-    counts = [integral_value("count", c) for c in counts]
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {counts}")
+    n_particles = check_particle_count(n_particles)
+    counts = [integral_value("count", c, 0) for c in counts]
     occupied = sum(counts)
     if occupied > n_particles:
         raise ValueError(f"counts sum to {occupied} > N = {n_particles}")
@@ -329,7 +327,7 @@ def macrostate_probability_largeN(n_particles: int, temperature, state) -> float
     exact-to-limit ratio approaches 1/sqrt(2 pi N T (T+1)) as the system
     grows. Requires the state to hold exactly N particles and M = T*N quanta.
     """
-    check_particle_count(n_particles)
+    n_particles = check_particle_count(n_particles)
     check_temperature(temperature)
     state = as_occupation(state)
     if state.particle_count != n_particles:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .combinatorics import multinomial_weight
+from .combinatorics import integral_value, multinomial_weight
 from .distributions import DistributionTable
 from .system import OccupationVector, SystemParams, microstate_count, normalize_selection
 
@@ -105,8 +105,7 @@ def _joint_weight_table(n_particles: int, energy_units: int, levels: tuple) -> d
 def oracle_moment(params: SystemParams, level: int, order: int) -> Fraction:
     """m-th raw moment of the occupation number at ``level`` by direct summation."""
     level = params.check_level(level)
-    if order < 0:
-        raise ValueError(f"moment order must be nonnegative, got {order}")
+    order = integral_value("order", order, 0)
     table = _joint_weight_table(params.n_particles, params.energy_units, (level,))
     total = sum(weight * count**order for (count,), weight in table.items())
     return Fraction(total, microstate_count(params))

@@ -20,6 +20,7 @@ from .distributions import (
     occupation_pdf_normal_limit,
     occupation_pdf_window,
 )
+from .combinatorics import integral_value
 from .fluctuations import pearson_correlation, total_fluctuation_ratio
 from .moments import density_moment_limit, std_over_mean, variance_limit
 from .system import SystemParams
@@ -212,7 +213,7 @@ FIGURE_IDS = tuple(_BUILDERS)
 def figure_data(figure_id: int) -> FigureData:
     """Build the curve data for one figure id (1..7)."""
     try:
-        builder = _BUILDERS[figure_id]
+        builder = _BUILDERS[integral_value("figure_id", figure_id)]
     except KeyError:
         raise ValueError(f"figure id must be one of {sorted(_BUILDERS)}, got {figure_id}")
     return builder()

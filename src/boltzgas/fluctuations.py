@@ -13,25 +13,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .combinatorics import integral_value
 from .moments import check_particle_count, check_temperature, density_moment_limit
 
 
-def _level_probabilities(n_particles, temperature, energy_cutoff: int) -> np.ndarray:
-    """Validated p_0..p_M of the limit model for N particles at temperature T."""
-    check_particle_count(n_particles)
+def _level_probabilities(n_particles, temperature, energy_cutoff: int) -> tuple:
+    """Checked (N, M, p_0..p_M) of the limit model for N particles at temperature T."""
+    n_particles = check_particle_count(n_particles)
     check_temperature(temperature)
-    if energy_cutoff < 0:
-        raise ValueError(f"energy cutoff must be nonnegative, got {energy_cutoff}")
+    energy_cutoff = integral_value("energy_cutoff", energy_cutoff, 0)
     # log-space p_l, not density_moment_limit's T^l/(T+1)^(l+1): T^l overflows at large cutoffs
     t = float(temperature)
     levels = np.arange(energy_cutoff + 1, dtype=np.float64)
     log_ratio = math.log(t) - math.log1p(t)
-    return np.exp(levels * log_ratio - math.log1p(t))
+    return n_particles, energy_cutoff, np.exp(levels * log_ratio - math.log1p(t))
 
 
 def mean_vector(n_particles: int, temperature: float, energy_cutoff: int) -> np.ndarray:
     """Mean occupation numbers (N p_0, ..., N p_M) in the limit model."""
-    return n_particles * _level_probabilities(n_particles, temperature, energy_cutoff)
+    n_particles, _, p = _level_probabilities(n_particles, temperature, energy_cutoff)
+    return n_particles * p
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class CovarianceMatrix:
 
 def covariance_matrix(n_particles: int, temperature: float, energy_cutoff: int) -> CovarianceMatrix:
     """Covariance matrix of (n_0, ..., n_M) in the limit model."""
-    p = _level_probabilities(n_particles, temperature, energy_cutoff)
+    n_particles, energy_cutoff, p = _level_probabilities(n_particles, temperature, energy_cutoff)
     entries = -n_particles * np.outer(p, p)
     entries[np.diag_indices_from(entries)] = n_particles * p * (1.0 - p)
     entries.setflags(write=False)
@@ -74,6 +75,8 @@ def pearson_correlation(temperature: float, level_a: int, level_b: int) -> float
     -T^((a+b)/2) as T -> 0 (levels >= 1) and like -1/T as T -> infinity.
     The degenerate case level_a == level_b is excluded by contract.
     """
+    level_a = integral_value("level_a", level_a, 0)
+    level_b = integral_value("level_b", level_b, 0)
     if level_a == level_b:
         raise ValueError("correlation formula requires two distinct levels")
     pa, pb = (density_moment_limit(float(temperature), level) for level in (level_a, level_b))
@@ -94,7 +97,7 @@ def total_fluctuation_ratio(n_particles: int, energy_units) -> float:
     of x near 1 are evaluated through expm1/log1p so the high-T plateau
     survives very large M.
     """
-    check_particle_count(n_particles)
+    n_particles = check_particle_count(n_particles)
     m = float(energy_units)
     # written so that a NaN energy fails too
     if not 0 <= m < math.inf:

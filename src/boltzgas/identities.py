@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .combinatorics import json_text, power_of_sum_row, stirling_like_row
+from .combinatorics import integral_value, json_text, power_of_sum_row, stirling_like_row
 from .distributions import joint_pdf_exact
 from .system import SystemParams
 
@@ -40,6 +40,9 @@ def check_power_of_sum(n: int, m: int, level: int) -> IdentityReport:
     """Compare ``power_of_sum_row``, the weight row of both exact laws, with the
     coefficients of ((1-z^(M+1))/(1-z) + z^j u)^N from brute-force bivariate
     polynomial multiplication truncated at z^M."""
+    n = integral_value("n", n, 0)
+    m = integral_value("m", m, 0)
+    level = integral_value("level", level, 0)
     params = {"N": n, "M": m, "j": level}
     base = [[0] * (n + 1) for _ in range(m + 1)]
     for p in range(m + 1):
@@ -85,9 +88,10 @@ def check_differential_identity(q: int, order: int, series_order: int = 16) -> I
     gap_i to these coefficients is a Vandermonde matrix on the distinct
     nodes 0..q, so they all vanish only when the two sides are equal.
     """
+    q = integral_value("q", q, 1)
+    order = integral_value("order", order, 1)
+    series_order = integral_value("series_order", series_order)
     params = {"q": q, "m": order, "K": series_order}
-    if q < 1 or order < 1:
-        raise ValueError("q and m must be >= 1")
     if series_order < order + q + 4:
         raise ValueError(
             f"series order {series_order} too small for q={q}, m={order}; need >= {order + q + 4}"
@@ -129,12 +133,12 @@ def check_simplex_sum_ii(arity: int, a_values, n_top: int) -> IdentityReport:
     telescoping denominator products. Parameter points where any contiguous
     product of the a's equals 1 are rejected (vanishing denominator).
     """
+    arity = integral_value("arity", arity, 1)
+    n_top = integral_value("n_top", n_top, 0)
     a_values = [Fraction(a) for a in a_values]
     params = {"p": arity, "a": list(a_values), "n_top": n_top}
-    if arity < 1 or len(a_values) != arity:
+    if len(a_values) != arity:
         raise ValueError("need exactly p ratio values")
-    if n_top < 0:
-        raise ValueError("n_top must be nonnegative")
     if any(prod == 1 for prod in _contiguous_products(a_values)):
         return IdentityReport(
             name="simplex-sum-ii",
@@ -211,10 +215,10 @@ def measure_sum_of_powers_residual(n: int, t: int) -> IdentityReport:
     check reports residuals instead of asserting equality. The k<=1
     truncation is leading-order correct with residual O(t^(n-1)).
     """
-    if not 1 <= n <= 4:
+    n = integral_value("n", n, 1)
+    t = integral_value("t", t, 2)
+    if n > 4:
         raise ValueError(f"n must lie in 1..4, got {n}")
-    if t < 2:
-        raise ValueError(f"t must be >= 2, got {t}")
     lhs = Fraction(sum(l**n for l in range(t)))
     residual_full = lhs - _power_sum_rhs(n, t, truncation=3)
     residual_leading = lhs - _power_sum_rhs(n, t, truncation=1)
@@ -232,6 +236,7 @@ def sum_of_powers_residual_slope(n: int):
 
     Returns None when every residual vanishes (the truncation is exact).
     """
+    n = integral_value("n", n, 1)
     points = []
     for t in range(10, 51):
         lhs = Fraction(sum(l**n for l in range(t)))
@@ -255,6 +260,7 @@ def sum_of_powers_residual_slope(n: int):
 def check_joint_normalization(n: int, m: int, levels) -> IdentityReport:
     """Sum the exact joint law over its whole count lattice; must equal 1."""
     params_obj = SystemParams(n, m)
+    n, m = params_obj.n_particles, params_obj.energy_units
     levels = tuple(params_obj.check_level(j) for j in levels)
     params = {"N": n, "M": m, "levels": list(levels)}
     total = Fraction(0)

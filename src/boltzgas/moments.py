@@ -11,15 +11,14 @@ import math
 from fractions import Fraction
 
 from .combinatorics import power_of_sum_coefficient, triangle_coefficient, weak_compositions
-from .system import SystemParams, microstate_count
+from .system import SystemParams, integral_value, microstate_count
 
 BOLTZMANN_CONSTANT = 1.380649e-23  # J/K, exact SI value
 
 
-def check_particle_count(n_particles) -> None:
-    """Reject a large-system model without particles."""
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
+def check_particle_count(n_particles) -> int:
+    """The particle count of a large-system model as a Python int, N >= 1."""
+    return integral_value("n_particles", n_particles, 1)
 
 
 def check_temperature(temperature) -> None:
@@ -44,8 +43,7 @@ def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
     the weight row are needed, so they are taken one at a time.
     """
     level = params.check_level(level)
-    if order < 0:
-        raise ValueError(f"moment order must be nonnegative, got {order}")
+    order = integral_value("order", order, 0)
     if order == 0:
         return Fraction(1)
     n, m_units, j = params.n_particles, params.energy_units, level
@@ -68,8 +66,7 @@ def density_moment_factorized(params: SystemParams, level: int, order: int) -> F
     For order 1 the value is the exact mean density.
     """
     level = params.check_level(level)
-    if order < 0:
-        raise ValueError(f"moment order must be nonnegative, got {order}")
+    order = integral_value("order", order, 0)
     n, m_units, j = params.n_particles, params.energy_units, level
     numerator = weak_compositions(m_units - order * j, n - order)
     return Fraction(numerator, microstate_count(params))
@@ -83,8 +80,8 @@ def density_moment_limit(temperature, level: int, order: int = 1):
     temperature so large that (T+1)^(j+1) leaves the float range is rejected.
     """
     check_temperature(temperature)
-    if level < 0 or order < 0:
-        raise ValueError("level and order must be nonnegative")
+    level = integral_value("level", level, 0)
+    order = integral_value("order", order, 0)
     try:
         base = temperature**level / (temperature + 1) ** (level + 1)
     except OverflowError:
@@ -112,7 +109,7 @@ def variance_limit(n_particles: int, temperature, level: int):
     narrows every other level, and ``conditioned_variance_limit`` is the limit
     of the exact variance. A Fraction temperature gives an exact result.
     """
-    check_particle_count(n_particles)
+    n_particles = check_particle_count(n_particles)
     p = density_moment_limit(temperature, level)
     if not isinstance(p, Fraction):
         p = float(p)
@@ -132,7 +129,8 @@ def conditioned_variance_limit(n_particles: int, temperature, level: int):
     nearly cancel. A Fraction temperature gives the exact result; any other
     gives it rounded to a float.
     """
-    check_particle_count(n_particles)
+    n_particles = check_particle_count(n_particles)
+    level = integral_value("level", level, 0)
     check_temperature(temperature)
     t = Fraction(temperature)
     p = density_moment_limit(t, level)
@@ -146,7 +144,7 @@ def std_over_mean(n_particles: int, temperature, level: int) -> float:
     Diverges like T^(-j/2)/sqrt(N) as T -> 0 (for j >= 1) and like
     sqrt(T/N) as T -> infinity.
     """
-    check_particle_count(n_particles)
+    n_particles = check_particle_count(n_particles)
     p = float(density_moment_limit(temperature, level))
     return math.sqrt((1.0 - p) / p) / math.sqrt(n_particles)
 
@@ -157,9 +155,8 @@ def max_variance_point(n_particles: int, level: int) -> tuple:
     Returns (T_star, x_max, sigma_sq_max): the limit variance of x_j over
     temperature peaks at T = j where the mean density is j^j/(j+1)^(j+1).
     """
-    if level < 1:
-        raise ValueError(f"the variance peak is defined for levels >= 1, got {level}")
-    check_particle_count(n_particles)
+    level = integral_value("level", level, 1)
+    n_particles = check_particle_count(n_particles)
     x_max = density_moment_limit(level, level)
     return (float(level), x_max, x_max * (1.0 - x_max) / n_particles)
 
@@ -170,6 +167,7 @@ def physical_temperature(params: SystemParams, epsilon_joules: float) -> float:
     Uses the ideal-gas relation E = (3/2) N k_B T_abs = M * epsilon, i.e.
     T_abs = (2 epsilon / 3 k_B) * (M/N).
     """
-    if epsilon_joules <= 0:
-        raise ValueError(f"level spacing must be positive, got {epsilon_joules}")
+    # written so that a NaN spacing fails too
+    if not 0 < epsilon_joules < math.inf:
+        raise ValueError(f"level spacing must be positive and finite, got {epsilon_joules}")
     return (2.0 * epsilon_joules / (3.0 * BOLTZMANN_CONSTANT)) * float(params.temperature)

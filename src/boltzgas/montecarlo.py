@@ -39,10 +39,8 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self):
-        store_integral_fields(self, "sample_count", "seed")
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if not 0 <= self.seed < 2**64:
+        store_integral_fields(self, sample_count=1, seed=0)
+        if self.seed >= 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
@@ -117,10 +115,7 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
         )
     if histogram_cutoff is None:
         histogram_cutoff = 12
-    histogram_cutoff = integral_value("histogram_cutoff", histogram_cutoff)
-    if histogram_cutoff < 0:
-        raise ValueError(f"histogram_cutoff must be >= 0, got {histogram_cutoff}")
-    histogram_cutoff = min(histogram_cutoff, m)
+    histogram_cutoff = min(integral_value("histogram_cutoff", histogram_cutoff, 0), m)
     sums = np.zeros(m + 1, dtype=np.int64)
     square_sums = np.zeros(m + 1, dtype=np.int64)
     histograms = np.zeros((histogram_cutoff + 1, n + 1), dtype=np.int64)

@@ -15,10 +15,10 @@ from fractions import Fraction
 from .combinatorics import binomial, integral_value
 
 
-def store_integral_fields(instance, *names) -> None:
-    """Store each named field of a frozen dataclass as a Python int (see ``integral_value``)."""
-    for name in names:
-        object.__setattr__(instance, name, integral_value(name, getattr(instance, name)))
+def store_integral_fields(instance, **minimums) -> None:
+    """Store each ``field=minimum`` of a frozen dataclass as a checked int (see ``integral_value``)."""
+    for name, minimum in minimums.items():
+        object.__setattr__(instance, name, integral_value(name, getattr(instance, name), minimum))
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,7 @@ class SystemParams:
     energy_units: int
 
     def __post_init__(self):
-        store_integral_fields(self, "n_particles", "energy_units")
-        if self.n_particles < 1:
-            raise ValueError(f"need at least one particle, got {self.n_particles}")
-        if self.energy_units < 0:
-            raise ValueError(f"energy quanta must be nonnegative, got {self.energy_units}")
+        store_integral_fields(self, n_particles=1, energy_units=0)
 
     @property
     def temperature(self) -> Fraction:
@@ -47,8 +43,8 @@ class SystemParams:
 
     def check_level(self, level: int) -> int:
         """``level`` as a Python int; TypeError unless integral, ValueError outside 0..M."""
-        level = integral_value("level", level)
-        if not 0 <= level <= self.energy_units:
+        level = integral_value("level", level, 0)
+        if level > self.energy_units:
             raise ValueError(f"level must lie in 0..{self.energy_units}, got {level}")
         return level
 
@@ -60,9 +56,7 @@ class OccupationVector:
     counts: tuple
 
     def __post_init__(self):
-        counts = tuple(integral_value("occupation number", c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"occupation numbers must be nonnegative: {counts}")
+        counts = tuple(integral_value("occupation number", c, 0) for c in self.counts)
         object.__setattr__(self, "counts", counts)
 
     def __len__(self):

@@ -280,3 +280,17 @@ class TestExitCodes:
     def test_oversized_or_nonfinite_request(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "pdf --n 4 --m 6 --level 1 --out {blocker}/pdf.csv",
+            "figures --figure 7 --out-dir {blocker}",
+        ],
+    )
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code, out, err = run(capsys, *argv.format(blocker=blocker).split())
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert "Traceback" not in err

@@ -265,9 +265,10 @@ class TestPhysicalTemperature:
         params = SystemParams(3, 3)
         assert physical_temperature(params, 1.5 * BOLTZMANN_CONSTANT) == pytest.approx(1.0)
 
-    def test_rejects_bad_spacing(self):
-        with pytest.raises(ValueError):
-            physical_temperature(SystemParams(1, 1), 0.0)
+    @pytest.mark.parametrize("spacing", [0.0, -1e-20, math.nan, math.inf])
+    def test_rejects_bad_spacing(self, spacing):
+        with pytest.raises(ValueError, match="level spacing must be positive and finite"):
+            physical_temperature(SystemParams(1, 1), spacing)
 
 
 # Every public entry point of the large-system model, as a function of T.
@@ -320,7 +321,7 @@ def test_float_p_overflow_is_a_value_error(name):
 @pytest.mark.parametrize("n_particles", [0, -1])
 @pytest.mark.parametrize("law", [joint_pdf_multinomial_limit, macrostate_probability_largeN])
 def test_multinomial_laws_reject_empty_system(law, n_particles):
-    with pytest.raises(ValueError, match="need at least one particle"):
+    with pytest.raises(ValueError, match="n_particles must be >= 1"):
         law(n_particles, 1.0, [])
 
 
