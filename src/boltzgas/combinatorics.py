@@ -59,15 +59,20 @@ def integral_value(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _binomial(n: int, k: int) -> int:
+    """``binomial`` without the argument check, for the library's own hot loops."""
+    if k < 0 or n < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k), with C(n, k) = 0 whenever k < 0, n < 0 or k > n.
 
     The zero convention mirrors the indicator gates of the summation formulas
     (terms outside their valid range vanish), so callers never range-check.
     """
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    return _binomial(integral_value("n", n), integral_value("k", k))
 
 
 def multinomial_weight(occupation) -> int:
@@ -87,7 +92,7 @@ def multinomial_weight(occupation) -> int:
 
 def _closed_form_entry(s: int, m: int) -> int:
     # Inclusion-exclusion surjection count divided by s!; integer by construction.
-    total = sum((-1) ** q * binomial(s, q) * (s - q) ** m for q in range(s + 1))
+    total = sum((-1) ** q * _binomial(s, q) * (s - q) ** m for q in range(s + 1))
     quotient, remainder = divmod(total, math.factorial(s))
     if remainder:
         raise AssertionError(f"closed form not integral at s={s}, m={m}")
@@ -125,6 +130,7 @@ def stirling_like_row(m: int) -> list:
 
 def triangle_coefficient(s: int, m: int) -> int:
     """Entry a_s of row m, with the convention 0 outside 1 <= s <= m."""
+    s, m = integral_value("s", s), integral_value("m", m)
     if m < 1 or s < 1 or s > m:
         return 0
     return _triangle_row(m)[s - 1]
@@ -138,7 +144,7 @@ def weak_compositions(total: int, parts: int) -> int:
     """
     if parts == 0:
         return 1 if total == 0 else 0
-    return binomial(total + parts - 1, parts - 1)
+    return _binomial(total + parts - 1, parts - 1)
 
 
 def power_of_sum_coefficient(p: int, j: int, N: int, q: int) -> int:
@@ -149,7 +155,9 @@ def power_of_sum_coefficient(p: int, j: int, N: int, q: int) -> int:
     for q outside 0..N or qj > p, so sums may run unguarded. Entry q of
     ``power_of_sum_row``; ``exact_moment`` takes it for q <= order alone.
     """
-    return binomial(N, q) * weak_compositions(p - q * j, N - q)
+    p, j = integral_value("p", p), integral_value("j", j, 0)
+    N, q = integral_value("N", N), integral_value("q", q)
+    return _binomial(N, q) * weak_compositions(p - q * j, N - q)
 
 
 def power_of_sum_row(p: int, j: int, N: int) -> list:
@@ -161,13 +169,14 @@ def power_of_sum_row(p: int, j: int, N: int) -> list:
     b >= 1, every divisor is at least 1 and each division is exact; past the gate
     the entries are 0. The last entry is the indicator [N*j == p].
     """
+    p, j, N = integral_value("p", p), integral_value("j", j, 0), integral_value("N", N)
     row = [0] * (N + 1)
-    if N < 0 or p < 0 or j < 0:
+    if N < 0 or p < 0:
         return row
     row[N] = int(N * j == p)
     choose = 1
     a, b = p + N - 1, N - 1
-    compositions = binomial(a, b)
+    compositions = _binomial(a, b)
     for q in range(N):
         row[q] = choose * compositions
         if q + 1 == N or (q + 1) * j > p:

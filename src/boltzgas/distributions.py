@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import binomial, integral_value, multinomial_weight, power_of_sum_row
+from .combinatorics import _binomial, integral_value, multinomial_weight, power_of_sum_row
 from .moments import (
     check_particle_count,
     check_temperature,
@@ -84,20 +84,23 @@ class DistributionTable:
         return 0.5 * gap
 
 
-def _pdf_numerators(n: int, m: int, level: int) -> tuple:
-    """Integer numerators of P(n_level = k), k = 0..N, over C(M+N-1, N-1).
+def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
+    """Integer numerators of P(n_level = k), k = 0..top, over C(M+N-1, N-1).
 
     The weight row A_0..A_N, the z^M u^q coefficients at ``level``, comes from
     ``power_of_sum_row`` in one pass of exact updates. The numerator of count k
     is sum_{q >= k} (-1)^(q-k) C(q, k) A_q: the y^k coefficient of
     sum_q A_q (y - 1)^q. That Taylor shift by -1 runs in place with integer
-    subtractions only (Ruffini-Horner).
+    subtractions only (Ruffini-Horner). Pass i touches entries i..N-1 alone, so
+    entry k is final once pass k ends and the passes stop at ``top``
+    (0 <= top <= N): about (top + 1) N big-integer subtractions, N^2 / 2 for
+    the full table.
     """
     a = power_of_sum_row(m, level, n)
-    for i in range(n):
+    for i in range(min(top, n - 1) + 1):
         for j in range(n - 1, i - 1, -1):
             a[j] -= a[j + 1]
-    return tuple(a)
+    return a[: top + 1]
 
 
 def occupation_pdf_exact(params: SystemParams, level: int) -> DistributionTable:
@@ -113,12 +116,16 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
     same exact values as the full table restricted to the window. Intended for
     plotting large systems where the full support is mostly negligible mass.
     A window is not a ``DistributionTable``: its mass need not sum to 1.
+    The window is clamped to 0..N and an empty one returns ([], []). A window
+    costs about (hi + 1) N big-integer subtractions, N^2 / 2 for the full table.
     """
     level = params.check_level(level)
     n, m = params.n_particles, params.energy_units
     lo = max(0, integral_value("lo", lo))
     hi = min(n, integral_value("hi", hi))
-    numerators = _pdf_numerators(n, m, level)
+    if hi < lo:
+        return [], []
+    numerators = _pdf_numerators(n, m, level, hi)
     total = microstate_count(params)
     counts = list(range(lo, hi + 1))
     return counts, [Fraction(numerators[k], total) for k in counts]
@@ -272,7 +279,7 @@ def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
             if ci > mi:
                 factor = 0
                 break
-            factor *= binomial(mi, ci)
+            factor *= _binomial(mi, ci)
         if factor == 0:
             continue
         if (sum(comp) - count_sum) % 2:

@@ -86,16 +86,18 @@ def pearson_correlation(temperature: float, level_a: int, level_b: int) -> float
 def total_fluctuation_ratio(n_particles: int, energy_units) -> float:
     """Root-trace of the covariance over the L1 norm of the mean vector.
 
-    With x = T/(T+1) and T = M/N the closed form is
+    This is the independent-particle (multinomial) value, not the exact ratio,
+    which fixing the total energy makes smaller. With x = T/(T+1) and T = M/N
+    the closed form is
 
         sqrt(x/(1+x)) * sqrt(2 - x^M - x^(M+1) + x^(2M+1) - x^(2M+2))
         / (sqrt(N) * (1 - x^(M+1))).
 
-    Behaves like sqrt(T/N) as T -> 0 and saturates at
-    1/sqrt(N (1 - e^(-N))) as T -> infinity. ``energy_units`` may be
-    non-integral (temperature sweeps treat M = N*T as continuous); powers
-    of x near 1 are evaluated through expm1/log1p so the high-T plateau
-    survives very large M.
+    Behaves like sqrt(T/N) as T -> 0 (the exact ratio goes like T/sqrt(N)) and
+    saturates at 1/sqrt(N (1 - e^(-N))) as T -> infinity. ``energy_units``
+    may be non-integral (temperature sweeps treat M = N*T as continuous);
+    powers of x near 1 are evaluated through expm1/log1p so the high-T
+    plateau survives very large M.
     """
     n_particles = check_particle_count(n_particles)
     m = float(energy_units)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import binomial, integral_value
+from .combinatorics import _binomial, integral_value
 
 
 def store_integral_fields(instance, **minimums) -> None:
@@ -101,7 +101,7 @@ def as_occupation(state) -> OccupationVector:
 
 def microstate_count(params: SystemParams) -> int:
     """Total number of equally likely labeled assignments: C(M+N-1, N-1)."""
-    return binomial(params.energy_units + params.n_particles - 1, params.n_particles - 1)
+    return _binomial(params.energy_units + params.n_particles - 1, params.n_particles - 1)
 
 
 def normalize_selection(params: SystemParams, levels, counts) -> tuple:

@@ -125,8 +125,42 @@ class TestOccupationPdfExact:
             return comb(n, k)
 
         monkeypatch.setattr(math, "comb", counting_comb)
-        distributions._pdf_numerators(200, 2000, 1)
+        distributions._pdf_numerators(200, 2000, 1, 200)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 40])
+    @pytest.mark.parametrize("m", [0, 7, 60])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_truncated_shift_is_a_prefix_of_the_full_shift(self, n, m, level):
+        # the weight row from its closed form, then every Ruffini-Horner pass
+        a = [binomial(n, q) * weak_compositions(m - q * level, n - q) for q in range(n + 1)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] -= a[j + 1]
+        for top in sorted({0, 1, n - 1, n}):
+            assert distributions._pdf_numerators(n, m, level, top) == a[: top + 1], top
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_figure_5_windows_match_the_full_table(self, n):
+        for t in (10, 20, 50, 100):
+            params = SystemParams(n, n * t)
+            table = occupation_pdf_exact(params, 1)
+            limit = occupation_pdf_normal_limit(n, t, 1)
+            sigma = math.sqrt(limit.variance)
+            lo = int(limit.mean - 12.0 * sigma)
+            hi = int(math.ceil(limit.mean + 12.0 * sigma))
+            counts, probs = occupation_pdf_window(params, 1, lo, hi)
+            kept = slice(max(lo, 0), min(hi, n) + 1)
+            assert counts == list(table.support[kept]), t
+            assert probs == list(table.probabilities[kept]), t
+
+    @pytest.mark.parametrize("lo, hi", [(5, 3), (-5, -1), (9, 12)])
+    def test_empty_window_does_no_shift(self, monkeypatch, lo, hi):
+        def no_shift(*args):
+            raise AssertionError("an empty window shifted")
+
+        monkeypatch.setattr(distributions, "_pdf_numerators", no_shift)
+        assert occupation_pdf_window(SystemParams(8, 10), 1, lo, hi) == ([], [])
 
     @pytest.mark.parametrize("level", [True, 1.0, np.float64(1.0)])
     def test_rejects_non_integer_levels(self, level):

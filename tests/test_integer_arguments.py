@@ -17,6 +17,7 @@ from boltzgas import (
     OccupationVector,
     SamplerConfig,
     SystemParams,
+    binomial,
     check_differential_identity,
     check_power_of_sum,
     check_simplex_sum_ii,
@@ -42,12 +43,15 @@ from boltzgas import (
     oracle_joint_pdf,
     oracle_moment,
     pearson_correlation,
+    power_of_sum_coefficient,
     std_over_mean,
     stirling_like_row,
     sum_of_powers_residual_slope,
     total_fluctuation_ratio,
+    triangle_coefficient,
     variance_limit,
 )
+from boltzgas.combinatorics import power_of_sum_row
 
 P = SystemParams(4, 6)
 
@@ -59,6 +63,17 @@ POLICY = [
     ("SystemParams.check_level", P.check_level, 2, "level", 0),
     ("multinomial_weight", lambda v: multinomial_weight((v, 1)), 2, "occupation number", 0),
     ("stirling_like_row", stirling_like_row, 3, "m", 1),
+    ("binomial", lambda v: binomial(v, 2), 4, "n", None),
+    ("binomial", lambda v: binomial(4, v), 2, "k", None),
+    ("triangle_coefficient", lambda v: triangle_coefficient(v, 3), 2, "s", None),
+    ("triangle_coefficient", lambda v: triangle_coefficient(2, v), 3, "m", None),
+    ("power_of_sum_coefficient", lambda v: power_of_sum_coefficient(v, 1, 4, 1), 6, "p", None),
+    ("power_of_sum_coefficient", lambda v: power_of_sum_coefficient(6, v, 4, 1), 1, "j", 0),
+    ("power_of_sum_coefficient", lambda v: power_of_sum_coefficient(6, 1, v, 1), 4, "N", None),
+    ("power_of_sum_coefficient", lambda v: power_of_sum_coefficient(6, 1, 4, v), 1, "q", None),
+    ("power_of_sum_row", lambda v: power_of_sum_row(v, 1, 4), 6, "p", None),
+    ("power_of_sum_row", lambda v: power_of_sum_row(6, v, 4), 1, "j", 0),
+    ("power_of_sum_row", lambda v: power_of_sum_row(6, 1, v), 4, "N", None),
     ("exact_moment", lambda v: exact_moment(P, v, 2), 1, "level", 0),
     ("exact_moment", lambda v: exact_moment(P, 1, v), 2, "order", 0),
     ("density_moment_factorized", lambda v: density_moment_factorized(P, 1, v), 2, "order", 0),
