@@ -68,8 +68,9 @@ from .system import OccupationVector, SystemParams, as_occupation, microstate_co
 
 __version__ = "0.1.0"
 
-# The public names of the modules that import NumPy, by module. They load on
-# first access (PEP 562), so the exact, NumPy-free paths start without NumPy.
+# The public names of the modules not needed by the exact paths, by module.
+# They load on first access (PEP 562), so the exact paths start without them;
+# of these, only figures and montecarlo import NumPy.
 # Every module that holds a functools cache stays imported above, because
 # bench/worker.py empties the caches of the modules loaded at its start.
 _LAZY = {

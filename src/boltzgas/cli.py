@@ -6,9 +6,10 @@ is UTF-8 with LF line endings, and files are written atomically (temp file
 plus rename). Exit codes: 0 all checks passed, 1 usage error, 2 an internal
 assertion or oracle comparison failed.
 
-The exact commands run on integers and Fractions alone. NumPy, and the
-modules that use it, are imported only inside the commands that need them
-(covariance, fluctuation, mc, figures), so the others start without it.
+The exact commands run on integers and Fractions alone, and the covariance
+and fluctuation commands on Python floats. NumPy, and the modules that use it,
+are imported only inside the commands that need them (mc, figures), so the
+others start without it.
 """
 from __future__ import annotations
 
@@ -33,10 +34,6 @@ from .enumeration import oracle_joint_pdf, oracle_moment, oracle_pdf
 from .identities import reports_to_json, run_standard_battery
 from .moments import exact_moment
 from .system import SystemParams, microstate_count
-
-# The most rows a fluctuation grid or a covariance matrix may have. Larger
-# requests are usage errors, caught before NumPy allocates anything.
-MAX_OUTPUT_ROWS = 1_000_000
 
 
 class UsageError(Exception):
@@ -119,7 +116,15 @@ def _parse_int_list(raw: str) -> list:
         raise UsageError(f"expected a comma-separated integer list, got {raw!r}") from exc
 
 
-def _parse_t_grid(raw: str):
+def _parse_t_grid(raw: str) -> list:
+    """The temperatures of a log:START:STOP:COUNT or lin:START:STOP:COUNT grid.
+
+    Points follow NumPy's linspace rule, i * step + start with the last point
+    exactly STOP; a log grid is 10.0 ** v over the linear grid of the log10
+    bounds, as in NumPy's logspace.
+    """
+    from .fluctuations import MAX_OUTPUT_ROWS
+
     parts = raw.split(":")
     if len(parts) != 4 or parts[0] not in ("log", "lin"):
         raise UsageError(
@@ -134,11 +139,19 @@ def _parse_t_grid(raw: str):
         raise UsageError(
             f"t-grid needs 0 < START < STOP < inf and 2 <= COUNT <= {MAX_OUTPUT_ROWS}, got {raw!r}"
         )
-    import numpy as np
-
     if parts[0] == "log":
-        return np.logspace(math.log10(start), math.log10(stop), count)
-    return np.linspace(start, stop, count)
+        start, stop = math.log10(start), math.log10(stop)
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # a subnormal delta, which NumPy scales in two steps
+        grid = [i / div * delta + start for i in range(div)]
+    else:
+        grid = [i * step + start for i in range(div)]
+    grid.append(stop)
+    if parts[0] == "log":
+        return [10.0 ** v for v in grid]
+    return grid
 
 
 # --------------------------------------------------------------------------
@@ -221,8 +234,6 @@ def cmd_jointpdf(args) -> int:
 def cmd_covariance(args) -> int:
     if args.n < 1:
         raise UsageError("need at least one particle")
-    if (args.m + 1) ** 2 > MAX_OUTPUT_ROWS:
-        raise UsageError(f"a covariance matrix over 0..{args.m} exceeds {MAX_OUTPUT_ROWS} entries")
     from .fluctuations import covariance_matrix, mean_vector
 
     temperature = args.t if args.t is not None else args.m / args.n
@@ -233,16 +244,16 @@ def cmd_covariance(args) -> int:
             "n_particles": args.n,
             "temperature": temperature,
             "energy_cutoff": args.m,
-            "means": [float(v) for v in means],
-            "covariance": [[float(v) for v in row] for row in matrix.entries],
+            "means": means,
+            "covariance": matrix.entries,
         }
         _write(args.out, json_text(payload) + "\n")
         return 0
     header = ["level_a", "level_b", "covariance"]
     rows = [
-        (a, b, float(matrix.entries[a, b]))
-        for a in range(matrix.dimension)
-        for b in range(matrix.dimension)
+        (a, b, value)
+        for a, row in enumerate(matrix.entries)
+        for b, value in enumerate(row)
     ]
     _emit(args, header, rows)
     return 0
@@ -256,10 +267,7 @@ def cmd_fluctuation(args) -> int:
 
     grid = _parse_t_grid(args.t_grid)
     header = ["temperature"] + [f"n_{n}" for n in sizes]
-    rows = [
-        [float(t)] + [total_fluctuation_ratio(n, n * float(t)) for n in sizes]
-        for t in grid
-    ]
+    rows = [[t] + [total_fluctuation_ratio(n, n * t) for n in sizes] for t in grid]
     _emit(args, header, rows)
     return 0
 

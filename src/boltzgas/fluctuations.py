@@ -4,35 +4,49 @@ All quantities here live in the limit model where the occupation vector is
 multinomial with per-level probabilities p_l = T^l/(T+1)^(l+1): the mean
 vector, the covariance matrix, pairwise correlations, and the trace-based
 total-fluctuation ratio with its low- and high-temperature branches. The
-domain checks and the direct form of p_l live in ``moments``.
+domain checks and the direct form of p_l live in ``moments``. Vectors are
+tuples of floats and matrices tuples of row tuples, so the module runs
+without NumPy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .combinatorics import integral_value
 from .moments import check_particle_count, check_temperature, density_moment_limit
 
 
-def _level_probabilities(n_particles, temperature, energy_cutoff: int) -> tuple:
-    """Checked (N, M, p_0..p_M) of the limit model for N particles at temperature T."""
+# The most entries a mean vector or a covariance matrix may have, and the most
+# rows of a fluctuation grid. Larger requests fail before anything is built.
+MAX_OUTPUT_ROWS = 1_000_000
+
+
+def _level_probabilities(n_particles, temperature, energy_cutoff, rank: int) -> tuple:
+    """Checked (N, M, (p_0, ..., p_M)) of the limit model for N particles at temperature T.
+
+    ``rank`` is 1 for a vector over the levels and 2 for a matrix; a cutoff
+    whose (M+1)**rank entries exceed ``MAX_OUTPUT_ROWS`` raises ValueError.
+    """
     n_particles = check_particle_count(n_particles)
     check_temperature(temperature)
     energy_cutoff = integral_value("energy_cutoff", energy_cutoff, 0)
+    if (energy_cutoff + 1) ** rank > MAX_OUTPUT_ROWS:
+        raise ValueError(
+            f"energy_cutoff {energy_cutoff} gives more than {MAX_OUTPUT_ROWS} entries"
+        )
     # log-space p_l, not density_moment_limit's T^l/(T+1)^(l+1): T^l overflows at large cutoffs
     t = float(temperature)
-    levels = np.arange(energy_cutoff + 1, dtype=np.float64)
-    log_ratio = math.log(t) - math.log1p(t)
-    return n_particles, energy_cutoff, np.exp(levels * log_ratio - math.log1p(t))
+    log_norm = math.log1p(t)
+    log_ratio = math.log(t) - log_norm
+    p = tuple(math.exp(l * log_ratio - log_norm) for l in range(energy_cutoff + 1))
+    return n_particles, energy_cutoff, p
 
 
-def mean_vector(n_particles: int, temperature: float, energy_cutoff: int) -> np.ndarray:
-    """Mean occupation numbers (N p_0, ..., N p_M) in the limit model."""
-    n_particles, _, p = _level_probabilities(n_particles, temperature, energy_cutoff)
-    return n_particles * p
+def mean_vector(n_particles: int, temperature: float, energy_cutoff: int) -> tuple:
+    """Mean occupation numbers (N p_0, ..., N p_M) in the limit model, a tuple of floats."""
+    n_particles, _, p = _level_probabilities(n_particles, temperature, energy_cutoff, 1)
+    return tuple(n_particles * a for a in p)
 
 
 @dataclass(frozen=True)
@@ -42,12 +56,13 @@ class CovarianceMatrix:
     Diagonal N p_l (1 - p_l) > 0, off-diagonal -N p_l1 p_l2 < 0 (any two
     levels are anticorrelated); rows sum to N p_l (T/(T+1))^(M+1), which
     vanishes as the cutoff grows (the closed-population constraint).
+    ``entries`` is a tuple of M+1 row tuples of floats.
     """
 
     n_particles: int
     temperature: float
     energy_cutoff: int
-    entries: np.ndarray = field(repr=False)
+    entries: tuple = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -56,10 +71,15 @@ class CovarianceMatrix:
 
 def covariance_matrix(n_particles: int, temperature: float, energy_cutoff: int) -> CovarianceMatrix:
     """Covariance matrix of (n_0, ..., n_M) in the limit model."""
-    n_particles, energy_cutoff, p = _level_probabilities(n_particles, temperature, energy_cutoff)
-    entries = -n_particles * np.outer(p, p)
-    entries[np.diag_indices_from(entries)] = n_particles * p * (1.0 - p)
-    entries.setflags(write=False)
+    n_particles, energy_cutoff, p = _level_probabilities(n_particles, temperature, energy_cutoff, 2)
+    # the float operations, in order, of -N outer(p, p) with N p (1 - p) on the diagonal
+    entries = tuple(
+        tuple(
+            n_particles * a * (1.0 - a) if i == j else -n_particles * (a * b)
+            for j, b in enumerate(p)
+        )
+        for i, a in enumerate(p)
+    )
     return CovarianceMatrix(
         n_particles=n_particles,
         temperature=float(temperature),

@@ -1,6 +1,9 @@
 import json
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boltzgas import cli
@@ -154,6 +157,27 @@ class TestFluctuation:
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "fluctuation", "--n", "10", "--t-grid", "log:5:1:9")
         assert code == 1 and "t-grid" in err
+
+    @pytest.mark.parametrize("kind", ["lin", "log"])
+    def test_grid_matches_numpy(self, kind):
+        # NumPy is the reference: the lin rule is linspace's to the last bit,
+        # and the log grid is 10.0 ** v over it, from which NumPy's vectorized
+        # power may differ in the last bit.
+        rng = random.Random(2024)
+        specs = [(0.01, 10000.0, 181), (0.1, 100.0, 7), (1.0, 2.0, 1000), (5e-324, 2e-323, 11)]
+        for _ in range(200):
+            start = 10 ** rng.uniform(-8, 6)
+            stop = start * (1 + 10 ** rng.uniform(-13, 4))
+            specs.append((start, stop, rng.choice([2, 3, 10, 181, 997])))
+        for start, stop, count in specs:
+            grid = cli._parse_t_grid(f"{kind}:{start!r}:{stop!r}:{count}")
+            if kind == "lin":
+                assert grid == np.linspace(start, stop, count).tolist()
+            else:
+                exponents = np.linspace(math.log10(start), math.log10(stop), count).tolist()
+                assert grid == [10.0**v for v in exponents]
+                reference = np.logspace(exponents[0], exponents[-1], count)
+                assert grid == pytest.approx(reference, rel=1e-15, abs=0.0)
 
 
 class TestMc:

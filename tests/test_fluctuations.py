@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from boltzgas import fluctuations
 from boltzgas.fluctuations import (
     covariance_matrix,
     mean_vector,
@@ -27,7 +29,7 @@ class TestMeanVector:
         n, t, m = 100, 1.0, 20
         means = mean_vector(n, t, m)
         expected = n * (1.0 - (t / (1 + t)) ** (m + 1))
-        assert means.sum() == pytest.approx(expected, rel=1e-12)
+        assert sum(means) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError):
@@ -42,25 +44,26 @@ class TestMeanVector:
 class TestCovarianceMatrix:
     def test_frozen_entries(self):
         cov = covariance_matrix(100, 1.0, 3)
-        assert cov.entries[0, 0] == pytest.approx(25.0, rel=1e-12)
-        assert cov.entries[0, 1] == pytest.approx(-12.5, rel=1e-12)
+        assert cov.entries[0][0] == pytest.approx(25.0, rel=1e-12)
+        assert cov.entries[0][1] == pytest.approx(-12.5, rel=1e-12)
+        with pytest.raises(TypeError):
+            cov.entries[0][1] = 0.0
+        with pytest.raises(TypeError):
+            cov.entries[0] = (0.0,) * 4
 
     def test_diagonal_matches_variance_limit(self):
         n, t, m = 100, 3.0, 15
         cov = covariance_matrix(n, t, m)
         for level in range(m + 1):
             expected = n * n * variance_limit(n, t, level)
-            assert cov.entries[level, level] == pytest.approx(expected, rel=1e-12)
+            assert cov.entries[level][level] == pytest.approx(expected, rel=1e-12)
 
     def test_symmetry_and_sign_pattern(self):
         for t in np.logspace(-2, 2, 50):
-            cov = covariance_matrix(25, float(t), 8)
-            entries = cov.entries
-            assert np.allclose(entries, entries.T, rtol=1e-13, atol=0.0)
-            diag = np.diag(entries)
-            assert np.all(diag > 0)
-            off = entries[~np.eye(entries.shape[0], dtype=bool)]
-            assert np.all(off < 0)
+            entries = covariance_matrix(25, float(t), 8).entries
+            for a, b in itertools.product(range(9), repeat=2):
+                assert entries[a][b] == pytest.approx(entries[b][a], rel=1e-13, abs=0.0)
+                assert entries[a][b] > 0 if a == b else entries[a][b] < 0
 
     def test_row_sums(self):
         n, t, m = 40, 2.0, 10
@@ -68,11 +71,11 @@ class TestCovarianceMatrix:
         ratio = t / (1 + t)
         p = np.array([ratio**l / (1 + t) for l in range(m + 1)])
         expected = n * p * ratio ** (m + 1)
-        assert cov.entries.sum(axis=1) == pytest.approx(expected, rel=1e-10)
+        assert [sum(row) for row in cov.entries] == pytest.approx(expected, rel=1e-10)
 
     def test_row_sums_vanish_at_large_cutoff(self):
         cov = covariance_matrix(40, 2.0, 300)
-        assert np.max(np.abs(cov.entries.sum(axis=1))) < 1e-12
+        assert max(abs(sum(row)) for row in cov.entries) < 1e-12
 
     def test_matches_brute_force_multinomial(self):
         # exact multinomial moments at N=8 over the three lowest levels
@@ -101,7 +104,50 @@ class TestCovarianceMatrix:
             assert means[a] == pytest.approx(float(mean[a]), rel=1e-12)
             for b in range(3):
                 expected = float(second[a][b] - mean[a] * mean[b])
-                assert cov.entries[a, b] == pytest.approx(expected, rel=1e-12)
+                assert cov.entries[a][b] == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_numpy_outer_form(self):
+        # The NumPy expressions this module used as the reference. On the same
+        # p the float operations are the same, so the entries agree exactly.
+        # NumPy's vectorized exp may differ from math.exp in the last bit of
+        # p, which stays within 1e-15 relative off the diagonal; on it, 1 - p
+        # amplifies that bit where p is near 1, so the bound there is 1e-15 N p.
+        m = 12
+        for n, t in itertools.product((1, 7, 1000), np.logspace(-3, 3, 61)):
+            entries = np.array(covariance_matrix(n, float(t), m).entries)
+            diagonal = np.eye(m + 1, dtype=bool)
+            p = np.array(fluctuations._level_probabilities(n, float(t), m, 2)[2])
+            same_p = -n * np.outer(p, p)
+            same_p[diagonal] = n * p * (1.0 - p)
+            assert np.array_equal(entries, same_p)
+            levels = np.arange(m + 1, dtype=np.float64)
+            log_ratio = math.log(t) - math.log1p(t)
+            p = np.exp(levels * log_ratio - math.log1p(t))
+            reference = -n * np.outer(p, p)
+            reference[diagonal] = n * p * (1.0 - p)
+            scale = np.where(diagonal, n * p[:, None], np.abs(reference))
+            assert np.all(np.abs(entries - reference) <= 1e-15 * scale)
+
+    def test_oversized_cutoff_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="energy_cutoff"):
+                covariance_matrix(10, 1.0, 10**8)
+            with pytest.raises(ValueError, match="energy_cutoff"):
+                mean_vector(10, 1.0, 10**8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_size_cap_counts_entries(self, monkeypatch):
+        monkeypatch.setattr(fluctuations, "MAX_OUTPUT_ROWS", 16)
+        assert covariance_matrix(10, 1.0, 3).dimension == 4
+        assert len(mean_vector(10, 1.0, 15)) == 16
+        with pytest.raises(ValueError, match="energy_cutoff"):
+            covariance_matrix(10, 1.0, 4)
+        with pytest.raises(ValueError, match="energy_cutoff"):
+            mean_vector(10, 1.0, 16)
 
 
 class TestPearsonCorrelation:

@@ -14,7 +14,8 @@ SRC = str(Path(boltzgas.__file__).resolve().parents[1])
 
 # The closed forms and the model's domain, which the enumeration oracle checks.
 ORACLE_FREE = ("combinatorics", "system", "moments", "distributions")
-# Imported inside the commands of cli, so that NumPy loads only when needed.
+# Imported inside the commands of cli, so that the exact paths start without
+# them; figures and montecarlo also load NumPy.
 DEFERRED = ("figures", "fluctuations", "montecarlo")
 
 
@@ -106,9 +107,13 @@ def test_every_cache_is_bounded():
         "moments --n 8 --m 10 --check-oracle",
         "pdf --n 12 --m 16 --level 0 --compare-limit --check-oracle",
         "jointpdf --n 5 --m 7 --levels 0,1,2 --check-oracle",
+        "covariance --n 100 --m 20 --t 1.0",
+        "covariance --n 10 --m 3 --format json",
+        "fluctuation --n 10,30 --t-grid log:0.01:10000:181",
+        "fluctuation --n 10 --t-grid lin:0.5:20:40",
     ],
 )
-def test_exact_paths_leave_numpy_unloaded(argv):
+def test_commands_other_than_mc_and_figures_leave_numpy_unloaded(argv):
     code = "import boltzgas\nimport boltzgas.cli"
     if argv:
         code += f"\nassert boltzgas.cli.main({argv.split()!r}) == 0"
@@ -118,7 +123,9 @@ def test_exact_paths_leave_numpy_unloaded(argv):
 
 def test_lazy_name_loads_its_module():
     loaded = _fresh_modules("import boltzgas\nboltzgas.covariance_matrix")
-    assert {"boltzgas.fluctuations", "numpy"} <= loaded
+    assert "boltzgas.fluctuations" in loaded and "numpy" not in loaded
+    loaded = _fresh_modules("import boltzgas\nboltzgas.empirical_stats")
+    assert {"boltzgas.montecarlo", "numpy"} <= loaded
 
 
 def test_import_loads_every_cached_module():
