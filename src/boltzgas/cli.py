@@ -1,10 +1,16 @@
 """Command-line surface: every computation as a subcommand emitting CSV/JSON.
 
+Every ``cmd_*`` returns its output text and a failure message or None; only
+``figures`` writes files of its own. ``main`` alone writes the text, to
+--out (temp file plus rename) or to stdout, and then sets the exit code, so
+the rows of a failed check are always written before it exits 2.
+
 Conventions: CSV always carries a header row, exact rationals are serialized
-as "numerator/denominator" strings, floats use 12 significant digits, output
-is UTF-8 with LF line endings, and files are written atomically (temp file
-plus rename). Exit codes: 0 all checks passed, 1 usage error, 2 an internal
-assertion or oracle comparison failed.
+as "numerator/denominator" strings, floats use 12 significant digits, and
+output is UTF-8 with LF line endings. Exit codes: 0 all checks passed, 1 a
+usage or parameter-domain error (numeric overflow from a huge --n and an
+unwritable output path included), 2 an internal assertion or oracle
+comparison failed.
 
 The exact commands run on integers and Fractions alone, and the covariance
 and fluctuation commands on Python floats. NumPy, and the modules that use it,
@@ -78,35 +84,16 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def _write(out, text: str) -> None:
-    """Write text to the path ``out`` atomically, or to stdout when it is empty."""
-    if out:
-        write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _render_csv(header, rows) -> str:
+def _render_table(header, rows, fmt="csv") -> str:
+    """Rows under ``header`` as CSV text, or as a JSON list of records when ``fmt`` is "json"."""
+    if fmt == "json":
+        return json_text([dict(zip(header, row)) for row in rows]) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_format_cell(v) for v in row])
     return buffer.getvalue()
-
-
-def _render_json(header, rows) -> str:
-    records = [dict(zip(header, row)) for row in rows]
-    return json_text(records) + "\n"
-
-
-def _emit(args, header, rows) -> None:
-    text = (
-        _render_json(header, rows)
-        if getattr(args, "format", "csv") == "json"
-        else _render_csv(header, rows)
-    )
-    _write(getattr(args, "out", None), text)
 
 
 def _parse_int_list(raw: str) -> list:
@@ -155,14 +142,13 @@ def _parse_t_grid(raw: str) -> list:
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (text, failure), failure a message or None
 
-def cmd_microstates(args) -> int:
-    print(microstate_count(SystemParams(args.n, args.m)))
-    return 0
+def cmd_microstates(args) -> tuple:
+    return f"{microstate_count(SystemParams(args.n, args.m))}\n", None
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> tuple:
     params = SystemParams(args.n, args.m)
     if args.order_max < 0:
         raise UsageError(f"--order-max must be >= 0, got {args.order_max}")
@@ -181,13 +167,11 @@ def cmd_moments(args) -> int:
                 row.append("exact-match" if agree else "MISMATCH")
                 failed = failed or not agree
             rows.append(row)
-    _emit(args, header, rows)
-    if failed:
-        raise VerificationError("closed-form moment disagrees with the enumeration oracle")
-    return 0
+    failure = "closed-form moment disagrees with the enumeration oracle" if failed else None
+    return _render_table(header, rows, args.format), failure
 
 
-def cmd_pdf(args) -> int:
+def cmd_pdf(args) -> tuple:
     params = SystemParams(args.n, args.m)
     table = occupation_pdf_exact(params, args.level)
     header = ["count", "exact", "value"]
@@ -199,13 +183,11 @@ def cmd_pdf(args) -> int:
         header.append("limit")
         columns.append(limit.probabilities)
     failed = args.check_oracle and oracle_pdf(params, args.level).probabilities != table.probabilities
-    _emit(args, header, list(zip(*columns)))
-    if failed:
-        raise VerificationError("closed-form law disagrees with the enumeration oracle")
-    return 0
+    failure = "closed-form law disagrees with the enumeration oracle" if failed else None
+    return _render_table(header, zip(*columns), args.format), failure
 
 
-def cmd_jointpdf(args) -> int:
+def cmd_jointpdf(args) -> tuple:
     params = SystemParams(args.n, args.m)
     levels = _parse_int_list(args.levels)
     arity = len(levels)
@@ -225,13 +207,11 @@ def cmd_jointpdf(args) -> int:
         if args.check_oracle and value != oracle_joint_pdf(params, levels, counts):
             failed = True
         rows.append(list(counts) + [value, float(value)])
-    _emit(args, header, rows)
-    if failed:
-        raise VerificationError("closed-form joint law disagrees with the enumeration oracle")
-    return 0
+    failure = "closed-form joint law disagrees with the enumeration oracle" if failed else None
+    return _render_table(header, rows, args.format), failure
 
 
-def cmd_covariance(args) -> int:
+def cmd_covariance(args) -> tuple:
     if args.n < 1:
         raise UsageError("need at least one particle")
     from .fluctuations import covariance_matrix, mean_vector
@@ -239,7 +219,7 @@ def cmd_covariance(args) -> int:
     temperature = args.t if args.t is not None else args.m / args.n
     matrix = covariance_matrix(args.n, temperature, args.m)
     means = mean_vector(args.n, temperature, args.m)
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         payload = {
             "n_particles": args.n,
             "temperature": temperature,
@@ -247,19 +227,17 @@ def cmd_covariance(args) -> int:
             "means": means,
             "covariance": matrix.entries,
         }
-        _write(args.out, json_text(payload) + "\n")
-        return 0
+        return json_text(payload) + "\n", None
     header = ["level_a", "level_b", "covariance"]
     rows = [
         (a, b, value)
         for a, row in enumerate(matrix.entries)
         for b, value in enumerate(row)
     ]
-    _emit(args, header, rows)
-    return 0
+    return _render_table(header, rows), None
 
 
-def cmd_fluctuation(args) -> int:
+def cmd_fluctuation(args) -> tuple:
     sizes = _parse_int_list(args.n)
     if not sizes or any(n < 1 for n in sizes):
         raise UsageError("--n needs a comma-separated list of positive sizes")
@@ -268,11 +246,10 @@ def cmd_fluctuation(args) -> int:
     grid = _parse_t_grid(args.t_grid)
     header = ["temperature"] + [f"n_{n}" for n in sizes]
     rows = [[t] + [total_fluctuation_ratio(n, n * t) for n in sizes] for t in grid]
-    _emit(args, header, rows)
-    return 0
+    return _render_table(header, rows, args.format), None
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args) -> tuple:
     from .montecarlo import SamplerConfig, z_score_report
 
     params = SystemParams(args.n, args.m)
@@ -294,23 +271,22 @@ def cmd_mc(args) -> int:
                 "FLAG" if row.flagged else "ok",
             )
         )
-    _emit(args, ["level", "empirical_mean", "exact_mean", "std_error", "z", "status"], rows)
-    return 0
+    header = ["level", "empirical_mean", "exact_mean", "std_error", "z", "status"]
+    return _render_table(header, rows, args.format), None
 
 
-def cmd_identities(args) -> int:
+def cmd_identities(args) -> tuple:
     reports = run_standard_battery()
     if args.name:
         reports = [r for r in reports if r.name == args.name]
         if not reports:
             raise UsageError(f"no identity named {args.name!r}")
-    _write(args.out, reports_to_json(reports) + "\n")
-    if any(r.verdict == "mismatch" for r in reports):
-        raise VerificationError("an asserted identity failed")
-    return 0
+    failed = any(r.verdict == "mismatch" for r in reports)
+    return reports_to_json(reports) + "\n", "an asserted identity failed" if failed else None
 
 
-def cmd_figures(args) -> int:
+def cmd_figures(args) -> tuple:
+    """Writes the panel CSVs and manifest.json under --out-dir; returns their paths."""
     from . import figures as figures_mod
 
     if args.figure == "all":
@@ -322,11 +298,9 @@ def cmd_figures(args) -> int:
             raise UsageError(f"--figure must be 1..7 or 'all', got {args.figure!r}") from exc
     out_dir = Path(args.out_dir)
     manifest = []
+    paths = []
     for figure_id in ids:
-        try:
-            data = figures_mod.figure_data(figure_id)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        data = figures_mod.figure_data(figure_id)
         entry = {
             "figure": figure_id,
             "title": data.title,
@@ -335,13 +309,13 @@ def cmd_figures(args) -> int:
         }
         for panel in data.panels:
             name = f"fig{figure_id}_{panel.name}.csv"
-            write_atomic(out_dir / name, _render_csv(panel.header, panel.rows))
+            write_atomic(out_dir / name, _render_table(panel.header, panel.rows))
             entry["panels"].append({"name": panel.name, "file": name})
-            print(out_dir / name)
+            paths.append(out_dir / name)
         manifest.append(entry)
     write_atomic(out_dir / "manifest.json", json_text(manifest) + "\n")
-    print(out_dir / "manifest.json")
-    return 0
+    paths.append(out_dir / "manifest.json")
+    return "".join(f"{path}\n" for path in paths), None
 
 
 # --------------------------------------------------------------------------
@@ -429,11 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: write its text to --out (atomically) or stdout, then its verdict."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+        text, failure = args.func(args)
+        out = getattr(args, "out", None)
+        if out:
+            write_atomic(out, text)
+        else:
+            sys.stdout.write(text)
+        if failure:
+            raise VerificationError(failure)
+        return 0
+    except (UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (VerificationError, AssertionError) as exc:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .combinatorics import _binomial, integral_value, multinomial_weight, power_of_sum_row
 from .moments import (
+    _log_level_probabilities,
     check_particle_count,
     check_temperature,
     conditioned_variance_limit,
@@ -312,11 +313,10 @@ def joint_pdf_multinomial_limit(n_particles: int, temperature, counts) -> float:
     if occupied > n_particles:
         raise ValueError(f"counts sum to {occupied} > N = {n_particles}")
     check_temperature(temperature)
-    t = float(temperature)
-    log_ratio = math.log(t) - math.log1p(t)
     arity = len(counts)
-    # class l holds level l-1, log p = (l-1) log T - l log(T+1); the overflow (T/(T+1))^arity
-    log_probs = [l * log_ratio - math.log(t) for l in range(1, arity + 1)] + [arity * log_ratio]
+    log_probs = _log_level_probabilities(temperature, arity + 1)
+    # the overflow class holds the levels >= arity: (T/(T+1))^arity = p_arity (T+1)
+    log_probs[-1] += math.log1p(float(temperature))
     return math.exp(_multinomial_log_pmf(n_particles, counts + [n_particles - occupied], log_probs))
 
 

@@ -4,9 +4,9 @@ All quantities here live in the limit model where the occupation vector is
 multinomial with per-level probabilities p_l = T^l/(T+1)^(l+1): the mean
 vector, the covariance matrix, pairwise correlations, and the trace-based
 total-fluctuation ratio with its low- and high-temperature branches. The
-domain checks and the direct form of p_l live in ``moments``. Vectors are
-tuples of floats and matrices tuples of row tuples, so the module runs
-without NumPy.
+domain checks and p_l, in its direct and its log form, live in ``moments``.
+Vectors are tuples of floats and matrices tuples of row tuples, so the module
+runs without NumPy.
 """
 from __future__ import annotations
 
@@ -14,7 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 from .combinatorics import integral_value
-from .moments import check_particle_count, check_temperature, density_moment_limit
+from .moments import (
+    _log_level_probabilities,
+    check_particle_count,
+    check_temperature,
+    density_moment_limit,
+)
 
 
 # The most entries a mean vector or a covariance matrix may have, and the most
@@ -35,11 +40,7 @@ def _level_probabilities(n_particles, temperature, energy_cutoff, rank: int) -> 
         raise ValueError(
             f"energy_cutoff {energy_cutoff} gives more than {MAX_OUTPUT_ROWS} entries"
         )
-    # log-space p_l, not density_moment_limit's T^l/(T+1)^(l+1): T^l overflows at large cutoffs
-    t = float(temperature)
-    log_norm = math.log1p(t)
-    log_ratio = math.log(t) - log_norm
-    p = tuple(math.exp(l * log_ratio - log_norm) for l in range(energy_cutoff + 1))
+    p = tuple(math.exp(v) for v in _log_level_probabilities(temperature, energy_cutoff + 1))
     return n_particles, energy_cutoff, p
 
 

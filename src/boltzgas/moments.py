@@ -75,9 +75,10 @@ def density_moment_factorized(params: SystemParams, level: int, order: int) -> F
 def density_moment_limit(temperature, level: int, order: int = 1):
     """Thermodynamic-limit density moment p_j^m, with p_j = T^j / (T+1)^(j+1).
 
-    The one place p_j is written. A float or an exact rational temperature gives
-    a result of its own type, so rational inputs give exact values. A float
-    temperature so large that (T+1)^(j+1) leaves the float range is rejected.
+    The one place p_j is written directly; ``_log_level_probabilities`` holds
+    its log form. A float or an exact rational temperature gives a result of
+    its own type, so rational inputs give exact values. A float temperature so
+    large that (T+1)^(j+1) leaves the float range is rejected.
     """
     check_temperature(temperature)
     level = integral_value("level", level, 0)
@@ -89,6 +90,18 @@ def density_moment_limit(temperature, level: int, order: int = 1):
             f"p_j leaves the float range at temperature {temperature}, level {level}"
         ) from None
     return base**order
+
+
+def _log_level_probabilities(temperature, count: int) -> list:
+    """[log p_0, ..., log p_(count-1)] of the limit model at a checked temperature.
+
+    The log form l*log(T/(T+1)) - log(1+T) of ``density_moment_limit``'s
+    T^l/(T+1)^(l+1), whose T^l overflows at large levels.
+    """
+    t = float(temperature)
+    log_norm = math.log1p(t)
+    log_ratio = math.log(t) - log_norm
+    return [l * log_ratio - log_norm for l in range(count)]
 
 
 def variance_exact(params: SystemParams, level: int) -> Fraction:

@@ -25,6 +25,10 @@ level,order,exact,value
 """
 
 
+# a particle count past the float range: N * p and n * t overflow
+HUGE_N = "1" * 401
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -253,6 +257,29 @@ class TestFailedCheck:
         assert code == 2
         assert all(line.endswith(",MISMATCH") for line in out.splitlines()[1:])
 
+    def test_moment_rows_reach_the_out_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "oracle_moment", lambda *args: Fraction(-1))
+        target = tmp_path / "moments.csv"
+        code, out, err = run(
+            capsys, "moments", "--n", "2", "--m", "2", "--check-oracle", "--out", str(target)
+        )
+        assert code == 2 and out == "" and err.startswith("verification failed")
+        lines = target.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "level,order,exact,value,oracle" and len(lines) > 1
+        assert all(line.endswith(",MISMATCH") for line in lines[1:])
+
+    def test_identity_reports_reach_the_out_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            cli,
+            "run_standard_battery",
+            lambda: [IdentityReport("power-of-sum", {"n": 1}, "mismatch")],
+        )
+        target = tmp_path / "ids.json"
+        code, out, err = run(capsys, "identities", "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("verification failed")
+        reports = json.loads(target.read_text(encoding="utf-8"))
+        assert [r["verdict"] for r in reports] == ["mismatch"]
+
 
 class TestFigures:
     def test_writes_files_and_manifest(self, capsys, tmp_path):
@@ -299,11 +326,15 @@ class TestExitCodes:
             "covariance --n 10 --m 100000000",
             "covariance --n 10 --m 5 --t nan",
             "covariance --n 10 --m 5 --t inf",
+            "covariance --n 0 --m 2",
+            pytest.param(f"covariance --n {HUGE_N} --m 2 --t 1", id="covariance-huge-n"),
+            pytest.param(f"fluctuation --n {HUGE_N} --t-grid log:1:10:3", id="fluctuation-huge-n"),
         ],
     )
     def test_oversized_or_nonfinite_request(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == "" and err.startswith("error:")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
