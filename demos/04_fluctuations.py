@@ -38,7 +38,7 @@ for t in (0.1, 1.0, 10.0):
 
 cov = covariance_matrix(n, 1.0, 4)
 print("\ncovariance of (n_0..n_4) at T=1 (diagonal positive, rest negative):")
-for row in cov.entries:
+for row in cov:
     print("  " + " ".join(f"{value:8.3f}" for value in row))
 
 print("\ntotal fluctuation of the whole occupation vector (root-trace / L1 mean):")

@@ -76,7 +76,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "FigureData": "figures",
     "figure_data": "figures",
-    "CovarianceMatrix": "fluctuations",
     "covariance_matrix": "fluctuations",
     "mean_vector": "fluctuations",
     "pearson_correlation": "fluctuations",

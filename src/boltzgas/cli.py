@@ -6,8 +6,9 @@ Every ``cmd_*`` returns its output text and a failure message or None; only
 the rows of a failed check are always written before it exits 2.
 
 Conventions: CSV always carries a header row, exact rationals are serialized
-as "numerator/denominator" strings, floats use 12 significant digits, and
-output is UTF-8 with LF line endings. Exit codes: 0 all checks passed, 1 a
+as "numerator/denominator" strings in full (past Python's 4300-digit default
+for int <-> str), floats use 12 significant digits, and output is UTF-8 with
+LF line endings. Exit codes: 0 all checks passed, 1 a
 usage or parameter-domain error (numeric overflow from a huge --n and an
 unwritable output path included), 2 an internal assertion or oracle
 comparison failed.
@@ -217,7 +218,7 @@ def cmd_covariance(args) -> tuple:
     from .fluctuations import covariance_matrix, mean_vector
 
     temperature = args.t if args.t is not None else args.m / args.n
-    matrix = covariance_matrix(args.n, temperature, args.m)
+    rows = covariance_matrix(args.n, temperature, args.m)
     means = mean_vector(args.n, temperature, args.m)
     if args.format == "json":
         payload = {
@@ -225,16 +226,12 @@ def cmd_covariance(args) -> tuple:
             "temperature": temperature,
             "energy_cutoff": args.m,
             "means": means,
-            "covariance": matrix.entries,
+            "covariance": rows,
         }
         return json_text(payload) + "\n", None
     header = ["level_a", "level_b", "covariance"]
-    rows = [
-        (a, b, value)
-        for a, row in enumerate(matrix.entries)
-        for b, value in enumerate(row)
-    ]
-    return _render_table(header, rows), None
+    cells = [(a, b, value) for a, row in enumerate(rows) for b, value in enumerate(row)]
+    return _render_table(header, cells), None
 
 
 def cmd_fluctuation(args) -> tuple:
@@ -405,8 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand: write its text to --out (atomically) or stdout, then its verdict."""
     parser = build_parser()
+    # parsing keeps Python's digit cap (3.10.7 on); the output lifts it until main returns
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         args = parser.parse_args(argv)
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(0)
         text, failure = args.func(args)
         out = getattr(args, "out", None)
         if out:
@@ -422,6 +423,9 @@ def main(argv=None) -> int:
     except (VerificationError, AssertionError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

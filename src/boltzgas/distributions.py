@@ -22,67 +22,18 @@ from .moments import (
     conditioned_variance_limit,
     density_moment_limit,
 )
-from .system import SystemParams, as_occupation, microstate_count, normalize_selection
-
-_LIMIT_SUM_TOLERANCE = 1e-12
+from .system import (
+    _LIMIT_SUM_TOLERANCE,
+    DistributionTable,
+    SystemParams,
+    as_occupation,
+    microstate_count,
+    normalize_selection,
+)
 
 
 class LimitValidityWarning(UserWarning):
     """A limit law was requested outside its stated range of validity."""
-
-
-@dataclass(frozen=True)
-class DistributionTable:
-    """A finite probability table over integer (or integer-tuple) outcomes.
-
-    mode "exact" carries ExactRational probabilities summing to exactly 1;
-    mode "limit" carries floats summing to 1 within 1e-12.
-    """
-
-    support: tuple
-    probabilities: tuple
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "limit"):
-            raise ValueError(f"mode must be 'exact' or 'limit', got {self.mode!r}")
-        if len(self.support) != len(self.probabilities):
-            raise ValueError("support and probabilities must have equal length")
-        # written so that a NaN fails both checks
-        if not all(p >= 0 for p in self.probabilities):
-            raise ValueError("probabilities must be nonnegative")
-        total = sum(self.probabilities)
-        if self.mode == "exact":
-            if total != 1:
-                raise ValueError(f"exact probabilities must sum to 1, got {total}")
-        elif not abs(total - 1.0) <= _LIMIT_SUM_TOLERANCE:
-            raise ValueError(f"limit probabilities sum to {total!r}, off by more than 1e-12")
-
-    def probability(self, outcome):
-        try:
-            index = self.support.index(outcome)
-        except ValueError:
-            return Fraction(0) if self.mode == "exact" else 0.0
-        return self.probabilities[index]
-
-    def as_floats(self) -> list:
-        return [float(p) for p in self.probabilities]
-
-    def mean(self):
-        return sum(o * p for o, p in zip(self.support, self.probabilities))
-
-    def variance(self):
-        mu = self.mean()
-        return sum((o - mu) ** 2 * p for o, p in zip(self.support, self.probabilities))
-
-    def total_variation(self, other: "DistributionTable") -> float:
-        """Total-variation distance, aligning the two supports."""
-        outcomes = set(self.support) | set(other.support)
-        gap = sum(
-            abs(float(self.probability(o)) - float(other.probability(o)))
-            for o in outcomes
-        )
-        return 0.5 * gap
 
 
 def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
@@ -106,8 +57,8 @@ def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
 
 def occupation_pdf_exact(params: SystemParams, level: int) -> DistributionTable:
     """Exact law of the occupation number at ``level``: P(n_j = k) for k = 0..N."""
-    counts, probs = occupation_pdf_window(params, level, 0, params.n_particles)
-    return DistributionTable(tuple(counts), tuple(probs), "exact")
+    _, probs = occupation_pdf_window(params, level, 0, params.n_particles)
+    return DistributionTable(tuple(probs), "exact")
 
 
 def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
@@ -174,6 +125,10 @@ def occupation_pdf_binomial_limit(n_particles: int, temperature, level: int) -> 
 
     Warns (not errors) when level >= T, where the limit is outside its stated
     validity; the exact law remains the source of truth there.
+
+    The rounding error of log N! is common to every term, so from N ~ 1000 the
+    terms sum to 1 only within more than 1e-12; such a table is divided by its
+    ``math.fsum``. A table that sums to 1 within 1e-12 keeps its terms as they are.
     """
     n_particles, p = _success_probability(n_particles, temperature, level)
     log_probs = (math.log(p), math.log1p(-p))
@@ -181,7 +136,10 @@ def occupation_pdf_binomial_limit(n_particles: int, temperature, level: int) -> 
         math.exp(_multinomial_log_pmf(n_particles, (k, n_particles - k), log_probs))
         for k in range(n_particles + 1)
     )
-    return DistributionTable(tuple(range(n_particles + 1)), probs, "limit")
+    total = math.fsum(probs)
+    if not abs(total - 1.0) <= _LIMIT_SUM_TOLERANCE:
+        probs = tuple(w / total for w in probs)
+    return DistributionTable(probs, "limit")
 
 
 def occupation_pdf_conditioned_limit(
@@ -204,7 +162,7 @@ def occupation_pdf_conditioned_limit(
     weights = [math.exp(e - top) for e in exponents]
     total = math.fsum(weights)
     probs = tuple(w / total for w in weights)
-    return DistributionTable(tuple(range(n_particles + 1)), probs, "limit")
+    return DistributionTable(probs, "limit")
 
 
 @dataclass(frozen=True)

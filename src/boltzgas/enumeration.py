@@ -3,10 +3,9 @@
 This module deliberately shares no summation logic with the closed-form
 modules: every quantity is obtained by walking all occupation vectors that
 satisfy both conservation laws and summing multiplicity weights directly, so
-agreement with the analytic formulas is evidence rather than tautology. From
-the closed forms it imports only their result type, ``DistributionTable``;
-the model's domain (level checks, selections, the microstate total) comes
-from ``system``.
+agreement with the analytic formulas is evidence rather than tautology. It
+imports nothing from the closed forms: the model's domain (level checks,
+selections, the microstate total, the law type) comes from ``system``.
 
 Enumeration size is capped at desk scale (macrostate counts grow like integer
 partitions). The default caps N <= 12, M <= 16 can be raised through the
@@ -21,8 +20,13 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .combinatorics import integral_value, multinomial_weight
-from .distributions import DistributionTable
-from .system import OccupationVector, SystemParams, microstate_count, normalize_selection
+from .system import (
+    DistributionTable,
+    OccupationVector,
+    SystemParams,
+    microstate_count,
+    normalize_selection,
+)
 
 DEFAULT_MAX_PARTICLES = 12
 DEFAULT_MAX_UNITS = 16
@@ -115,13 +119,11 @@ def oracle_pdf(params: SystemParams, level: int) -> DistributionTable:
     """Exact distribution of the occupation number at ``level`` by enumeration."""
     level = params.check_level(level)
     table = _joint_weight_table(params.n_particles, params.energy_units, (level,))
-    support = tuple(range(params.n_particles + 1))
     total = microstate_count(params)
-    return DistributionTable(
-        support=support,
-        probabilities=tuple(Fraction(table.get((k,), 0), total) for k in support),
-        mode="exact",
+    probabilities = tuple(
+        Fraction(table.get((k,), 0), total) for k in range(params.n_particles + 1)
     )
+    return DistributionTable(probabilities, "exact")
 
 
 def oracle_joint_pdf(params: SystemParams, levels, counts) -> Fraction:

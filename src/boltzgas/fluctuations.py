@@ -11,7 +11,6 @@ runs without NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .combinatorics import integral_value
 from .moments import (
@@ -28,7 +27,7 @@ MAX_OUTPUT_ROWS = 1_000_000
 
 
 def _level_probabilities(n_particles, temperature, energy_cutoff, rank: int) -> tuple:
-    """Checked (N, M, (p_0, ..., p_M)) of the limit model for N particles at temperature T.
+    """Checked (N, (p_0, ..., p_M)) of the limit model for N particles at temperature T.
 
     ``rank`` is 1 for a vector over the levels and 2 for a matrix; a cutoff
     whose (M+1)**rank entries exceed ``MAX_OUTPUT_ROWS`` raises ValueError.
@@ -41,51 +40,30 @@ def _level_probabilities(n_particles, temperature, energy_cutoff, rank: int) -> 
             f"energy_cutoff {energy_cutoff} gives more than {MAX_OUTPUT_ROWS} entries"
         )
     p = tuple(math.exp(v) for v in _log_level_probabilities(temperature, energy_cutoff + 1))
-    return n_particles, energy_cutoff, p
+    return n_particles, p
 
 
 def mean_vector(n_particles: int, temperature: float, energy_cutoff: int) -> tuple:
     """Mean occupation numbers (N p_0, ..., N p_M) in the limit model, a tuple of floats."""
-    n_particles, _, p = _level_probabilities(n_particles, temperature, energy_cutoff, 1)
+    n_particles, p = _level_probabilities(n_particles, temperature, energy_cutoff, 1)
     return tuple(n_particles * a for a in p)
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Occupation-number covariance of the limit model.
+def covariance_matrix(n_particles: int, temperature: float, energy_cutoff: int) -> tuple:
+    """Covariance of (n_0, ..., n_M) in the limit model, a tuple of M+1 row tuples of floats.
 
     Diagonal N p_l (1 - p_l) > 0, off-diagonal -N p_l1 p_l2 < 0 (any two
     levels are anticorrelated); rows sum to N p_l (T/(T+1))^(M+1), which
     vanishes as the cutoff grows (the closed-population constraint).
-    ``entries`` is a tuple of M+1 row tuples of floats.
     """
-
-    n_particles: int
-    temperature: float
-    energy_cutoff: int
-    entries: tuple = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.energy_cutoff + 1
-
-
-def covariance_matrix(n_particles: int, temperature: float, energy_cutoff: int) -> CovarianceMatrix:
-    """Covariance matrix of (n_0, ..., n_M) in the limit model."""
-    n_particles, energy_cutoff, p = _level_probabilities(n_particles, temperature, energy_cutoff, 2)
+    n_particles, p = _level_probabilities(n_particles, temperature, energy_cutoff, 2)
     # the float operations, in order, of -N outer(p, p) with N p (1 - p) on the diagonal
-    entries = tuple(
+    return tuple(
         tuple(
             n_particles * a * (1.0 - a) if i == j else -n_particles * (a * b)
             for j, b in enumerate(p)
         )
         for i, a in enumerate(p)
-    )
-    return CovarianceMatrix(
-        n_particles=n_particles,
-        temperature=float(temperature),
-        energy_cutoff=energy_cutoff,
-        entries=entries,
     )
 
 

@@ -4,15 +4,19 @@ The model: N distinguishable particles share M indivisible energy quanta over
 equidistant levels j = 0..M. A macrostate is the vector of per-level particle
 counts; every labeled assignment (microstate) with total energy M is equally
 likely, and there are C(M+N-1, N-1) of them. The "temperature" of a system is
-the specific energy M/N. The level-range check and the level selections of the
-joint laws are defined here, once, for the exact laws and the oracle alike.
+the specific energy M/N. The level-range check, the level selections of the
+joint laws and the law type ``DistributionTable`` are defined here, once, for
+the exact laws, their limits and the oracle alike.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .combinatorics import _binomial, integral_value
+
+_LIMIT_SUM_TOLERANCE = 1e-12
 
 
 def store_integral_fields(instance, **minimums) -> None:
@@ -122,3 +126,53 @@ def normalize_selection(params: SystemParams, levels, counts) -> tuple:
     pairs = sorted(zip(levels, counts))
     return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
 
+
+@dataclass(frozen=True)
+class DistributionTable:
+    """A law of one occupation number over the counts 0..len-1: entry k is P(count = k).
+
+    mode "exact" carries ExactRational probabilities summing to exactly 1;
+    mode "limit" carries floats summing to 1 within 1e-12.
+    """
+
+    probabilities: tuple
+    mode: str
+
+    def __post_init__(self):
+        if self.mode not in ("exact", "limit"):
+            raise ValueError(f"mode must be 'exact' or 'limit', got {self.mode!r}")
+        # written so that a NaN fails both checks
+        if not all(p >= 0 for p in self.probabilities):
+            raise ValueError("probabilities must be nonnegative")
+        total = sum(self.probabilities)
+        if self.mode == "exact":
+            if total != 1:
+                raise ValueError(f"exact probabilities must sum to 1, got {total}")
+        elif not abs(total - 1.0) <= _LIMIT_SUM_TOLERANCE:
+            raise ValueError(f"limit probabilities sum to {total!r}, off by more than 1e-12")
+
+    @property
+    def support(self) -> tuple:
+        """The counts 0..len-1."""
+        return tuple(range(len(self.probabilities)))
+
+    def probability(self, count):
+        """P(count); 0 outside 0..len-1."""
+        if 0 <= count < len(self.probabilities):
+            return self.probabilities[count]
+        return Fraction(0) if self.mode == "exact" else 0.0
+
+    def as_floats(self) -> list:
+        return [float(p) for p in self.probabilities]
+
+    def mean(self):
+        return sum(k * p for k, p in enumerate(self.probabilities))
+
+    def variance(self):
+        mu = self.mean()
+        return sum((k - mu) ** 2 * p for k, p in enumerate(self.probabilities))
+
+    def total_variation(self, other: "DistributionTable") -> float:
+        """Total-variation distance, the shorter table padded with zeros."""
+        pairs = zip_longest(self.as_floats(), other.as_floats(), fillvalue=0.0)
+        return 0.5 * sum(abs(x - y) for x, y in pairs)

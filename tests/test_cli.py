@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,50 @@ class TestMicrostates:
     def test_more_counts(self, capsys, n, m, expected):
         code, out, _ = run(capsys, "microstates", "--n", str(n), "--m", str(m))
         assert code == 0 and out.strip() == expected
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before Python 3.10.7"
+)
+class TestDigitLimit:
+    """Python caps int <-> str at 4300 digits by default; main lifts the cap for output only."""
+
+    def test_count_past_the_digit_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "microstates", "--n", "5000", "--m", "50000")
+        assert code == 0 and sys.get_int_max_str_digits() == before
+        digits = out.strip()
+        assert len(digits) == 7274
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(digits) == math.comb(54999, 4999)
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    def test_rationals_past_the_digit_limit(self, capsys):
+        code, out, _ = run(
+            capsys, "pdf", "--n", "20", "--m", str(10**240), "--level", "0", "--format", "json"
+        )
+        assert code == 0
+        fields = [part for row in json.loads(out) for part in row["exact"].split("/")]
+        assert max(len(part) for part in fields) == 4543
+
+    def test_parsing_keeps_the_limit(self, capsys):
+        code, out, err = run(capsys, "microstates", "--n", "1" * 4301, "--m", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", ["microstates --n 3 --m 2", "microstates --n 0 --m 2", "moments --n 2"]
+    )
+    def test_main_restores_the_previous_limit(self, capsys, argv):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            run(capsys, *argv.split())
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestMoments:
@@ -225,7 +270,7 @@ class TestFailedCheck:
             ),
             (
                 "oracle_pdf",
-                lambda *args: DistributionTable((0,), (Fraction(1),), "exact"),
+                lambda *args: DistributionTable((Fraction(1),), "exact"),
                 "pdf --n 4 --m 6 --level 2 --check-oracle",
                 "count,exact,value",
             ),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -35,34 +36,64 @@ from boltzgas.system import SystemParams, normalize_selection
 
 
 class TestDistributionTable:
+    def test_fields_are_probabilities_and_mode(self):
+        assert [f.name for f in dataclasses.fields(DistributionTable)] == ["probabilities", "mode"]
+        table = DistributionTable((Fraction(1, 2), Fraction(1, 2)), "exact")
+        assert table.support == (0, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.support = (0, 1)
+
     def test_exact_mode_requires_unit_total(self):
         with pytest.raises(ValueError):
-            DistributionTable((0, 1), (Fraction(1, 2), Fraction(1, 3)), "exact")
+            DistributionTable((Fraction(1, 2), Fraction(1, 3)), "exact")
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError):
-            DistributionTable((0, 1), (Fraction(3, 2), Fraction(-1, 2)), "exact")
+            DistributionTable((Fraction(3, 2), Fraction(-1, 2)), "exact")
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            DistributionTable((1.0,), "approximate")
 
     def test_limit_mode_tolerance(self):
-        DistributionTable((0, 1), (0.5, 0.5 + 1e-13), "limit")
+        DistributionTable((0.5, 0.5 + 1e-13), "limit")
         with pytest.raises(ValueError):
-            DistributionTable((0, 1), (0.5, 0.51), "limit")
+            DistributionTable((0.5, 0.51), "limit")
 
     def test_rejects_nan_probability(self):
         with pytest.raises(ValueError):
-            DistributionTable((0, 1), (float("nan"), 1.0), "limit")
+            DistributionTable((float("nan"), 1.0), "limit")
 
-    def test_lookup_and_moments(self):
-        table = DistributionTable((0, 2), (Fraction(1, 4), Fraction(3, 4)), "exact")
+    def test_lookup_and_moments_across_a_gap(self):
+        table = DistributionTable((Fraction(1, 4), Fraction(0), Fraction(3, 4)), "exact")
+        assert table.support == (0, 1, 2)
+        assert table.probability(0) == Fraction(1, 4)
+        assert table.probability(1) == 0
         assert table.probability(2) == Fraction(3, 4)
-        assert table.probability(5) == 0
         assert table.mean() == Fraction(3, 2)
         assert table.variance() == Fraction(3, 4)
 
+    @pytest.mark.parametrize("mode, zero", [("exact", Fraction(0)), ("limit", 0.0)])
+    def test_probability_outside_the_counts_is_zero(self, mode, zero):
+        one = Fraction(1) if mode == "exact" else 1.0
+        table = DistributionTable((one / 4, one * 3 / 4), mode)
+        # -1 must not wrap around to the last entry
+        for count in (-1, -2, 2, 5):
+            value = table.probability(count)
+            assert value == 0 and type(value) is type(zero), count
+
     def test_total_variation(self):
-        a = DistributionTable((0, 1), (Fraction(1, 2), Fraction(1, 2)), "exact")
-        b = DistributionTable((0, 1), (Fraction(1, 4), Fraction(3, 4)), "exact")
+        a = DistributionTable((Fraction(1, 2), Fraction(1, 2)), "exact")
+        b = DistributionTable((Fraction(1, 4), Fraction(3, 4)), "exact")
         assert a.total_variation(b) == pytest.approx(0.25)
+
+    def test_total_variation_pads_the_shorter_table(self):
+        short = DistributionTable((0.5, 0.5), "limit")
+        long = DistributionTable((0.25, 0.25, 0.25, 0.25), "limit")
+        # |0.5-0.25| + |0.5-0.25| + 0.25 + 0.25 = 1
+        assert short.total_variation(long) == 0.5
+        assert long.total_variation(short) == 0.5
+        assert short.total_variation(DistributionTable((0.0, 0.0, 1.0), "limit")) == 1.0
 
 
 class TestOccupationPdfExact:
@@ -198,6 +229,26 @@ class TestBinomialLimit:
         table = occupation_pdf_binomial_limit(n, t, j)
         p = t**j / (t + 1) ** (j + 1)
         assert table.mean() == pytest.approx(n * p, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_builds_at_large_n(self, n):
+        # the rounding error of log N! once put the sum of the terms off 1 by more than 1e-12
+        t, j = 2, 1
+        table = occupation_pdf_binomial_limit(n, t, j)
+        p = t**j / (t + 1) ** (j + 1)
+        assert len(table.probabilities) == n + 1
+        assert abs(math.fsum(table.probabilities) - 1.0) <= 1e-12
+        assert table.mean() == pytest.approx(n * p, rel=1e-9)
+
+    @pytest.mark.parametrize("n, t, j", [(50, 2.0, 1), (100, 4.0, 2), (1000, 3.0, 0)])
+    def test_terms_that_sum_to_one_are_not_rescaled(self, n, t, j):
+        p = t**j / (t + 1) ** (j + 1)
+        log_probs = (math.log(p), math.log1p(-p))
+        terms = tuple(
+            math.exp(distributions._multinomial_log_pmf(n, (k, n - k), log_probs))
+            for k in range(n + 1)
+        )
+        assert occupation_pdf_binomial_limit(n, t, j).probabilities == terms
 
     def test_close_to_exact_inside_validity(self):
         params = SystemParams(50, 100)

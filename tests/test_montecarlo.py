@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boltzgas import montecarlo
 from boltzgas.distributions import occupation_pdf_exact
@@ -88,6 +90,23 @@ class TestBatchSampling:
         assert np.all(counts.sum(axis=1) == 6)
         energies = counts @ np.arange(10)
         assert np.all(energies == 9)
+
+    @settings(max_examples=150, deadline=None)
+    @example(n=1, m=50, batch=3, seed=0)  # one microstate: N = 1
+    @example(n=17, m=0, batch=5, seed=1)  # one microstate: M = 0
+    @example(n=40, m=80, batch=64, seed=2)  # the general path at its largest
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(0, 80),
+        batch=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conservation_at_random_sizes(self, n, m, batch, seed):
+        counts = _level_counts_batch(SystemParams(n, m), chunk_rng(seed, 0), batch)
+        assert counts.dtype == np.int64 and counts.shape == (batch, m + 1)
+        assert np.all(counts >= 0)
+        assert np.all(counts.sum(axis=1) == n)
+        assert np.all(counts @ np.arange(m + 1) == m)
 
     def test_uniform_over_microstates(self):
         # chi-squared against multiplicity/total for every macrostate of (3, 3)

@@ -92,6 +92,17 @@ def test_import_graph_runs_one_way():
     assert late == []
 
 
+def test_oracle_imports_no_closed_form():
+    # The enumeration oracle shares only the model's domain with the laws it witnesses.
+    assert {sibling for sibling, _ in _sibling_imports("enumeration")} == {"combinatorics", "system"}
+
+
+def test_law_type_lives_with_the_domain():
+    assert boltzgas.DistributionTable is boltzgas.distributions.DistributionTable
+    assert boltzgas.DistributionTable.__module__ == "boltzgas.system"
+    assert not hasattr(boltzgas, "CovarianceMatrix")
+
+
 def test_every_cache_is_bounded():
     caches = {f"{module}.{name}": cache for module, name, cache in _functools_caches()}
     assert caches
