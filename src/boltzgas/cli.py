@@ -97,10 +97,26 @@ def _render_table(header, rows, fmt="csv") -> str:
     return buffer.getvalue()
 
 
+# Python's default int_max_str_digits; longer integer text is refused even with the cap lifted
+_MAX_INT_CHARS = 4300
+
+
+def _parse_int(text: str) -> int:
+    """int(text), the type of every integer flag and of each list element."""
+    if len(text) > _MAX_INT_CHARS:
+        raise argparse.ArgumentTypeError(f"invalid int value: <{len(text)} characters>")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_int_list(raw: str) -> list:
     try:
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
-    except ValueError as exc:
+        return [_parse_int(part) for part in raw.split(",") if part.strip() != ""]
+    except argparse.ArgumentTypeError as exc:
+        if len(raw) > _MAX_INT_CHARS:
+            raise UsageError(f"expected a comma-separated integer list; {exc}") from exc
         raise UsageError(f"expected a comma-separated integer list, got {raw!r}") from exc
 
 
@@ -330,31 +346,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (atomic write); default stdout")
 
     p = sub.add_parser("microstates", help="total number of microstates")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--m", type=_parse_int, required=True)
     p.set_defaults(func=cmd_microstates)
 
     p = sub.add_parser("moments", help="exact occupation-number moments")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--m", type=_parse_int, required=True)
     p.add_argument("--levels", help="comma-separated levels (default: all)")
-    p.add_argument("--order-max", type=int, default=4, dest="order_max")
+    p.add_argument("--order-max", type=_parse_int, default=4, dest="order_max")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     add_output_flags(p)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("pdf", help="exact occupation-number law at one level")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--m", type=_parse_int, required=True)
+    p.add_argument("--level", type=_parse_int, required=True)
     p.add_argument("--compare-limit", action="store_true", dest="compare_limit")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     add_output_flags(p)
     p.set_defaults(func=cmd_pdf)
 
     p = sub.add_parser("jointpdf", help="exact joint occupation law")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--m", type=_parse_int, required=True)
     p.add_argument("--levels", required=True, help="comma-separated ascending levels")
     p.add_argument("--counts", help="comma-separated counts for a single evaluation")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
@@ -362,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jointpdf)
 
     p = sub.add_parser("covariance", help="limit-model mean vector and covariance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="energy cutoff (matrix spans 0..M)")
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--m", type=_parse_int, required=True, help="energy cutoff (matrix spans 0..M)")
     p.add_argument("--t", type=float, help="temperature (default M/N)")
     add_output_flags(p)
     p.set_defaults(func=cmd_covariance)
@@ -378,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fluctuation)
 
     p = sub.add_parser("mc", help="Monte Carlo validation against exact moments")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n", type=_parse_int, required=True)
+    p.add_argument("--m", type=_parse_int, required=True)
+    p.add_argument("--samples", type=_parse_int, default=100_000)
+    p.add_argument("--seed", type=_parse_int, default=42)
     p.add_argument("--levels", help="comma-separated levels (default: 0..min(M,10))")
     add_output_flags(p)
     p.set_defaults(func=cmd_mc)

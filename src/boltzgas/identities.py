@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -38,40 +40,30 @@ def reports_to_json(reports) -> str:
 
 def check_power_of_sum(n: int, m: int, level: int) -> IdentityReport:
     """Compare ``power_of_sum_row``, the weight row of both exact laws, with the
-    coefficients of ((1-z^(M+1))/(1-z) + z^j u)^N from brute-force bivariate
-    polynomial multiplication truncated at z^M."""
+    coefficients of (1 + z + ... + z^M + z^j u)^N, multiplied out factor by
+    factor and truncated at z^M."""
     n = integral_value("n", n, 0)
     m = integral_value("m", m, 0)
     level = integral_value("level", level, 0)
     params = {"N": n, "M": m, "j": level}
-    base = [[0] * (n + 1) for _ in range(m + 1)]
-    for p in range(m + 1):
-        base[p][0] += 1
-    if level <= m:
-        base[level][1] += 1
-    poly = [[0] * (n + 1) for _ in range(m + 1)]
-    poly[0][0] = 1
+    poly = Counter({(0, 0): 1})  # (z power, u power) -> coefficient
     for _ in range(n):
-        nxt = [[0] * (n + 1) for _ in range(m + 1)]
-        for zp in range(m + 1):
-            for uq in range(n + 1):
-                c = poly[zp][uq]
-                if not c:
-                    continue
-                for zb in range(m + 1 - zp):
-                    for ub, cb in enumerate(base[zb]):
-                        if cb and uq + ub <= n:
-                            nxt[zp + zb][uq + ub] += c * cb
-        poly = nxt
+        product = Counter()
+        for (zp, uq), c in poly.items():
+            for zb in range(m + 1 - zp):  # 1 + z + ... + z^M, truncated at z^M
+                product[zp + zb, uq] += c
+            if zp + level <= m:  # z^j u
+                product[zp + level, uq + 1] += c
+        poly = product
     for p in range(m + 1):
         for q, expected in enumerate(power_of_sum_row(p, level, n)):
-            if poly[p][q] != expected:
+            if poly[p, q] != expected:
                 return IdentityReport(
                     name="power-of-sum",
                     params=params,
                     verdict="mismatch",
-                    residual=Fraction(poly[p][q] - expected),
-                    notes=f"first mismatch at z^{p} u^{q}: {poly[p][q]} vs {expected}",
+                    residual=Fraction(poly[p, q] - expected),
+                    notes=f"first mismatch at z^{p} u^{q}: {poly[p, q]} vs {expected}",
                 )
     return IdentityReport(name="power-of-sum", params=params, verdict="exact-equal")
 
@@ -115,16 +107,6 @@ def check_differential_identity(q: int, order: int, series_order: int = 16) -> I
     return IdentityReport(name="differential", params=params, verdict="exact-equal")
 
 
-def _contiguous_products(values) -> list:
-    products = []
-    for i in range(len(values)):
-        prod = Fraction(1)
-        for k in range(i, len(values)):
-            prod *= values[k]
-            products.append(prod)
-    return products
-
-
 def check_simplex_sum_ii(arity: int, a_values, n_top: int) -> IdentityReport:
     """Nested ascending geometric sum against its alternating closed form.
 
@@ -139,7 +121,7 @@ def check_simplex_sum_ii(arity: int, a_values, n_top: int) -> IdentityReport:
     params = {"p": arity, "a": list(a_values), "n_top": n_top}
     if len(a_values) != arity:
         raise ValueError("need exactly p ratio values")
-    if any(prod == 1 for prod in _contiguous_products(a_values)):
+    if any(math.prod(a_values[i:k]) == 1 for i in range(arity) for k in range(i + 1, arity + 1)):
         return IdentityReport(
             name="simplex-sum-ii",
             params=params,
@@ -147,34 +129,21 @@ def check_simplex_sum_ii(arity: int, a_values, n_top: int) -> IdentityReport:
             notes="a contiguous product of the ratios equals 1 (degenerate geometric sum)",
         )
 
-    lhs = Fraction(0)
-    stack = [(0, 0, Fraction(1))]
-    while stack:
-        index, lower, product = stack.pop()
-        if index == arity:
-            lhs += product
-            continue
-        for value in range(lower, n_top + 1):
-            stack.append((index + 1, value, product * a_values[index] ** value))
-
+    # With a_q = r_q / s_q, each term times D = prod_q s_q^n_top is the integer
+    # prod_q r_q^(n_q) s_q^(n_top - n_q); powers[q][v] holds r_q^v s_q^(n_top - v).
+    powers = [
+        [a.numerator**v * a.denominator ** (n_top - v) for v in range(n_top + 1)]
+        for a in a_values
+    ]
+    sequences = itertools.combinations_with_replacement(range(n_top + 1), arity)
+    scaled_lhs = sum(math.prod(powers[q][v] for q, v in enumerate(seq)) for seq in sequences)
+    lhs = Fraction(scaled_lhs, math.prod(a.denominator**n_top for a in a_values))
     rhs = Fraction(0)
     for q in range(arity + 1):
-        numerator = Fraction(1)
-        for l in range(q, arity):
-            numerator *= a_values[l] ** (n_top + arity - l)
-        denominator = Fraction(1)
-        for l in range(q):
-            prod = Fraction(1)
-            for i in range(l, q):
-                prod *= a_values[i]
-            denominator *= 1 - prod
-        for l in range(q, arity):
-            prod = Fraction(1)
-            for i in range(q, l + 1):
-                prod *= a_values[i]
-            denominator *= 1 - prod
-        sign = -1 if (arity + q) % 2 else 1
-        rhs += sign * numerator / denominator
+        numerator = math.prod(a_values[l] ** (n_top + arity - l) for l in range(q, arity))
+        denominator = math.prod(1 - math.prod(a_values[l:q]) for l in range(q))
+        denominator *= math.prod(1 - math.prod(a_values[q : l + 1]) for l in range(q, arity))
+        rhs += (-1) ** (arity + q) * numerator / denominator
     if lhs == rhs:
         return IdentityReport(
             name="simplex-sum-ii",
@@ -196,15 +165,15 @@ def check_simplex_sum_ii(arity: int, a_values, n_top: int) -> IdentityReport:
 POWER_SUM_COEFFICIENTS = (Fraction(1), Fraction(-1, 2), Fraction(1, 12), Fraction(-1, 8))
 
 
-def _power_sum_rhs(n: int, t: int, truncation: int) -> Fraction:
-    total = Fraction(0)
-    for k in range(min(truncation, n + 1) + 1):
-        total += (
-            Fraction(t) ** (n - k + 1)
-            * Fraction(math.factorial(n), math.factorial(n - k + 1))
-            * POWER_SUM_COEFFICIENTS[k]
-        )
-    return total
+def _power_sum_residual(n: int, t: int, truncation: int) -> Fraction:
+    """sum_{l<t} l^n minus the claimed expansion truncated at k = ``truncation``."""
+    expansion = sum(
+        Fraction(t) ** (n - k + 1)
+        * Fraction(math.factorial(n), math.factorial(n - k + 1))
+        * POWER_SUM_COEFFICIENTS[k]
+        for k in range(min(truncation, n + 1) + 1)
+    )
+    return sum(l**n for l in range(t)) - expansion
 
 
 def measure_sum_of_powers_residual(n: int, t: int) -> IdentityReport:
@@ -219,39 +188,29 @@ def measure_sum_of_powers_residual(n: int, t: int) -> IdentityReport:
     t = integral_value("t", t, 2)
     if n > 4:
         raise ValueError(f"n must lie in 1..4, got {n}")
-    lhs = Fraction(sum(l**n for l in range(t)))
-    residual_full = lhs - _power_sum_rhs(n, t, truncation=3)
-    residual_leading = lhs - _power_sum_rhs(n, t, truncation=1)
     return IdentityReport(
         name="sum-of-powers",
         params={"n": n, "t": t},
         verdict="residual",
-        residual=residual_full,
-        notes=f"k<=1 truncation residual {residual_leading}",
+        residual=_power_sum_residual(n, t, truncation=3),
+        notes=f"k<=1 truncation residual {_power_sum_residual(n, t, truncation=1)}",
     )
 
 
 def sum_of_powers_residual_slope(n: int):
     """Log-log growth slope over t = 10..50 of the k<=1 truncation's residual.
 
-    Returns None when every residual vanishes (the truncation is exact).
+    Returns None when fewer than two residuals are nonzero.
     """
     n = integral_value("n", n, 1)
-    points = []
-    for t in range(10, 51):
-        lhs = Fraction(sum(l**n for l in range(t)))
-        residual = lhs - _power_sum_rhs(n, t, truncation=1)
-        if residual != 0:
-            points.append((math.log(t), math.log(abs(float(residual)))))
+    points = [
+        (math.log(t), math.log(abs(float(residual))))
+        for t in range(10, 51)
+        if (residual := _power_sum_residual(n, t, truncation=1))
+    ]
     if len(points) < 2:
         return None
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    num = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    den = sum((x - mean_x) ** 2 for x in xs)
-    return num / den
+    return statistics.linear_regression(*zip(*points)).slope
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .moments import exact_moment, variance_exact
+from .moments import exact_moment
 from .system import OccupationVector, SystemParams, integral_value, store_integral_fields
 
 CHUNK_SIZE = 1 << 14
@@ -160,9 +160,10 @@ def z_score_report(config: SamplerConfig | EmpiricalStats, levels) -> list:
     ``config`` is a ``SamplerConfig``, which is sampled here, or the
     ``EmpiricalStats`` of a run already drawn; the means do not depend on the
     histogram cutoff, so both give the same rows. The standard error uses the
-    exact occupation variance, so z is a clean N(0,1) statistic under the
-    sampler's null; |z| > 4 is flagged. Levels with zero exact variance report
-    an exact-match sentinel instead of a z-score.
+    exact variance of the count, <n_j^2> - <n_j>^2 from ``exact_moment``, so
+    z is a clean N(0,1) statistic under the sampler's null; |z| > 4 is
+    flagged. Levels with zero exact variance report an exact-match sentinel
+    instead of a z-score.
     """
     if isinstance(config, EmpiricalStats):
         stats, config = config, config.config
@@ -174,32 +175,15 @@ def z_score_report(config: SamplerConfig | EmpiricalStats, levels) -> list:
     rows = []
     for level in levels:
         exact_mean = exact_moment(config.params, level, 1)
-        variance = config.params.n_particles**2 * variance_exact(config.params, level)
+        variance = exact_moment(config.params, level, 2) - exact_mean**2
         empirical = stats.means[level]
         if variance == 0:
-            exact = empirical == float(exact_mean)
-            rows.append(
-                ZScoreRow(
-                    level=level,
-                    empirical_mean=empirical,
-                    exact_mean=exact_mean,
-                    standard_error=0.0,
-                    z_score=None,
-                    flagged=not exact,
-                    note="exact-match" if exact else "deterministic-mismatch",
-                )
-            )
-            continue
-        se = math.sqrt(float(variance) / config.sample_count)
-        z = (empirical - float(exact_mean)) / se
-        rows.append(
-            ZScoreRow(
-                level=level,
-                empirical_mean=empirical,
-                exact_mean=exact_mean,
-                standard_error=se,
-                z_score=z,
-                flagged=abs(z) > 4.0,
-            )
-        )
+            se, z = 0.0, None
+            flagged = empirical != float(exact_mean)
+            note = "deterministic-mismatch" if flagged else "exact-match"
+        else:
+            se = math.sqrt(float(variance) / config.sample_count)
+            z = (empirical - float(exact_mean)) / se
+            flagged, note = abs(z) > 4.0, ""
+        rows.append(ZScoreRow(level, empirical, exact_mean, se, z, flagged, note))
     return rows

@@ -74,10 +74,18 @@ class TestDigitLimit:
         fields = [part for row in json.loads(out) for part in row["exact"].split("/")]
         assert max(len(part) for part in fields) == 4543
 
-    def test_parsing_keeps_the_limit(self, capsys):
-        code, out, err = run(capsys, "microstates", "--n", "1" * 4301, "--m", "2")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["microstates", "--n", "1" * 4301, "--m", "2"],
+            ["moments", "--n", "3", "--m", "2", "--levels", "0," + "1" * 4301],
+        ],
+    )
+    def test_parsing_keeps_the_limit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err) < 200 and "4301" in err
 
     @pytest.mark.parametrize(
         "argv", ["microstates --n 3 --m 2", "microstates --n 0 --m 2", "moments --n 2"]

@@ -30,6 +30,21 @@ class TestPowerOfSum:
                 for j in range(m + 1):
                     assert check_power_of_sum(n, m, j).verdict == "exact-equal"
 
+    def test_reports_the_first_mismatch(self, monkeypatch):
+        row = identities.power_of_sum_row
+
+        def one_entry_off(p, j, n):
+            entries = row(p, j, n)
+            if p == 2:
+                entries[1] += 1
+            return entries
+
+        monkeypatch.setattr(identities, "power_of_sum_row", one_entry_off)
+        report = check_power_of_sum(3, 4, 1)
+        assert report.verdict == "mismatch"
+        assert report.residual == -1
+        assert report.notes == "first mismatch at z^2 u^1: 6 vs 7"
+
 
 class TestDifferentialIdentity:
     def test_first_order(self):

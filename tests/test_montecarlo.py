@@ -251,6 +251,17 @@ class TestZScoreReport:
         assert not row.flagged
         assert row.exact_mean == Fraction(1)
 
+    def test_deterministic_mismatch_is_flagged(self, monkeypatch):
+        # mean 2 and second moment 4: zero variance, while every sample reads 1
+        monkeypatch.setattr(
+            montecarlo, "exact_moment", lambda params, level, order: Fraction(2**order)
+        )
+        config = SamplerConfig(SystemParams(1, 5), 1_000, 9)
+        (row,) = z_score_report(config, [5])
+        assert row.flagged and row.note == "deterministic-mismatch"
+        assert row.z_score is None and row.standard_error == 0.0
+        assert (row.empirical_mean, row.exact_mean) == (1.0, 2)
+
     def test_standard_error_scaling(self):
         params = SystemParams(10, 15)
         small = z_score_report(SamplerConfig(params, 20_000, 5), [1])[0]
