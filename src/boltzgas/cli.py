@@ -101,14 +101,19 @@ def _render_table(header, rows, fmt="csv") -> str:
 _MAX_INT_CHARS = 4300
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted for an error message, or only its length past _MAX_INT_CHARS."""
+    return repr(text) if len(text) <= _MAX_INT_CHARS else f"<{len(text)} characters>"
+
+
 def _parse_int(text: str) -> int:
     """int(text), the type of every integer flag and of each list element."""
-    if len(text) > _MAX_INT_CHARS:
-        raise argparse.ArgumentTypeError(f"invalid int value: <{len(text)} characters>")
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if len(text) <= _MAX_INT_CHARS:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
 
 
 def _parse_int_list(raw: str) -> list:
@@ -132,16 +137,17 @@ def _parse_t_grid(raw: str) -> list:
     parts = raw.split(":")
     if len(parts) != 4 or parts[0] not in ("log", "lin"):
         raise UsageError(
-            f"t-grid must look like log:START:STOP:COUNT or lin:START:STOP:COUNT, got {raw!r}"
+            f"t-grid must look like log:START:STOP:COUNT or lin:START:STOP:COUNT, got {_shown(raw)}"
         )
     try:
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
-        raise UsageError(f"bad t-grid numbers in {raw!r}") from exc
+        raise UsageError(f"bad t-grid numbers in {_shown(raw)}") from exc
     # written so that a NaN START or STOP fails too
     if not (0 < start < stop < math.inf and 2 <= count <= MAX_OUTPUT_ROWS):
         raise UsageError(
-            f"t-grid needs 0 < START < STOP < inf and 2 <= COUNT <= {MAX_OUTPUT_ROWS}, got {raw!r}"
+            f"t-grid needs 0 < START < STOP < inf and 2 <= COUNT <= {MAX_OUTPUT_ROWS}, "
+            f"got {_shown(raw)}"
         )
     if parts[0] == "log":
         start, stop = math.log10(start), math.log10(stop)
@@ -199,7 +205,7 @@ def cmd_pdf(args) -> tuple:
         )
         header.append("limit")
         columns.append(limit.probabilities)
-    failed = args.check_oracle and oracle_pdf(params, args.level).probabilities != table.probabilities
+    failed = args.check_oracle and oracle_pdf(params, args.level) != table
     failure = "closed-form law disagrees with the enumeration oracle" if failed else None
     return _render_table(header, zip(*columns), args.format), failure
 
@@ -306,9 +312,9 @@ def cmd_figures(args) -> tuple:
         ids = list(figures_mod.FIGURE_IDS)
     else:
         try:
-            ids = [int(args.figure)]
-        except ValueError as exc:
-            raise UsageError(f"--figure must be 1..7 or 'all', got {args.figure!r}") from exc
+            ids = [_parse_int(args.figure)]
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--figure must be 1..7 or 'all', got {_shown(args.figure)}") from exc
     out_dir = Path(args.out_dir)
     manifest = []
     paths = []

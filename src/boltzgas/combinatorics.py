@@ -18,8 +18,9 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-# Exact probabilities and moments are carried as reduced arbitrary-precision
-# rationals throughout the library.
+# Exact probabilities and moments reach callers as reduced arbitrary-precision
+# rationals; an exact law holds integer numerators over one denominator until
+# one is read.
 ExactRational = Fraction
 
 
@@ -165,28 +166,26 @@ def power_of_sum_row(p: int, j: int, N: int) -> list:
 
     Entry q is C(N, q) C(a, b) with a = p - qj + N - q - 1, b = N - q - 1. Going
     to q + 1, C(N, q) gains (N - q)/(q + 1), and C(a, b) becomes C(a - j - 1, b - 1)
-    = C(a, b) b prod_{i<j}(a - b - i) / prod_{i<=j}(a - i). While (q + 1)j <= p and
-    b >= 1, every divisor is at least 1 and each division is exact; past the gate
-    the entries are 0. The last entry is the indicator [N*j == p].
+    = C(a, b) b perm(a - b, j) / (a perm(a - 1, j)). So each entry is the last one
+    times one factor and divided exactly by another, both built by ``math.perm``:
+    a row costs one binomial and two big-integer operations per entry, whatever
+    j is. While (q + 1)j <= p and b >= 1 every factor is at least 1; past that
+    gate the entries are 0. The last entry is the indicator [N*j == p].
     """
     p, j, N = integral_value("p", p), integral_value("j", j, 0), integral_value("N", N)
     row = [0] * (N + 1)
     if N < 0 or p < 0:
         return row
     row[N] = int(N * j == p)
-    choose = 1
     a, b = p + N - 1, N - 1
-    compositions = _binomial(a, b)
+    entry = _binomial(a, b)
     for q in range(N):
-        row[q] = choose * compositions
+        row[q] = entry
         if q + 1 == N or (q + 1) * j > p:
             break
-        up, down = b, a
-        for i in range(j):
-            up *= a - b - i
-            down *= a - i - 1
-        compositions = compositions * up // down
-        choose = choose * (N - q) // (q + 1)
+        up = (N - q) * b * math.perm(a - b, j)
+        down = (q + 1) * a * math.perm(a - 1, j)
+        entry = entry * up // down
         a -= j + 1
         b -= 1
     return row

@@ -40,13 +40,13 @@ def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
     """Integer numerators of P(n_level = k), k = 0..top, over C(M+N-1, N-1).
 
     The weight row A_0..A_N, the z^M u^q coefficients at ``level``, comes from
-    ``power_of_sum_row`` in one pass of exact updates. The numerator of count k
-    is sum_{q >= k} (-1)^(q-k) C(q, k) A_q: the y^k coefficient of
-    sum_q A_q (y - 1)^q. That Taylor shift by -1 runs in place with integer
-    subtractions only (Ruffini-Horner). Pass i touches entries i..N-1 alone, so
-    entry k is final once pass k ends and the passes stop at ``top``
-    (0 <= top <= N): about (top + 1) N big-integer subtractions, N^2 / 2 for
-    the full table.
+    ``power_of_sum_row``: one binomial and two big-integer operations per entry.
+    The numerator of count k is sum_{q >= k} (-1)^(q-k) C(q, k) A_q: the y^k
+    coefficient of sum_q A_q (y - 1)^q. That Taylor shift by -1 runs in place
+    with integer subtractions only (Ruffini-Horner). Pass i touches entries
+    i..N-1 alone, so entry k is final once pass k ends and the passes stop at
+    ``top`` (0 <= top <= N): about (top + 1) N big-integer subtractions, N^2 / 2
+    for the full table, which is where the time of an exact law goes.
     """
     a = power_of_sum_row(m, level, n)
     for i in range(min(top, n - 1) + 1):
@@ -55,10 +55,33 @@ def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
     return a[: top + 1]
 
 
+def _window_numerators(params: SystemParams, level: int, lo: int, hi: int) -> tuple:
+    """(counts, numerators, denominator) of the exact law on the count window lo..hi.
+
+    The one representation of an exact 1-D law: P(n_level = k) is
+    numerators[i] / C(M+N-1, N-1) at counts[i] = k. The window is clamped to
+    0..N, and an empty one returns empty lists without a shift. It costs what
+    ``_pdf_numerators`` costs to ``hi`` and builds no Fraction; a float read as
+    numerator / denominator is correctly rounded, equal to float(Fraction).
+    """
+    level = params.check_level(level)
+    n, m = params.n_particles, params.energy_units
+    lo = max(0, integral_value("lo", lo))
+    hi = min(n, integral_value("hi", hi))
+    total = microstate_count(params)
+    if hi < lo:
+        return [], [], total
+    return list(range(lo, hi + 1)), _pdf_numerators(n, m, level, hi)[lo:], total
+
+
 def occupation_pdf_exact(params: SystemParams, level: int) -> DistributionTable:
-    """Exact law of the occupation number at ``level``: P(n_j = k) for k = 0..N."""
-    _, probs = occupation_pdf_window(params, level, 0, params.n_particles)
-    return DistributionTable(tuple(probs), "exact")
+    """Exact law of the occupation number at ``level``: P(n_j = k) for k = 0..N.
+
+    Held as integer numerators over C(M+N-1, N-1), so it costs the full shift
+    of ``_pdf_numerators`` (N^2 / 2 subtractions) and no Fraction until one is read.
+    """
+    _, numerators, total = _window_numerators(params, level, 0, params.n_particles)
+    return DistributionTable.from_numerators(numerators, total)
 
 
 def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
@@ -69,18 +92,11 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
     plotting large systems where the full support is mostly negligible mass.
     A window is not a ``DistributionTable``: its mass need not sum to 1.
     The window is clamped to 0..N and an empty one returns ([], []). A window
-    costs about (hi + 1) N big-integer subtractions, N^2 / 2 for the full table.
+    costs about (hi + 1) N big-integer subtractions, N^2 / 2 for the full
+    table, plus one reduced Fraction (a gcd) per count in it.
     """
-    level = params.check_level(level)
-    n, m = params.n_particles, params.energy_units
-    lo = max(0, integral_value("lo", lo))
-    hi = min(n, integral_value("hi", hi))
-    if hi < lo:
-        return [], []
-    numerators = _pdf_numerators(n, m, level, hi)
-    total = microstate_count(params)
-    counts = list(range(lo, hi + 1))
-    return counts, [Fraction(numerators[k], total) for k in counts]
+    counts, numerators, total = _window_numerators(params, level, lo, hi)
+    return counts, [Fraction(v, total) for v in numerators]
 
 
 def _multinomial_log_pmf(n: int, counts, log_probs) -> float:

@@ -116,14 +116,14 @@ def oracle_moment(params: SystemParams, level: int, order: int) -> Fraction:
 
 
 def oracle_pdf(params: SystemParams, level: int) -> DistributionTable:
-    """Exact distribution of the occupation number at ``level`` by enumeration."""
+    """Exact distribution of the occupation number at ``level`` by enumeration.
+
+    Its numerators are the enumerated weights per count, over the microstate total.
+    """
     level = params.check_level(level)
     table = _joint_weight_table(params.n_particles, params.energy_units, (level,))
-    total = microstate_count(params)
-    probabilities = tuple(
-        Fraction(table.get((k,), 0), total) for k in range(params.n_particles + 1)
-    )
-    return DistributionTable(probabilities, "exact")
+    weights = [table.get((k,), 0) for k in range(params.n_particles + 1)]
+    return DistributionTable.from_numerators(weights, microstate_count(params))
 
 
 def oracle_joint_pdf(params: SystemParams, levels, counts) -> Fraction:

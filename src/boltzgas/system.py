@@ -10,6 +10,7 @@ the exact laws, their limits and the oracle alike.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -127,50 +128,118 @@ def normalize_selection(params: SystemParams, levels, counts) -> tuple:
     return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
 
 
+class _HeldProbabilities:
+    """The ``probabilities`` field of ``DistributionTable``, held as weights.
+
+    An exact table holds integer numerators over one denominator and builds
+    their Fractions on each read; a limit table holds its floats as given.
+    """
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            raise AttributeError("probabilities")
+        if table.mode == "exact":
+            return tuple(Fraction(w, table._total) for w in table._weights)
+        return table._weights
+
+    def __set__(self, table, probabilities):
+        object.__setattr__(table, "_weights", tuple(probabilities))
+
+
 @dataclass(frozen=True)
 class DistributionTable:
     """A law of one occupation number over the counts 0..len-1: entry k is P(count = k).
 
-    mode "exact" carries ExactRational probabilities summing to exactly 1;
-    mode "limit" carries floats summing to 1 within 1e-12.
+    mode "exact" holds integer numerators over one denominator, checked with
+    one integer sum against it; ``from_numerators`` builds such a table as it
+    is, and exact probabilities given as rationals are put over their least
+    common denominator. Reading ``probabilities`` or ``probability`` builds
+    Fractions; ``as_floats`` divides each numerator by the denominator
+    (integer true division, correctly rounded, so each float equals
+    float(Fraction)), and ``mean`` and ``variance`` sum integers and build
+    one Fraction each. mode "limit" carries floats summing to 1 within 1e-12.
+    Equal laws compare equal, whatever denominator each is held over.
     """
 
-    probabilities: tuple
+    probabilities: tuple = _HeldProbabilities()  # a descriptor, not a default: still required
     mode: str
 
     def __post_init__(self):
         if self.mode not in ("exact", "limit"):
             raise ValueError(f"mode must be 'exact' or 'limit', got {self.mode!r}")
-        # written so that a NaN fails both checks
-        if not all(p >= 0 for p in self.probabilities):
-            raise ValueError("probabilities must be nonnegative")
-        total = sum(self.probabilities)
         if self.mode == "exact":
-            if total != 1:
-                raise ValueError(f"exact probabilities must sum to 1, got {total}")
-        elif not abs(total - 1.0) <= _LIMIT_SUM_TOLERANCE:
-            raise ValueError(f"limit probabilities sum to {total!r}, off by more than 1e-12")
+            values = [Fraction(p) for p in self._weights]
+            total = math.lcm(*(v.denominator for v in values))
+            numerators = tuple(v.numerator * (total // v.denominator) for v in values)
+            object.__setattr__(self, "_weights", numerators)
+            object.__setattr__(self, "_total", total)
+        self._check()
+
+    @classmethod
+    def from_numerators(cls, numerators, denominator: int) -> "DistributionTable":
+        """The exact law P(count = k) = numerators[k] / denominator, built without a Fraction.
+
+        The numerators are nonnegative ints summing to the denominator (>= 1).
+        """
+        table = cls.__new__(cls)
+        object.__setattr__(table, "_weights", tuple(numerators))
+        object.__setattr__(table, "_total", integral_value("denominator", denominator, 1))
+        object.__setattr__(table, "mode", "exact")
+        table._check()
+        return table
+
+    def _check(self) -> None:
+        # written so that a NaN fails both checks
+        if not all(p >= 0 for p in self._weights):
+            raise ValueError("probabilities must be nonnegative")
+        mass = sum(self._weights)
+        if self.mode == "exact":
+            if mass != self._total:
+                got = Fraction(mass, self._total)
+                raise ValueError(f"exact probabilities must sum to 1, got {got}")
+        elif not abs(mass - 1.0) <= _LIMIT_SUM_TOLERANCE:
+            raise ValueError(f"limit probabilities sum to {mass!r}, off by more than 1e-12")
+
+    def __eq__(self, other):
+        if not isinstance(other, DistributionTable):
+            return NotImplemented
+        if self.mode != other.mode or len(self._weights) != len(other._weights):
+            return False
+        if self.mode == "limit":
+            return self._weights == other._weights
+        pairs = zip(self._weights, other._weights)
+        return all(x * other._total == y * self._total for x, y in pairs)
 
     @property
     def support(self) -> tuple:
         """The counts 0..len-1."""
-        return tuple(range(len(self.probabilities)))
+        return tuple(range(len(self._weights)))
 
     def probability(self, count):
         """P(count); 0 outside 0..len-1."""
-        if 0 <= count < len(self.probabilities):
-            return self.probabilities[count]
-        return Fraction(0) if self.mode == "exact" else 0.0
+        exact = self.mode == "exact"
+        if not 0 <= count < len(self._weights):
+            return Fraction(0) if exact else 0.0
+        weight = self._weights[count]
+        return Fraction(weight, self._total) if exact else weight
 
     def as_floats(self) -> list:
-        return [float(p) for p in self.probabilities]
+        if self.mode == "exact":
+            return [w / self._total for w in self._weights]
+        return [float(p) for p in self._weights]
 
     def mean(self):
-        return sum(k * p for k, p in enumerate(self.probabilities))
+        if self.mode == "exact":
+            return Fraction(sum(k * w for k, w in enumerate(self._weights)), self._total)
+        return sum(k * p for k, p in enumerate(self._weights))
 
     def variance(self):
+        if self.mode == "exact":
+            first = sum(k * w for k, w in enumerate(self._weights))
+            second = sum(k * k * w for k, w in enumerate(self._weights))
+            return Fraction(second * self._total - first * first, self._total**2)
         mu = self.mean()
-        return sum((k - mu) ** 2 * p for k, p in enumerate(self.probabilities))
+        return sum((k - mu) ** 2 * p for k, p in enumerate(self._weights))
 
     def total_variation(self, other: "DistributionTable") -> float:
         """Total-variation distance, the shorter table padded with zeros."""

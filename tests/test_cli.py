@@ -88,6 +88,36 @@ class TestDigitLimit:
         assert len(err) < 200 and "4301" in err
 
     @pytest.mark.parametrize(
+        "argv, length",
+        [
+            (["fluctuation", "--n", "2", "--t-grid", "lin:1:2:" + "1" * 5000], 5008),
+            (["figures", "--figure", "1" * 5000], 5000),
+        ],
+    )
+    def test_long_values_are_named_by_length(self, capsys, tmp_path, argv, length):
+        if argv[0] == "figures":
+            argv = argv + ["--out-dir", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err) < 200 and f"<{length} characters>" in err
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["fluctuation", "--n", "2", "--t-grid", "lin:1:2:1"], "got 'lin:1:2:1'"),
+            (["fluctuation", "--n", "2", "--t-grid", "lin:1:x:3"], "in 'lin:1:x:3'"),
+            (["fluctuation", "--n", "2", "--t-grid", "foo"], "got 'foo'"),
+            (["figures", "--figure", "x"], "got 'x'"),
+        ],
+    )
+    def test_short_values_are_quoted(self, capsys, tmp_path, argv, shown):
+        if argv[0] == "figures":
+            argv = argv + ["--out-dir", str(tmp_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and shown in err
+
+    @pytest.mark.parametrize(
         "argv", ["microstates --n 3 --m 2", "microstates --n 0 --m 2", "moments --n 2"]
     )
     def test_main_restores_the_previous_limit(self, capsys, argv):

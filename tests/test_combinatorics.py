@@ -224,10 +224,16 @@ class TestPowerOfSumRow:
     def test_large_row(self):
         assert power_of_sum_row(10240, 1, 1024) == _coefficients(10240, 1, 1024)
 
+    def test_level_sweep(self):
+        # every tenth level of N = 200 particles sharing 2000 quanta, j = 0 and j = p included
+        for j in range(0, 2001, 10):
+            assert power_of_sum_row(2000, j, 200) == _coefficients(2000, j, 200), j
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_equals_per_entry_coefficients(self, data):
         n = data.draw(st.integers(0, 60), label="N")
         p = data.draw(st.integers(0, 150), label="p")
-        j = data.draw(st.integers(0, p), label="j")
+        # j past p too: there the row stops after its first entry
+        j = data.draw(st.integers(0, p + 3), label="j")
         assert power_of_sum_row(p, j, n) == _coefficients(p, j, n)

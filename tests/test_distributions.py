@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boltzgas import distributions
+from boltzgas import distributions, system
 from boltzgas.combinatorics import binomial, multinomial_weight, weak_compositions
 from boltzgas.distributions import (
     DistributionTable,
@@ -26,6 +26,7 @@ from boltzgas.distributions import (
     occupation_pdf_window,
 )
 from boltzgas.enumeration import enumerate_macrostates, oracle_joint_pdf, oracle_pdf
+from boltzgas.figures import figure_data
 from boltzgas.moments import (
     conditioned_variance_limit,
     exact_moment,
@@ -122,6 +123,7 @@ class TestOccupationPdfExact:
                     table = occupation_pdf_exact(params, j)
                     assert sum(table.probabilities) == 1
                     assert table.probabilities == oracle_pdf(params, j).probabilities
+                    assert table == oracle_pdf(params, j)
 
     def test_first_moment_consistency(self):
         # The two larger systems lie past the enumeration cap: there the
@@ -217,6 +219,85 @@ class TestOccupationPdfExact:
         counts, probs = occupation_pdf_window(params, 1, 2, 5)
         assert counts == [2, 3, 4, 5]
         assert probs == list(table.probabilities[2:6])
+
+
+class TestExactRepresentation:
+    """An exact law is integer numerators over C(M+N-1, N-1); Fractions and floats read them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_numerators_give_the_fractions_and_floats(self, data):
+        n = data.draw(st.integers(1, 40), label="N")
+        m = data.draw(st.integers(0, 80), label="M")
+        params = SystemParams(n, m)
+        total = binomial(m + n - 1, n - 1)
+        for level in range(m + 1):
+            counts, numerators, denominator = distributions._window_numerators(params, level, 0, n)
+            assert counts == list(range(n + 1)) and denominator == total
+            assert sum(numerators) == total
+            table = occupation_pdf_exact(params, level)
+            fractions = tuple(Fraction(v, total) for v in numerators)
+            assert table.probabilities == fractions
+            assert [x.hex() for x in table.as_floats()] == [float(p).hex() for p in fractions]
+            assert table.mean() == sum(k * p for k, p in enumerate(fractions))
+            mu = table.mean()
+            assert table.variance() == sum((k - mu) ** 2 * p for k, p in enumerate(fractions))
+            lo = data.draw(st.integers(-3, n + 3), label="lo")
+            hi = data.draw(st.integers(-3, n + 3), label="hi")
+            window = distributions._window_numerators(params, level, lo, hi)
+            counts, probs = occupation_pdf_window(params, level, lo, hi)
+            assert counts == window[0] == [k for k in range(n + 1) if lo <= k <= hi]
+            assert probs == [fractions[k] for k in counts]
+            assert [v / total for v in window[1]] == [float(p) for p in probs]
+
+    def test_figure_5_floats_are_the_rounded_fractions(self):
+        data = figure_data(5)
+        for panel, t in zip(data.panels, (10, 20, 50, 100)):
+            expected = []
+            for n in (16, 64, 256, 1024):
+                limit = occupation_pdf_normal_limit(n, t, 1)
+                sigma = math.sqrt(limit.variance)
+                lo = int(limit.mean - 12.0 * sigma)
+                hi = int(math.ceil(limit.mean + 12.0 * sigma))
+                params = SystemParams(n, n * t)
+                total = binomial(n * t + n - 1, n - 1)
+                counts, numerators, _ = distributions._window_numerators(params, 1, lo, hi)
+                counts_too, probs = occupation_pdf_window(params, 1, lo, hi)
+                assert counts == counts_too
+                assert probs == [Fraction(v, total) for v in numerators], (n, t)
+                expected.extend((n, k, float(p)) for k, p in zip(counts, probs))
+            assert list(panel.rows) == expected, t
+
+    def test_figures_3_to_5_build_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(distributions, "Fraction", no_fraction)
+        monkeypatch.setattr(system, "Fraction", no_fraction)
+        for figure_id in (3, 4, 5):
+            figure_data(figure_id)
+
+    def test_equal_laws_compare_equal_over_any_denominator(self):
+        halves = DistributionTable((Fraction(1, 2), Fraction(1, 2)), "exact")
+        sixths = DistributionTable.from_numerators((3, 3), 6)
+        assert halves == sixths and hash(halves) == hash(sixths)
+        assert sixths.probabilities == (Fraction(1, 2), Fraction(1, 2))
+        assert halves != DistributionTable.from_numerators((1, 3), 4)
+        assert halves != DistributionTable.from_numerators((2, 2, 0), 4)
+        assert halves != DistributionTable((0.5, 0.5), "limit")
+
+    @pytest.mark.parametrize(
+        "numerators, denominator, error",
+        [
+            ((1, 1), 3, ValueError),
+            ((3, -1), 2, ValueError),
+            ((0,), 0, ValueError),
+            ((1,), 1.0, TypeError),
+        ],
+    )
+    def test_from_numerators_checks_the_table(self, numerators, denominator, error):
+        with pytest.raises(error):
+            DistributionTable.from_numerators(numerators, denominator)
 
 
 class TestBinomialLimit:
