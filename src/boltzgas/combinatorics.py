@@ -27,18 +27,16 @@ ExactRational = Fraction
 def json_default(value):
     """``default=`` hook for ``json.dumps``.
 
-    An exact rational becomes the string "numerator/denominator" and a NumPy
-    scalar its Python value; anything else is not serializable.
+    An exact rational becomes the string "numerator/denominator"; anything
+    else is not serializable and raises TypeError.
     """
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if type(value).__module__ == "numpy":
-        return value.item()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def json_text(value) -> str:
-    """``value`` as indented JSON text, exact rationals and NumPy scalars through ``json_default``."""
+    """``value`` as indented JSON text, exact rationals through ``json_default``."""
     return json.dumps(value, indent=2, default=json_default)
 
 

@@ -129,36 +129,31 @@ def normalize_selection(params: SystemParams, levels, counts) -> tuple:
 
 
 class _HeldProbabilities:
-    """The ``probabilities`` field of ``DistributionTable``, held as weights.
-
-    An exact table holds integer numerators over one denominator and builds
-    their Fractions on each read; a limit table holds its floats as given.
-    """
+    """The ``probabilities`` field of ``DistributionTable``: its weights, each read as a value."""
 
     def __get__(self, table, owner=None):
         if table is None:
             raise AttributeError("probabilities")
-        if table.mode == "exact":
-            return tuple(Fraction(w, table._total) for w in table._weights)
-        return table._weights
+        return tuple(map(table._value, table._weights))
 
     def __set__(self, table, probabilities):
-        object.__setattr__(table, "_weights", tuple(probabilities))
+        object.__setattr__(table, "_weights", probabilities)  # DistributionTable._store checks them
 
 
 @dataclass(frozen=True)
 class DistributionTable:
     """A law of one occupation number over the counts 0..len-1: entry k is P(count = k).
 
-    mode "exact" holds integer numerators over one denominator, checked with
-    one integer sum against it; ``from_numerators`` builds such a table as it
-    is, and exact probabilities given as rationals are put over their least
-    common denominator. Reading ``probabilities`` or ``probability`` builds
-    Fractions; ``as_floats`` divides each numerator by the denominator
-    (integer true division, correctly rounded, so each float equals
-    float(Fraction)), and ``mean`` and ``variance`` sum integers and build
-    one Fraction each. mode "limit" carries floats summing to 1 within 1e-12.
-    Equal laws compare equal, whatever denominator each is held over.
+    Every table holds weights over one total, and entry k is weight k / total.
+    mode "exact" holds integer numerators over an integer total: the
+    C(M+N-1, N-1) that ``from_numerators`` is given, or the least common
+    denominator of the rationals given to the constructor. Its weights must
+    sum to the total exactly, and its values are Fractions. mode "limit" holds
+    floats over the total 1; they must sum to 1 within 1e-12, and its values
+    are floats. ``probabilities``, ``probability`` and ``mean`` divide a weight
+    by the total; ``as_floats`` divides without building a Fraction (integer
+    true division is correctly rounded, so each float equals float(Fraction)).
+    Equal laws compare equal, whatever total each is held over.
     """
 
     probabilities: tuple = _HeldProbabilities()  # a descriptor, not a default: still required
@@ -167,13 +162,12 @@ class DistributionTable:
     def __post_init__(self):
         if self.mode not in ("exact", "limit"):
             raise ValueError(f"mode must be 'exact' or 'limit', got {self.mode!r}")
-        if self.mode == "exact":
-            values = [Fraction(p) for p in self._weights]
-            total = math.lcm(*(v.denominator for v in values))
-            numerators = tuple(v.numerator * (total // v.denominator) for v in values)
-            object.__setattr__(self, "_weights", numerators)
-            object.__setattr__(self, "_total", total)
-        self._check()
+        if self.mode == "limit":
+            self._store(self._weights, 1)
+            return
+        values = [Fraction(p) for p in self._weights]
+        total = math.lcm(*(v.denominator for v in values))
+        self._store((v.numerator * (total // v.denominator) for v in values), total)
 
     @classmethod
     def from_numerators(cls, numerators, denominator: int) -> "DistributionTable":
@@ -182,31 +176,33 @@ class DistributionTable:
         The numerators are nonnegative ints summing to the denominator (>= 1).
         """
         table = cls.__new__(cls)
-        object.__setattr__(table, "_weights", tuple(numerators))
-        object.__setattr__(table, "_total", integral_value("denominator", denominator, 1))
         object.__setattr__(table, "mode", "exact")
-        table._check()
+        table._store(numerators, integral_value("denominator", denominator, 1))
         return table
 
-    def _check(self) -> None:
+    def _store(self, weights, total) -> None:
+        weights = tuple(weights)
         # written so that a NaN fails both checks
-        if not all(p >= 0 for p in self._weights):
+        if not all(w >= 0 for w in weights):
             raise ValueError("probabilities must be nonnegative")
-        mass = sum(self._weights)
+        mass = sum(weights)
         if self.mode == "exact":
-            if mass != self._total:
-                got = Fraction(mass, self._total)
-                raise ValueError(f"exact probabilities must sum to 1, got {got}")
-        elif not abs(mass - 1.0) <= _LIMIT_SUM_TOLERANCE:
+            if mass != total:
+                raise ValueError(f"exact probabilities must sum to 1, got {Fraction(mass, total)}")
+        elif not abs(mass - total) <= _LIMIT_SUM_TOLERANCE:
             raise ValueError(f"limit probabilities sum to {mass!r}, off by more than 1e-12")
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_total", total)
+
+    def _value(self, weight):
+        """``weight`` over the total: a Fraction when exact, a float when limit."""
+        return Fraction(weight, self._total) if self.mode == "exact" else weight / self._total
 
     def __eq__(self, other):
         if not isinstance(other, DistributionTable):
             return NotImplemented
         if self.mode != other.mode or len(self._weights) != len(other._weights):
             return False
-        if self.mode == "limit":
-            return self._weights == other._weights
         pairs = zip(self._weights, other._weights)
         return all(x * other._total == y * self._total for x, y in pairs)
 
@@ -217,29 +213,22 @@ class DistributionTable:
 
     def probability(self, count):
         """P(count); 0 outside 0..len-1."""
-        exact = self.mode == "exact"
-        if not 0 <= count < len(self._weights):
-            return Fraction(0) if exact else 0.0
-        weight = self._weights[count]
-        return Fraction(weight, self._total) if exact else weight
+        return self._value(self._weights[count] if 0 <= count < len(self._weights) else 0)
 
     def as_floats(self) -> list:
-        if self.mode == "exact":
-            return [w / self._total for w in self._weights]
-        return [float(p) for p in self._weights]
+        return [float(w / self._total) for w in self._weights]
 
     def mean(self):
-        if self.mode == "exact":
-            return Fraction(sum(k * w for k, w in enumerate(self._weights)), self._total)
-        return sum(k * p for k, p in enumerate(self._weights))
+        return self._value(sum(k * w for k, w in enumerate(self._weights)))
 
     def variance(self):
-        if self.mode == "exact":
-            first = sum(k * w for k, w in enumerate(self._weights))
-            second = sum(k * k * w for k, w in enumerate(self._weights))
-            return Fraction(second * self._total - first * first, self._total**2)
-        mu = self.mean()
-        return sum((k - mu) ** 2 * p for k, p in enumerate(self._weights))
+        if self.mode == "limit":
+            # the total is 1; the two-pass float sum keeps the printed digits
+            mu = self.mean()
+            return sum((k - mu) ** 2 * p for k, p in enumerate(self._weights))
+        first = sum(k * w for k, w in enumerate(self._weights))
+        second = sum(k * k * w for k, w in enumerate(self._weights))
+        return Fraction(second * self._total - first * first, self._total**2)
 
     def total_variation(self, other: "DistributionTable") -> float:
         """Total-variation distance, the shorter table padded with zeros."""

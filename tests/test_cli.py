@@ -210,6 +210,13 @@ class TestJointPdf:
         assert code == 1
         assert "counts" in err
 
+    def test_counts_of_the_wrong_length(self, capsys):
+        code, out, err = run(
+            capsys, "jointpdf", "--n", "3", "--m", "4", "--levels", "0,2", "--counts", "1"
+        )
+        assert code == 1 and out == ""
+        assert "--counts must match the number of levels" in err
+
 
 class TestCovariance:
     def test_csv_rows(self, capsys):
@@ -244,6 +251,11 @@ class TestFluctuation:
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "fluctuation", "--n", "10", "--t-grid", "log:5:1:9")
         assert code == 1 and "t-grid" in err
+
+    def test_sizes_must_be_positive(self, capsys):
+        code, out, err = run(capsys, "fluctuation", "--n", "0", "--t-grid", "log:1:10:3")
+        assert code == 1 and out == ""
+        assert "--n needs a comma-separated list of positive sizes" in err
 
     @pytest.mark.parametrize("kind", ["lin", "log"])
     def test_grid_matches_numpy(self, kind):
@@ -432,3 +444,14 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv.format(blocker=blocker).split())
         assert code == 1 and out == "" and err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestWriteAtomic:
+    def test_failed_write_leaves_the_target_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("kept\n")
+        # a lone surrogate cannot be encoded as UTF-8
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_atomic(target, "\ud800")
+        assert target.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [target]

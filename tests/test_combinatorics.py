@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boltzgas import combinatorics
 from boltzgas.combinatorics import (
     binomial,
+    json_default,
     multinomial_weight,
     power_of_sum_coefficient,
     power_of_sum_row,
@@ -128,6 +130,23 @@ class TestCoefficientTriangle:
         with ThreadPoolExecutor(max_workers=8) as pool:
             rows = list(pool.map(stirling_like_row, [20] * 32))
         assert all(row == rows[0] for row in rows)
+
+    def test_closed_form_disagreement_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_closed_form_entry", lambda s, m: 0)
+        combinatorics._triangle_row.cache_clear()
+        with pytest.raises(AssertionError, match="coefficient triangle broken at order 3"):
+            stirling_like_row(3)
+
+
+class TestJsonDefault:
+    def test_rational_becomes_its_text(self):
+        assert json_default(Fraction(-6, 4)) == "-3/2"
+        assert json_default(Fraction(5)) == "5/1"
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3), np.float64(0.5)])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_default(value)
 
 
 def _brute_bivariate_coefficients(n, m, j):

@@ -83,6 +83,15 @@ class TestDistributionTable:
             value = table.probability(count)
             assert value == 0 and type(value) is type(zero), count
 
+    def test_limit_equality(self):
+        table = DistributionTable((0.25, 0.75), "limit")
+        assert table == DistributionTable((0.25, 0.75), "limit")
+        assert hash(table) == hash(DistributionTable((0.25, 0.75), "limit"))
+        assert table != DistributionTable((0.75, 0.25), "limit")
+        assert table != DistributionTable((0.25, 0.75, 0.0), "limit")
+        assert table != DistributionTable((Fraction(1, 4), Fraction(3, 4)), "exact")
+        assert table.__eq__(1) is NotImplemented and (table == 1) is False
+
     def test_total_variation(self):
         a = DistributionTable((Fraction(1, 2), Fraction(1, 2)), "exact")
         b = DistributionTable((Fraction(1, 4), Fraction(3, 4)), "exact")

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from boltzgas.enumeration import enumerate_macrostates, oracle_joint_pdf, oracle_moment, oracle_pdf
+from boltzgas.enumeration import (
+    enumerate_macrostates,
+    enumeration_cap,
+    oracle_joint_pdf,
+    oracle_moment,
+    oracle_pdf,
+)
 from boltzgas.system import SystemParams, microstate_count, normalize_selection
 
 
@@ -54,6 +60,18 @@ class TestEnumerateMacrostates:
         monkeypatch.setenv("FLUCT_MAX_ENUM", "nonsense")
         with pytest.raises(ValueError, match="FLUCT_MAX_ENUM"):
             list(enumerate_macrostates(SystemParams(2, 2)))
+
+    def test_cap_env_single_integer_caps_both(self, monkeypatch):
+        monkeypatch.setenv("FLUCT_MAX_ENUM", "14")
+        assert enumeration_cap() == (14, 14)
+        assert list(enumerate_macrostates(SystemParams(14, 2)))
+        with pytest.raises(ValueError, match="cap"):
+            list(enumerate_macrostates(SystemParams(2, 15)))
+
+    def test_cap_env_rejects_three_values(self, monkeypatch):
+        monkeypatch.setenv("FLUCT_MAX_ENUM", "1,2,3")
+        with pytest.raises(ValueError, match="'N,M' pair, got '1,2,3'"):
+            enumeration_cap()
 
 
 class TestMicrostateCount:

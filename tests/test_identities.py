@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -95,6 +96,17 @@ class TestSimplexSumII:
         report = check_simplex_sum_ii(2, [Fraction(2), Fraction(1, 2)], 3)
         assert report.verdict == "domain-error"
 
+    def test_mismatch_reports_the_residual(self, monkeypatch):
+        every = itertools.combinations_with_replacement
+        # drop the first sequence, all zeros, whose term is 1
+        monkeypatch.setattr(
+            identities.itertools,
+            "combinations_with_replacement",
+            lambda *args: itertools.islice(every(*args), 1, None),
+        )
+        report = check_simplex_sum_ii(2, SIMPLEX_RATIOS[:2], 3)
+        assert report.verdict == "mismatch" and report.residual == -1
+
 
 class TestSumOfPowersResidual:
     def test_linear_case(self):
@@ -135,6 +147,12 @@ class TestJointNormalization:
     def test_rejects_non_integer_levels(self):
         with pytest.raises(TypeError, match="level must be an integer"):
             check_joint_normalization(3, 4, (0, 1.0))
+
+    def test_mismatch_reports_the_residual(self, monkeypatch):
+        monkeypatch.setattr(identities, "joint_pdf_exact", lambda *args: Fraction(1, 2))
+        report = check_joint_normalization(2, 2, (0,))
+        assert report.verdict == "mismatch" and report.residual == Fraction(1, 2)
+        assert report.params == {"N": 2, "M": 2, "levels": [0]}
 
 
 class TestReports:

@@ -139,6 +139,11 @@ def test_lazy_name_loads_its_module():
     assert {"boltzgas.montecarlo", "numpy"} <= loaded
 
 
+def test_lazy_module_loads_on_access():
+    code = "import sys\nimport boltzgas\nassert boltzgas.montecarlo is sys.modules['boltzgas.montecarlo']"
+    assert {"boltzgas.montecarlo", "numpy"} <= _fresh_modules(code)
+
+
 def test_import_loads_every_cached_module():
     # A benchmark that empties the caches between passes finds them among
     # the modules loaded by the import.
