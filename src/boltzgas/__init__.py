@@ -41,17 +41,6 @@ from .enumeration import (
     oracle_moment,
     oracle_pdf,
 )
-from .identities import (
-    IdentityReport,
-    check_differential_identity,
-    check_joint_normalization,
-    check_power_of_sum,
-    check_simplex_sum_ii,
-    measure_sum_of_powers_residual,
-    reports_to_json,
-    run_standard_battery,
-    sum_of_powers_residual_slope,
-)
 from .moments import (
     BOLTZMANN_CONSTANT,
     conditioned_variance_limit,
@@ -68,11 +57,11 @@ from .system import OccupationVector, SystemParams, as_occupation, microstate_co
 
 __version__ = "0.1.0"
 
-# The public names of the modules not needed by the exact paths, by module.
-# They load on first access (PEP 562), so the exact paths start without them;
-# of these, only figures and montecarlo import NumPy.
-# Every module that holds a functools cache stays imported above, because
-# bench/worker.py empties the caches of the modules loaded at its start.
+# The public names of the modules not needed by the exact laws, by module.
+# They load on first access (PEP 562), so the exact paths start without them:
+# figures and montecarlo bring NumPy, and identities the identity battery with
+# statistics. Every module that holds a functools cache stays imported above,
+# because bench/worker.py empties the caches of the modules loaded at its start.
 _LAZY = {
     "FigureData": "figures",
     "figure_data": "figures",
@@ -80,6 +69,15 @@ _LAZY = {
     "mean_vector": "fluctuations",
     "pearson_correlation": "fluctuations",
     "total_fluctuation_ratio": "fluctuations",
+    "IdentityReport": "identities",
+    "check_differential_identity": "identities",
+    "check_joint_normalization": "identities",
+    "check_power_of_sum": "identities",
+    "check_simplex_sum_ii": "identities",
+    "measure_sum_of_powers_residual": "identities",
+    "reports_to_json": "identities",
+    "run_standard_battery": "identities",
+    "sum_of_powers_residual_slope": "identities",
     "EmpiricalStats": "montecarlo",
     "SamplerConfig": "montecarlo",
     "ZScoreRow": "montecarlo",

@@ -14,9 +14,13 @@ unwritable output path included), 2 an internal assertion or oracle
 comparison failed.
 
 The exact commands run on integers and Fractions alone, and the covariance
-and fluctuation commands on Python floats. NumPy, and the modules that use it,
-are imported only inside the commands that need them (mc, figures), so the
-others start without it.
+and fluctuation commands on Python floats. A call imports only what it runs:
+the exact laws and the enumeration oracle at start, fluctuations inside
+covariance and fluctuation, montecarlo and NumPy inside mc, the identity
+battery (and statistics) inside identities, figures and NumPy inside figures.
+json loads with JSON output (--format json, identities, the figures
+manifest), and tempfile and pathlib only when a file is written (--out,
+figures).
 """
 from __future__ import annotations
 
@@ -27,9 +31,7 @@ import itertools
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 from .combinatorics import json_default, json_text
 from .distributions import (
@@ -38,7 +40,6 @@ from .distributions import (
     occupation_pdf_exact,
 )
 from .enumeration import oracle_joint_pdf, oracle_moment, oracle_pdf
-from .identities import reports_to_json, run_standard_battery
 from .moments import exact_moment
 from .system import SystemParams, microstate_count
 
@@ -66,6 +67,9 @@ def _format_cell(value) -> str:
 
 def write_atomic(path, text: str) -> None:
     """Write text to ``path`` via a temp file in the same directory + rename."""
+    import tempfile
+    from pathlib import Path
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
@@ -295,6 +299,8 @@ def cmd_mc(args) -> tuple:
 
 
 def cmd_identities(args) -> tuple:
+    from .identities import reports_to_json, run_standard_battery
+
     reports = run_standard_battery()
     if args.name:
         reports = [r for r in reports if r.name == args.name]
@@ -306,6 +312,8 @@ def cmd_identities(args) -> tuple:
 
 def cmd_figures(args) -> tuple:
     """Writes the panel CSVs and manifest.json under --out-dir; returns their paths."""
+    from pathlib import Path
+
     from . import figures as figures_mod
 
     if args.figure == "all":

@@ -11,7 +11,6 @@ and the JSON text of exact values live here too, below every other module.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import operator
@@ -37,6 +36,8 @@ def json_default(value):
 
 def json_text(value) -> str:
     """``value`` as indented JSON text, exact rationals through ``json_default``."""
+    import json
+
     return json.dumps(value, indent=2, default=json_default)
 
 

@@ -40,22 +40,20 @@ class WeightedMacrostate(NamedTuple):
 
 
 def enumeration_cap() -> tuple:
-    """Current (max particles, max quanta) cap, honoring FLUCT_MAX_ENUM."""
+    """Current (max particles, max quanta) cap, honoring FLUCT_MAX_ENUM (N >= 1, M >= 0)."""
     raw = os.environ.get(ENUM_CAP_ENV)
     if not raw:
         return (DEFAULT_MAX_PARTICLES, DEFAULT_MAX_UNITS)
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     try:
         values = [int(p) for p in parts]
-    except ValueError as exc:
-        raise ValueError(
-            f"{ENUM_CAP_ENV} must be an integer or 'N,M' pair, got {raw!r}"
-        ) from exc
+    except ValueError:
+        values = []
     if len(values) == 1:
-        return (values[0], values[0])
-    if len(values) == 2:
-        return (values[0], values[1])
-    raise ValueError(f"{ENUM_CAP_ENV} must be an integer or 'N,M' pair, got {raw!r}")
+        values *= 2
+    if len(values) != 2 or values[0] < 1 or values[1] < 0:
+        raise ValueError(f"{ENUM_CAP_ENV} must be an integer or 'N,M' pair, got {raw!r}")
+    return tuple(values)
 
 
 def enumerate_macrostates(params: SystemParams) -> Iterator[WeightedMacrostate]:

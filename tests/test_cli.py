@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boltzgas import cli
+from boltzgas import cli, identities
 from boltzgas.cli import main
 from boltzgas.distributions import DistributionTable
 from boltzgas.identities import IdentityReport
@@ -339,7 +339,9 @@ class TestFailedCheck:
         ],
     )
     def test_writes_then_exits_2(self, capsys, monkeypatch, check, fake, argv, first_line):
-        monkeypatch.setattr(cli, check, fake)
+        # cmd_identities imports the battery when it runs, so it is patched at its source
+        owner = identities if check == "run_standard_battery" else cli
+        monkeypatch.setattr(owner, check, fake)
         code, out, err = run(capsys, *argv.split())
         assert code == 2
         assert err.startswith("verification failed")
@@ -365,7 +367,7 @@ class TestFailedCheck:
 
     def test_identity_reports_reach_the_out_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(
-            cli,
+            identities,
             "run_standard_battery",
             lambda: [IdentityReport("power-of-sum", {"n": 1}, "mismatch")],
         )

@@ -73,6 +73,18 @@ class TestEnumerateMacrostates:
         with pytest.raises(ValueError, match="'N,M' pair, got '1,2,3'"):
             enumeration_cap()
 
+    @pytest.mark.parametrize("raw", ["-1", "0,5", "3,-1"])
+    def test_cap_env_rejects_caps_below_the_domain(self, monkeypatch, raw):
+        # a cap below N = 1 or M = 0 would refuse every oracle call
+        monkeypatch.setenv("FLUCT_MAX_ENUM", raw)
+        with pytest.raises(ValueError, match=f"'N,M' pair, got '{raw}'"):
+            enumeration_cap()
+
+    def test_cap_env_accepts_the_smallest_caps(self, monkeypatch):
+        monkeypatch.setenv("FLUCT_MAX_ENUM", "1,0")
+        assert enumeration_cap() == (1, 0)
+        assert [item.multiplicity for item in enumerate_macrostates(SystemParams(1, 0))] == [1]
+
 
 class TestMicrostateCount:
     @pytest.mark.parametrize(

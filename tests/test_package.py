@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -15,8 +16,8 @@ SRC = str(Path(boltzgas.__file__).resolve().parents[1])
 # The closed forms and the model's domain, which the enumeration oracle checks.
 ORACLE_FREE = ("combinatorics", "system", "moments", "distributions")
 # Imported inside the commands of cli, so that the exact paths start without
-# them; figures and montecarlo also load NumPy.
-DEFERRED = ("figures", "fluctuations", "montecarlo")
+# them; figures and montecarlo also load NumPy, identities the battery.
+DEFERRED = ("figures", "fluctuations", "identities", "montecarlo")
 
 
 def _functools_caches():
@@ -30,14 +31,16 @@ def _functools_caches():
 
 
 def _fresh_modules(code: str) -> set:
-    """Names of the package and NumPy modules loaded after ``code`` runs in a fresh interpreter."""
-    probe = (
-        f"{code}\nimport sys\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('boltzgas', 'numpy')))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    """Names of all modules loaded after ``code`` runs in a fresh ``python -S``.
+
+    Without site, no .pth file preloads modules. The package comes from
+    PYTHONPATH, and NumPy's directory is searched after the standard library.
+    """
+    numpy_home = str(Path(importlib.util.find_spec("numpy").origin).parents[1])
+    probe = f"import sys\nsys.path.append({numpy_home!r})\n{code}\nprint(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     return set(result.stdout.splitlines()[-1].split())
 
@@ -110,6 +113,19 @@ def test_every_cache_is_bounded():
     assert unbounded == []
 
 
+# Loaded only by the calls that use them: the identity battery and the
+# standard-library modules for JSON and for writing files.
+ON_DEMAND = {"boltzgas.identities", "statistics", "json", "tempfile", "pathlib"}
+
+
+def _cli_call(argv: str) -> str:
+    """Code that imports what ``python -m boltzgas`` does, then runs ``argv`` unless it is empty."""
+    code = "import boltzgas.cli"
+    if argv:
+        code += f"\nassert boltzgas.cli.main({argv.split()!r}) == 0"
+    return code
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -125,10 +141,7 @@ def test_every_cache_is_bounded():
     ],
 )
 def test_commands_other_than_mc_and_figures_leave_numpy_unloaded(argv):
-    code = "import boltzgas\nimport boltzgas.cli"
-    if argv:
-        code += f"\nassert boltzgas.cli.main({argv.split()!r}) == 0"
-    loaded = _fresh_modules(code)
+    loaded = _fresh_modules(_cli_call(argv))
     assert "boltzgas.cli" in loaded and "numpy" not in loaded
 
 
@@ -137,11 +150,49 @@ def test_lazy_name_loads_its_module():
     assert "boltzgas.fluctuations" in loaded and "numpy" not in loaded
     loaded = _fresh_modules("import boltzgas\nboltzgas.empirical_stats")
     assert {"boltzgas.montecarlo", "numpy"} <= loaded
+    loaded = _fresh_modules("from boltzgas import run_standard_battery")
+    assert {"boltzgas.identities", "statistics"} <= loaded and "numpy" not in loaded
 
 
 def test_lazy_module_loads_on_access():
     code = "import sys\nimport boltzgas\nassert boltzgas.montecarlo is sys.modules['boltzgas.montecarlo']"
     assert {"boltzgas.montecarlo", "numpy"} <= _fresh_modules(code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,  # `import boltzgas` alone
+        "",  # the CLI's imports
+        "microstates --n 100 --m 1000",
+        "moments --n 12 --m 16 --levels 0,1,2 --check-oracle",
+        "pdf --n 12 --m 16 --level 0 --check-oracle",
+        "pdf --n 50 --m 100 --level 1 --compare-limit",
+        "jointpdf --n 5 --m 7 --levels 0,1,2 --check-oracle",
+        "covariance --n 100 --m 20 --t 2.5",
+        "fluctuation --n 10,30,90 --t-grid log:0.1:100:31",
+        "fluctuation --n 100 --t-grid lin:0.5:5:10",
+    ],
+)
+def test_calls_load_no_module_they_do_not_use(argv):
+    code = "import boltzgas" if argv is None else _cli_call(argv)
+    assert _fresh_modules(code) & ON_DEMAND == set()
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        ("identities --name sum-of-powers", {"boltzgas.identities", "statistics", "json"}),
+        ("pdf --n 30 --m 60 --level 2 --format json", {"json"}),
+        ("covariance --n 50 --m 10 --format json", {"json"}),
+        ("pdf --n 4 --m 6 --level 1 --out {tmp}/pdf.csv", {"tempfile", "pathlib"}),
+        ("figures --figure 7 --out-dir {tmp}/figs", {"json", "tempfile", "pathlib", "numpy"}),
+    ],
+)
+def test_calls_load_what_they_use(tmp_path, argv, needed):
+    loaded = _fresh_modules(_cli_call(argv.format(tmp=tmp_path)))
+    assert needed <= loaded
+    assert loaded & ON_DEMAND == needed & ON_DEMAND
 
 
 def test_import_loads_every_cached_module():
