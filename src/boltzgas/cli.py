@@ -5,13 +5,18 @@ Every ``cmd_*`` returns its output text and a failure message or None; only
 --out (temp file plus rename) or to stdout, and then sets the exit code, so
 the rows of a failed check are always written before it exits 2.
 
+argparse parses every flag: each list, the T grid and the figure id have a
+``type`` callable, so a malformed value fails as "error: argument --FLAG:
+..." before any command runs, and each ``cmd_*`` receives parsed values.
+
 Conventions: CSV always carries a header row, exact rationals are serialized
 as "numerator/denominator" strings in full (past Python's 4300-digit default
 for int <-> str), floats use 12 significant digits, and output is UTF-8 with
-LF line endings. Exit codes: 0 all checks passed, 1 a
-usage or parameter-domain error (numeric overflow from a huge --n and an
-unwritable output path included), 2 an internal assertion or oracle
-comparison failed.
+LF line endings. A ``moments`` table or a ``jointpdf`` lattice of more than
+MAX_OUTPUT_ROWS rows is refused before any row is computed. Exit codes: 0 all
+checks passed, 1 a usage or parameter-domain error (a ValueError, numeric
+overflow from a huge --n and an unwritable output path included), 2 an
+internal assertion or oracle comparison failed (an AssertionError).
 
 The exact commands run on integers and Fractions alone, and the covariance
 and fluctuation commands on Python floats. A call imports only what it runs:
@@ -41,20 +46,12 @@ from .distributions import (
 )
 from .enumeration import oracle_joint_pdf, oracle_moment, oracle_pdf
 from .moments import exact_moment
-from .system import SystemParams, microstate_count
-
-
-class UsageError(Exception):
-    """Bad arguments or parameter domain; exit code 1."""
-
-
-class VerificationError(Exception):
-    """An internal assertion or an oracle comparison failed; exit code 2."""
+from .system import MAX_OUTPUT_ROWS, SystemParams, microstate_count
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _format_cell(value) -> str:
@@ -121,12 +118,21 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_int_list(raw: str) -> list:
+    """The integers of a comma-separated list, the type of every list flag."""
     try:
         return [_parse_int(part) for part in raw.split(",") if part.strip() != ""]
     except argparse.ArgumentTypeError as exc:
-        if len(raw) > _MAX_INT_CHARS:
-            raise UsageError(f"expected a comma-separated integer list; {exc}") from exc
-        raise UsageError(f"expected a comma-separated integer list, got {raw!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list; {exc}") from None
+
+
+def _parse_figure(raw: str):
+    """'all' or one figure id, the type of --figure."""
+    if raw == "all":
+        return raw
+    try:
+        return _parse_int(raw)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"expected 1..7 or 'all', got {_shown(raw)}") from None
 
 
 def _parse_t_grid(raw: str) -> list:
@@ -136,22 +142,19 @@ def _parse_t_grid(raw: str) -> list:
     exactly STOP; a log grid is 10.0 ** v over the linear grid of the log10
     bounds, as in NumPy's logspace.
     """
-    from .fluctuations import MAX_OUTPUT_ROWS
-
     parts = raw.split(":")
     if len(parts) != 4 or parts[0] not in ("log", "lin"):
-        raise UsageError(
-            f"t-grid must look like log:START:STOP:COUNT or lin:START:STOP:COUNT, got {_shown(raw)}"
+        raise argparse.ArgumentTypeError(
+            f"expected log:START:STOP:COUNT or lin:START:STOP:COUNT, got {_shown(raw)}"
         )
     try:
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise UsageError(f"bad t-grid numbers in {_shown(raw)}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad numbers in {_shown(raw)}") from None
     # written so that a NaN START or STOP fails too
     if not (0 < start < stop < math.inf and 2 <= count <= MAX_OUTPUT_ROWS):
-        raise UsageError(
-            f"t-grid needs 0 < START < STOP < inf and 2 <= COUNT <= {MAX_OUTPUT_ROWS}, "
-            f"got {_shown(raw)}"
+        raise argparse.ArgumentTypeError(
+            f"need 0 < START < STOP < inf and 2 <= COUNT <= {MAX_OUTPUT_ROWS}, got {_shown(raw)}"
         )
     if parts[0] == "log":
         start, stop = math.log10(start), math.log10(stop)
@@ -178,8 +181,11 @@ def cmd_microstates(args) -> tuple:
 def cmd_moments(args) -> tuple:
     params = SystemParams(args.n, args.m)
     if args.order_max < 0:
-        raise UsageError(f"--order-max must be >= 0, got {args.order_max}")
-    levels = _parse_int_list(args.levels) if args.levels else range(params.level_count)
+        raise ValueError(f"--order-max must be >= 0, got {args.order_max}")
+    level_count = len(args.levels) if args.levels else params.level_count
+    if level_count * (args.order_max + 1) > MAX_OUTPUT_ROWS:
+        raise ValueError(f"the moments table would exceed {MAX_OUTPUT_ROWS} rows")
+    levels = args.levels or range(level_count)
     header = ["level", "order", "exact", "value"]
     if args.check_oracle:
         header.append("oracle")
@@ -216,22 +222,23 @@ def cmd_pdf(args) -> tuple:
 
 def cmd_jointpdf(args) -> tuple:
     params = SystemParams(args.n, args.m)
-    levels = _parse_int_list(args.levels)
-    arity = len(levels)
-    header = [f"count_level_{j}" for j in levels] + ["exact", "value"]
+    arity = len(args.levels)
+    header = [f"count_level_{j}" for j in args.levels] + ["exact", "value"]
     if args.counts:
-        lattice = [_parse_int_list(args.counts)]
-        if len(lattice[0]) != arity:
-            raise UsageError("--counts must match the number of levels")
+        if len(args.counts) != arity:
+            raise ValueError("--counts must match the number of levels")
+        lattice = [args.counts]
     else:
         if arity > 3:
-            raise UsageError("full lattice output is limited to 3 levels; pass --counts")
+            raise ValueError("full lattice output is limited to 3 levels; pass --counts")
+        if (params.n_particles + 1) ** arity > MAX_OUTPUT_ROWS:
+            raise ValueError(f"the full lattice would exceed {MAX_OUTPUT_ROWS} points; pass --counts")
         lattice = itertools.product(range(params.n_particles + 1), repeat=arity)
     rows = []
     failed = False
     for counts in lattice:
-        value = joint_pdf_exact(params, levels, counts)
-        if args.check_oracle and value != oracle_joint_pdf(params, levels, counts):
+        value = joint_pdf_exact(params, args.levels, counts)
+        if args.check_oracle and value != oracle_joint_pdf(params, args.levels, counts):
             failed = True
         rows.append(list(counts) + [value, float(value)])
     failure = "closed-form joint law disagrees with the enumeration oracle" if failed else None
@@ -240,7 +247,7 @@ def cmd_jointpdf(args) -> tuple:
 
 def cmd_covariance(args) -> tuple:
     if args.n < 1:
-        raise UsageError("need at least one particle")
+        raise ValueError("need at least one particle")
     from .fluctuations import covariance_matrix, mean_vector
 
     temperature = args.t if args.t is not None else args.m / args.n
@@ -261,14 +268,13 @@ def cmd_covariance(args) -> tuple:
 
 
 def cmd_fluctuation(args) -> tuple:
-    sizes = _parse_int_list(args.n)
+    sizes = args.n
     if not sizes or any(n < 1 for n in sizes):
-        raise UsageError("--n needs a comma-separated list of positive sizes")
+        raise ValueError("--n needs a comma-separated list of positive sizes")
     from .fluctuations import total_fluctuation_ratio
 
-    grid = _parse_t_grid(args.t_grid)
     header = ["temperature"] + [f"n_{n}" for n in sizes]
-    rows = [[t] + [total_fluctuation_ratio(n, n * t) for n in sizes] for t in grid]
+    rows = [[t] + [total_fluctuation_ratio(n, n * t) for n in sizes] for t in args.t_grid]
     return _render_table(header, rows, args.format), None
 
 
@@ -277,11 +283,7 @@ def cmd_mc(args) -> tuple:
 
     params = SystemParams(args.n, args.m)
     config = SamplerConfig(params=params, sample_count=args.samples, seed=args.seed)
-    levels = (
-        _parse_int_list(args.levels)
-        if args.levels
-        else range(min(params.energy_units, 10) + 1)
-    )
+    levels = args.levels or range(min(params.energy_units, 10) + 1)
     rows = []
     for row in z_score_report(config, levels):
         rows.append(
@@ -305,7 +307,7 @@ def cmd_identities(args) -> tuple:
     if args.name:
         reports = [r for r in reports if r.name == args.name]
         if not reports:
-            raise UsageError(f"no identity named {args.name!r}")
+            raise ValueError(f"no identity named {args.name!r}")
     failed = any(r.verdict == "mismatch" for r in reports)
     return reports_to_json(reports) + "\n", "an asserted identity failed" if failed else None
 
@@ -316,13 +318,7 @@ def cmd_figures(args) -> tuple:
 
     from . import figures as figures_mod
 
-    if args.figure == "all":
-        ids = list(figures_mod.FIGURE_IDS)
-    else:
-        try:
-            ids = [_parse_int(args.figure)]
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"--figure must be 1..7 or 'all', got {_shown(args.figure)}") from exc
+    ids = list(figures_mod.FIGURE_IDS) if args.figure == "all" else [args.figure]
     out_dir = Path(args.out_dir)
     manifest = []
     paths = []
@@ -359,34 +355,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (atomic write); default stdout")
 
-    p = sub.add_parser("microstates", help="total number of microstates")
-    p.add_argument("--n", type=_parse_int, required=True)
-    p.add_argument("--m", type=_parse_int, required=True)
+    # the system size, shared by the commands that build a SystemParams
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--n", type=_parse_int, required=True)
+    system.add_argument("--m", type=_parse_int, required=True)
+
+    p = sub.add_parser("microstates", parents=[system], help="total number of microstates")
     p.set_defaults(func=cmd_microstates)
 
-    p = sub.add_parser("moments", help="exact occupation-number moments")
-    p.add_argument("--n", type=_parse_int, required=True)
-    p.add_argument("--m", type=_parse_int, required=True)
-    p.add_argument("--levels", help="comma-separated levels (default: all)")
+    p = sub.add_parser("moments", parents=[system], help="exact occupation-number moments")
+    p.add_argument("--levels", type=_parse_int_list, help="comma-separated levels (default: all)")
     p.add_argument("--order-max", type=_parse_int, default=4, dest="order_max")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     add_output_flags(p)
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("pdf", help="exact occupation-number law at one level")
-    p.add_argument("--n", type=_parse_int, required=True)
-    p.add_argument("--m", type=_parse_int, required=True)
+    p = sub.add_parser("pdf", parents=[system], help="exact occupation-number law at one level")
     p.add_argument("--level", type=_parse_int, required=True)
     p.add_argument("--compare-limit", action="store_true", dest="compare_limit")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     add_output_flags(p)
     p.set_defaults(func=cmd_pdf)
 
-    p = sub.add_parser("jointpdf", help="exact joint occupation law")
-    p.add_argument("--n", type=_parse_int, required=True)
-    p.add_argument("--m", type=_parse_int, required=True)
-    p.add_argument("--levels", required=True, help="comma-separated ascending levels")
-    p.add_argument("--counts", help="comma-separated counts for a single evaluation")
+    p = sub.add_parser("jointpdf", parents=[system], help="exact joint occupation law")
+    p.add_argument("--levels", type=_parse_int_list, required=True, help="comma-separated ascending levels")
+    p.add_argument("--counts", type=_parse_int_list, help="comma-separated counts for a single evaluation")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     add_output_flags(p)
     p.set_defaults(func=cmd_jointpdf)
@@ -399,20 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_covariance)
 
     p = sub.add_parser("fluctuation", help="total fluctuation ratio over a T grid")
-    p.add_argument("--n", required=True, help="comma-separated particle counts")
+    p.add_argument("--n", type=_parse_int_list, required=True, help="comma-separated particle counts")
     p.add_argument(
-        "--t-grid", default="log:0.01:10000:181", dest="t_grid",
+        "--t-grid", type=_parse_t_grid, default="log:0.01:10000:181", dest="t_grid",
         help="log:START:STOP:COUNT or lin:START:STOP:COUNT",
     )
     add_output_flags(p)
     p.set_defaults(func=cmd_fluctuation)
 
-    p = sub.add_parser("mc", help="Monte Carlo validation against exact moments")
-    p.add_argument("--n", type=_parse_int, required=True)
-    p.add_argument("--m", type=_parse_int, required=True)
+    p = sub.add_parser("mc", parents=[system], help="Monte Carlo validation against exact moments")
     p.add_argument("--samples", type=_parse_int, default=100_000)
     p.add_argument("--seed", type=_parse_int, default=42)
-    p.add_argument("--levels", help="comma-separated levels (default: 0..min(M,10))")
+    p.add_argument("--levels", type=_parse_int_list, help="comma-separated levels (default: 0..min(M,10))")
     add_output_flags(p)
     p.set_defaults(func=cmd_mc)
 
@@ -422,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("figures", help="emit CSV curve data for the result figures")
-    p.add_argument("--figure", required=True, help="figure id 1..7 or 'all'")
+    p.add_argument("--figure", type=_parse_figure, required=True, help="figure id 1..7 or 'all'")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=cmd_figures)
 
@@ -445,12 +436,12 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         if failure:
-            raise VerificationError(failure)
+            raise AssertionError(failure)
         return 0
-    except (UsageError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (VerificationError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -19,11 +19,7 @@ from .moments import (
     check_temperature,
     density_moment_limit,
 )
-
-
-# The most entries a mean vector or a covariance matrix may have, and the most
-# rows of a fluctuation grid. Larger requests fail before anything is built.
-MAX_OUTPUT_ROWS = 1_000_000
+from .system import MAX_OUTPUT_ROWS
 
 
 def _level_probabilities(n_particles, temperature, energy_cutoff, rank: int) -> tuple:

@@ -6,11 +6,12 @@ determines per-particle energies, so every labeled microstate is drawn with
 equal probability and no rejection.
 
 The output contract: sample i belongs to chunk i // CHUNK_SIZE, whose generator
-derives from (seed, chunk index) alone. A chunk is drawn in blocks of at most
-BLOCK_ROWS rows that consume its generator in order, and each block's counts
-are added to exact integer accumulators. So neither the block size nor the
-order in which chunks are reduced changes the result: a fixed config gives
-bit-identical statistics.
+derives from (seed, chunk index) alone. A chunk is drawn in blocks that consume
+its generator in order, and each block's counts are added to exact integer
+accumulators. So neither the block size nor the order in which chunks are
+reduced changes the result: a fixed config gives bit-identical statistics.
+A block has BLOCK_ROWS rows, or fewer when a wide system's block would pass
+BLOCK_BYTES, so the sampler's memory does not grow with M + N.
 """
 from __future__ import annotations
 
@@ -26,8 +27,11 @@ from .moments import exact_moment
 from .system import OccupationVector, SystemParams, integral_value, store_integral_fields
 
 CHUNK_SIZE = 1 << 14
-# Rows held in memory at once; a block's arrays are about 16 * BLOCK_ROWS * (M+N-1) bytes.
+# Rows held in memory at once. A row's arrays peak at about 24 * (M+N-1) bytes
+# (traced: 47 MiB for 1024 rows of 2019 slots), so a block has BLOCK_ROWS rows,
+# or as many as fit in BLOCK_BYTES (at least one) once M+N-1 passes 2730.
 BLOCK_ROWS = 1 << 10
+BLOCK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -119,13 +123,14 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
     sums = np.zeros(m + 1, dtype=np.int64)
     square_sums = np.zeros(m + 1, dtype=np.int64)
     histograms = np.zeros((histogram_cutoff + 1, n + 1), dtype=np.int64)
+    block_rows = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (24 * max(m + n - 1, 1))))
     remaining = config.sample_count
     chunk_index = 0
     while remaining > 0:
         rng = chunk_rng(config.seed, chunk_index)
         chunk_rows = min(CHUNK_SIZE, remaining)
-        for start in range(0, chunk_rows, BLOCK_ROWS):
-            counts = _level_counts_batch(params, rng, min(BLOCK_ROWS, chunk_rows - start))
+        for start in range(0, chunk_rows, block_rows):
+            counts = _level_counts_batch(params, rng, min(block_rows, chunk_rows - start))
             sums += counts.sum(axis=0)
             square_sums += np.einsum("ij,ij->j", counts, counts)
             for level in range(histogram_cutoff + 1):

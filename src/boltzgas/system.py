@@ -19,6 +19,10 @@ from .combinatorics import _binomial, integral_value
 
 _LIMIT_SUM_TOLERANCE = 1e-12
 
+# The most rows a CLI table or grid, or the most entries a mean vector or a
+# covariance matrix, may have. Larger requests fail before anything is built.
+MAX_OUTPUT_ROWS = 1_000_000
+
 
 def store_integral_fields(instance, **minimums) -> None:
     """Store each ``field=minimum`` of a frozen dataclass as a checked int (see ``integral_value``)."""

@@ -424,6 +424,9 @@ class TestExitCodes:
             "covariance --n 10 --m 5 --t nan",
             "covariance --n 10 --m 5 --t inf",
             "covariance --n 0 --m 2",
+            "moments --n 2 --m 100000000000000000000",
+            "moments --n 2 --m 2 --levels 0 --order-max 100000000000000000000",
+            "jointpdf --n 1000 --m 2 --levels 0,1",
             pytest.param(f"covariance --n {HUGE_N} --m 2 --t 1", id="covariance-huge-n"),
             pytest.param(f"fluctuation --n {HUGE_N} --t-grid log:1:10:3", id="fluctuation-huge-n"),
         ],
@@ -446,6 +449,74 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv.format(blocker=blocker).split())
         assert code == 1 and out == "" and err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestRowCaps:
+    """moments and jointpdf refuse a table past MAX_OUTPUT_ROWS before computing a row."""
+
+    CASES = [
+        ("moments --n 2 --m 100", 505),  # 101 levels x 5 orders
+        ("jointpdf --n 9 --m 2 --levels 0,1,2", 1000),  # 10**3 lattice points
+    ]
+
+    @staticmethod
+    def fail(*args):
+        raise AssertionError("computed a row of a refused table")
+
+    @pytest.mark.parametrize("argv, rows", CASES)
+    def test_one_row_past_the_cap_is_refused(self, capsys, monkeypatch, argv, rows):
+        monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", rows - 1, raising=False)
+        monkeypatch.setattr(cli, "exact_moment", self.fail)
+        monkeypatch.setattr(cli, "joint_pdf_exact", self.fail)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"exceed {rows - 1}" in err
+
+    @pytest.mark.parametrize("argv, rows", CASES)
+    def test_a_table_at_the_cap_is_written(self, capsys, monkeypatch, argv, rows):
+        monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", rows, raising=False)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and len(out.splitlines()) == 1 + rows
+
+    def test_single_point_is_not_capped(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", 1, raising=False)
+        code, out, _ = run(
+            capsys, "jointpdf", "--n", "9", "--m", "2", "--levels", "0,1,2", "--counts", "7,2,0"
+        )
+        assert code == 0 and len(out.splitlines()) == 2
+
+
+class TestErrorShape:
+    """A malformed flag value fails in argparse: exit 1, no output, one line naming the flag."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("microstates --n LONG --m 2", "--n"),
+            ("microstates --n 2 --m LONG", "--m"),
+            ("moments --n 2 --m 2 --levels 0,x", "--levels"),
+            ("moments --n 2 --m 2 --order-max LONG", "--order-max"),
+            ("pdf --n 2 --m 2 --level LONG", "--level"),
+            ("jointpdf --n 2 --m 2 --levels 0,x", "--levels"),
+            ("jointpdf --n 2 --m 2 --levels 0,1 --counts 1,1.5", "--counts"),
+            ("covariance --n LONG --m 2", "--n"),
+            ("covariance --n 2 --m 2 --t x", "--t"),
+            ("fluctuation --n 10,x", "--n"),
+            ("fluctuation --n 10 --t-grid log:1:10", "--t-grid"),
+            ("fluctuation --n 10 --t-grid lin:1:2:x", "--t-grid"),
+            ("mc --n 2 --m 2 --levels 0,,x", "--levels"),
+            ("mc --n 2 --m 2 --samples LONG", "--samples"),
+            ("mc --n 2 --m 2 --seed LONG", "--seed"),
+            ("figures --figure x --out-dir OUT", "--figure"),
+            ("figures --figure 1.0 --out-dir OUT", "--figure"),
+        ],
+    )
+    def test_malformed_value_names_its_flag(self, capsys, tmp_path, argv, flag):
+        argv = argv.replace("LONG", "1" * 4301).replace("OUT", str(tmp_path / "figs")).split()
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: argument {flag}:") and err.count("\n") == 1
+        assert not (tmp_path / "figs").exists()
 
 
 class TestWriteAtomic:

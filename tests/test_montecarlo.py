@@ -210,6 +210,21 @@ class TestEmpiricalStats:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
 
+    def test_wide_blocks_keep_to_the_byte_budget(self, monkeypatch):
+        # 2019 slots: 1024-row blocks trace about 47 MiB, and a 1 MiB budget
+        # gives 21-row blocks that draw the same stream.
+        config = SamplerConfig(SystemParams(20, 2000), 2000, 17)
+        reference = empirical_stats(config)
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 2**20, raising=False)
+        tracemalloc.start()
+        try:
+            stats = empirical_stats(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats == reference
+        assert peak <= 4 * 2**20
+
     def test_single_particle_zero_variance(self):
         config = SamplerConfig(SystemParams(1, 5), 5_000, 3)
         stats = empirical_stats(config)
