@@ -167,7 +167,10 @@ def _parse_t_grid(raw: str) -> list:
         grid = [i * step + start for i in range(div)]
     grid.append(stop)
     if parts[0] == "log":
-        return [10.0 ** v for v in grid]
+        try:
+            return [10.0 ** v for v in grid]
+        except OverflowError:  # 10.0 ** log10(STOP) can round past the float maximum
+            raise argparse.ArgumentTypeError(f"a point of {_shown(raw)} overflows a float") from None
     return grid
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,6 +25,7 @@ from .system import (
     _LIMIT_SUM_TOLERANCE,
     DistributionTable,
     SystemParams,
+    _Value,
     as_occupation,
     microstate_count,
     normalize_selection,
@@ -181,12 +181,14 @@ def occupation_pdf_conditioned_limit(
     return DistributionTable(probs, "limit")
 
 
-@dataclass(frozen=True)
-class NormalApproximation:
+class NormalApproximation(_Value):
     """Gaussian density callable with the moments of the binomial limit law."""
 
-    mean: float
-    variance: float
+    _fields = ("mean", "variance")
+
+    def __init__(self, mean: float, variance: float):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
 
     def __call__(self, x: float) -> float:
         return math.exp(-((x - self.mean) ** 2) / (2.0 * self.variance)) / math.sqrt(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +29,13 @@ from .moments import density_moment_limit, std_over_mean, variance_limit
 from .system import SystemParams
 
 
-@dataclass(frozen=True)
-class Panel:
+class Panel(NamedTuple):
     name: str
     header: tuple
     rows: tuple
 
 
-@dataclass(frozen=True)
-class FigureData:
+class FigureData(NamedTuple):
     figure_id: int
     title: str
     panels: tuple

@@ -12,16 +12,15 @@ import itertools
 import math
 import statistics
 from collections import Counter
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorics import integral_value, json_text, power_of_sum_row, stirling_like_row
 from .distributions import joint_pdf_exact
 from .system import SystemParams
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity check at one parameter point."""
 
     name: str
@@ -32,7 +31,7 @@ class IdentityReport:
 
 
 def reports_to_json(reports) -> str:
-    return json_text([asdict(r) for r in reports])
+    return json_text([r._asdict() for r in reports])
 
 
 # --------------------------------------------------------------------------

@@ -16,15 +16,14 @@ BLOCK_BYTES, so the sampler's memory does not grow with M + N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .moments import exact_moment
-from .system import OccupationVector, SystemParams, integral_value, store_integral_fields
+from .system import OccupationVector, SystemParams, _Value, integral_value, store_integral_fields
 
 CHUNK_SIZE = 1 << 14
 # Rows held in memory at once. A row's arrays peak at about 24 * (M+N-1) bytes
@@ -34,15 +33,15 @@ BLOCK_ROWS = 1 << 10
 BLOCK_BYTES = 64 << 20
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(_Value):
     """Reproducibility key for a sampling run: identical configs give identical output."""
 
-    params: SystemParams
-    sample_count: int
-    seed: int
+    _fields = ("params", "sample_count", "seed")
 
-    def __post_init__(self):
+    def __init__(self, params: SystemParams, sample_count: int, seed: int):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "sample_count", sample_count)
+        object.__setattr__(self, "seed", seed)
         store_integral_fields(self, sample_count=1, seed=0)
         if self.seed >= 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -79,14 +78,18 @@ def _level_counts_batch(params: SystemParams, rng: np.random.Generator, batch: i
     return counts.astype(np.int64, copy=False)  # bincount may return int32 on Windows
 
 
-@dataclass(frozen=True)
-class EmpiricalStats:
+class EmpiricalStats(_Value):
     """Integer-exact accumulators of a sampling run plus derived statistics."""
 
-    config: SamplerConfig
-    count_sums: tuple  # sum of n_j over samples, per level
-    count_square_sums: tuple  # sum of n_j^2 over samples, per level
-    histograms: dict  # level -> tuple of outcome counts over 0..N
+    _fields = ("config", "count_sums", "count_square_sums", "histograms")
+
+    def __init__(
+        self, config: SamplerConfig, count_sums: tuple, count_square_sums: tuple, histograms: dict
+    ):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "count_sums", count_sums)  # sum of n_j over samples, per level
+        object.__setattr__(self, "count_square_sums", count_square_sums)  # sum of n_j^2, per level
+        object.__setattr__(self, "histograms", histograms)  # level -> outcome counts over 0..N
 
     @cached_property
     def means(self) -> tuple:
@@ -148,8 +151,7 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
     )
 
 
-@dataclass(frozen=True)
-class ZScoreRow:
+class ZScoreRow(NamedTuple):
     level: int
     empirical_mean: float
     exact_mean: Fraction

@@ -11,7 +11,6 @@ the exact laws, their limits and the oracle alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -25,19 +24,52 @@ MAX_OUTPUT_ROWS = 1_000_000
 
 
 def store_integral_fields(instance, **minimums) -> None:
-    """Store each ``field=minimum`` of a frozen dataclass as a checked int (see ``integral_value``)."""
+    """Store each ``field=minimum`` of a value type as a checked int (see ``integral_value``)."""
     for name, minimum in minimums.items():
         object.__setattr__(instance, name, integral_value(name, getattr(instance, name), minimum))
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class _Value:
+    """The package's immutable value type: equality, hash and repr over ``_fields``.
+
+    A subclass lists its fields in order and stores each one in its own
+    ``__init__`` with ``object.__setattr__``. Instances of different classes
+    never compare equal, and assigning or deleting an attribute raises
+    AttributeError.
+    """
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SystemParams(_Value):
     """An isolated system: particle count N >= 1 and total energy quanta M >= 0."""
 
-    n_particles: int
-    energy_units: int
+    _fields = ("n_particles", "energy_units")
 
-    def __post_init__(self):
+    def __init__(self, n_particles: int, energy_units: int):
+        object.__setattr__(self, "n_particles", n_particles)
+        object.__setattr__(self, "energy_units", energy_units)
         store_integral_fields(self, n_particles=1, energy_units=0)
 
     @property
@@ -58,14 +90,13 @@ class SystemParams:
         return level
 
 
-@dataclass(frozen=True)
-class OccupationVector:
+class OccupationVector(_Value):
     """Particle counts per energy level: counts[j] particles carry j quanta each."""
 
-    counts: tuple
+    _fields = ("counts",)
 
-    def __post_init__(self):
-        counts = tuple(integral_value("occupation number", c, 0) for c in self.counts)
+    def __init__(self, counts: tuple):
+        counts = tuple(integral_value("occupation number", c, 0) for c in counts)
         object.__setattr__(self, "counts", counts)
 
     def __len__(self):
@@ -132,20 +163,7 @@ def normalize_selection(params: SystemParams, levels, counts) -> tuple:
     return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
 
 
-class _HeldProbabilities:
-    """The ``probabilities`` field of ``DistributionTable``: its weights, each read as a value."""
-
-    def __get__(self, table, owner=None):
-        if table is None:
-            raise AttributeError("probabilities")
-        return tuple(map(table._value, table._weights))
-
-    def __set__(self, table, probabilities):
-        object.__setattr__(table, "_weights", probabilities)  # DistributionTable._store checks them
-
-
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(_Value):
     """A law of one occupation number over the counts 0..len-1: entry k is P(count = k).
 
     Every table holds weights over one total, and entry k is weight k / total.
@@ -157,19 +175,19 @@ class DistributionTable:
     are floats. ``probabilities``, ``probability`` and ``mean`` divide a weight
     by the total; ``as_floats`` divides without building a Fraction (integer
     true division is correctly rounded, so each float equals float(Fraction)).
-    Equal laws compare equal, whatever total each is held over.
+    Equal laws compare and hash equal, whatever total each is held over.
     """
 
-    probabilities: tuple = _HeldProbabilities()  # a descriptor, not a default: still required
-    mode: str
+    _fields = ("probabilities", "mode")
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "limit"):
-            raise ValueError(f"mode must be 'exact' or 'limit', got {self.mode!r}")
-        if self.mode == "limit":
-            self._store(self._weights, 1)
+    def __init__(self, probabilities: tuple, mode: str):
+        if mode not in ("exact", "limit"):
+            raise ValueError(f"mode must be 'exact' or 'limit', got {mode!r}")
+        object.__setattr__(self, "mode", mode)
+        if mode == "limit":
+            self._store(probabilities, 1)
             return
-        values = [Fraction(p) for p in self._weights]
+        values = [Fraction(p) for p in probabilities]
         total = math.lcm(*(v.denominator for v in values))
         self._store((v.numerator * (total // v.denominator) for v in values), total)
 
@@ -209,6 +227,13 @@ class DistributionTable:
             return False
         pairs = zip(self._weights, other._weights)
         return all(x * other._total == y * self._total for x, y in pairs)
+
+    __hash__ = _Value.__hash__  # hashes the values, so equal laws over other totals hash equal
+
+    @property
+    def probabilities(self) -> tuple:
+        """Entry k is P(count = k): a Fraction when exact, a float when limit."""
+        return tuple(map(self._value, self._weights))
 
     @property
     def support(self) -> tuple:

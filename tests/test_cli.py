@@ -504,6 +504,7 @@ class TestErrorShape:
             ("fluctuation --n 10,x", "--n"),
             ("fluctuation --n 10 --t-grid log:1:10", "--t-grid"),
             ("fluctuation --n 10 --t-grid lin:1:2:x", "--t-grid"),
+            ("fluctuation --n 2 --t-grid log:1:1.7976931348623157e308:3", "--t-grid"),
             ("mc --n 2 --m 2 --levels 0,,x", "--levels"),
             ("mc --n 2 --m 2 --samples LONG", "--samples"),
             ("mc --n 2 --m 2 --seed LONG", "--seed"),

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import warnings
@@ -38,10 +37,10 @@ from boltzgas.system import SystemParams, normalize_selection
 
 class TestDistributionTable:
     def test_fields_are_probabilities_and_mode(self):
-        assert [f.name for f in dataclasses.fields(DistributionTable)] == ["probabilities", "mode"]
+        assert DistributionTable._fields == ("probabilities", "mode")
         table = DistributionTable((Fraction(1, 2), Fraction(1, 2)), "exact")
         assert table.support == (0, 1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             table.support = (0, 1)
 
     def test_exact_mode_requires_unit_total(self):

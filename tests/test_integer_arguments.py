@@ -5,7 +5,6 @@ Each row names an entry point, the argument under test and its lower bound
 TypeError that names the argument; one below the bound raises a ValueError
 that names it; and a NumPy integer gives the same result as a Python int.
 """
-import dataclasses
 import re
 import warnings
 from fractions import Fraction
@@ -144,13 +143,14 @@ def _call(call, value):
 
 
 def _assert_identical(a, b):
-    """Equal values of the same types, through containers, dataclasses and arrays."""
+    """Equal values of the same types, through containers, value types and arrays."""
     assert type(a) is type(b)
     if isinstance(a, np.ndarray):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    elif dataclasses.is_dataclass(a):
-        for f in dataclasses.fields(a):
-            _assert_identical(getattr(a, f.name), getattr(b, f.name))
+    elif hasattr(a, "_fields"):  # the package's value types and NamedTuples
+        assert a._fields
+        for name in a._fields:
+            _assert_identical(getattr(a, name), getattr(b, name))
     elif isinstance(a, (list, tuple)):
         assert len(a) == len(b)
         for x, y in zip(a, b):

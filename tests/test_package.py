@@ -113,9 +113,10 @@ def test_every_cache_is_bounded():
     assert unbounded == []
 
 
-# Loaded only by the calls that use them: the identity battery and the
-# standard-library modules for JSON and for writing files.
-ON_DEMAND = {"boltzgas.identities", "statistics", "json", "tempfile", "pathlib"}
+# Loaded only by the calls that use them: the identity battery, the
+# standard-library modules for JSON and for writing files, and inspect, which
+# only NumPy imports. No call loads dataclasses.
+ON_DEMAND = {"boltzgas.identities", "statistics", "json", "tempfile", "pathlib", "inspect", "dataclasses"}
 
 
 def _cli_call(argv: str) -> str:
@@ -164,13 +165,24 @@ def test_lazy_module_loads_on_access():
     [
         None,  # `import boltzgas` alone
         "",  # the CLI's imports
+        # every cli-small call of bench/workloads.py that writes no JSON
+        "microstates --n 12 --m 16",
         "microstates --n 100 --m 1000",
+        "microstates --n 1000 --m 4000",
+        "moments --n 8 --m 10 --check-oracle",
         "moments --n 12 --m 16 --levels 0,1,2 --check-oracle",
+        "moments --n 10 --m 14 --order-max 3 --check-oracle",
+        "pdf --n 50 --m 100 --level 1",
         "pdf --n 12 --m 16 --level 0 --check-oracle",
-        "pdf --n 50 --m 100 --level 1 --compare-limit",
+        "jointpdf --n 6 --m 8 --levels 0,1 --check-oracle",
         "jointpdf --n 5 --m 7 --levels 0,1,2 --check-oracle",
+        "jointpdf --n 8 --m 10 --levels 1,2 --check-oracle",
+        "covariance --n 10 --m 6",
         "covariance --n 100 --m 20 --t 2.5",
+        "fluctuation --n 10,50",
         "fluctuation --n 10,30,90 --t-grid log:0.1:100:31",
+        # and calls outside it
+        "pdf --n 50 --m 100 --level 1 --compare-limit",
         "fluctuation --n 100 --t-grid lin:0.5:5:10",
     ],
 )
@@ -183,10 +195,14 @@ def test_calls_load_no_module_they_do_not_use(argv):
     "argv, needed",
     [
         ("identities --name sum-of-powers", {"boltzgas.identities", "statistics", "json"}),
+        # the cli-small calls that write JSON
         ("pdf --n 30 --m 60 --level 2 --format json", {"json"}),
         ("covariance --n 50 --m 10 --format json", {"json"}),
+        ("fluctuation --n 100 --t-grid lin:0.5:5:10 --format json", {"json"}),
         ("pdf --n 4 --m 6 --level 1 --out {tmp}/pdf.csv", {"tempfile", "pathlib"}),
-        ("figures --figure 7 --out-dir {tmp}/figs", {"json", "tempfile", "pathlib", "numpy"}),
+        # NumPy imports inspect
+        ("figures --figure 7 --out-dir {tmp}/figs", {"json", "tempfile", "pathlib", "numpy", "inspect"}),
+        ("mc --n 4 --m 6 --samples 100", {"numpy", "inspect"}),
     ],
 )
 def test_calls_load_what_they_use(tmp_path, argv, needed):
