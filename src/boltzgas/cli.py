@@ -274,6 +274,8 @@ def cmd_fluctuation(args) -> tuple:
     sizes = args.n
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("--n needs a comma-separated list of positive sizes")
+    if max(sizes) * max(args.t_grid) == math.inf:  # M = N*T must stay a finite float
+        raise ValueError(f"--n {max(sizes)} times --t-grid point {max(args.t_grid)!r} overflows a float")
     from .fluctuations import total_fluctuation_ratio
 
     header = ["temperature"] + [f"n_{n}" for n in sizes]

@@ -1,26 +1,23 @@
-"""Brute-force ground truth by exhaustive macrostate enumeration.
+"""Brute-force ground truth that shares no summation logic with the closed forms.
 
-This module deliberately shares no summation logic with the closed-form
-modules: every quantity is obtained by walking all occupation vectors that
-satisfy both conservation laws and summing multiplicity weights directly, so
-agreement with the analytic formulas is evidence rather than tautology. It
-imports nothing from the closed forms: the model's domain (level checks,
-selections, the microstate total, the law type) comes from ``system``.
-
-Enumeration size is capped at desk scale (macrostate counts grow like integer
-partitions). The default caps N <= 12, M <= 16 can be raised through the
-``FLUCT_MAX_ENUM`` environment variable ("N,M" pair or a single integer for
-both).
+``enumerate_macrostates`` walks every macrostate up to N <= 12, M <= 16
+(``FLUCT_MAX_ENUM``, "N,M" or one integer, raises it). The per-level oracles
+count the microstates behind each count vector as weak compositions that avoid
+the selected levels, in O(N*M*(1+|S|)) additions with no alternating sum,
+binomial moment or Taylor shift; they refuse more than MAX_OUTPUT_ROWS cells
+(N+1)*(M+1) or count vectors. The domain comes from ``system``.
 """
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate, islice
 from typing import Iterator, NamedTuple
 
 from .combinatorics import integral_value, multinomial_weight
 from .system import (
+    MAX_OUTPUT_ROWS,
     DistributionTable,
     OccupationVector,
     SystemParams,
@@ -89,18 +86,34 @@ def enumerate_macrostates(params: SystemParams) -> Iterator[WeightedMacrostate]:
     yield from descend(m, n, m)
 
 
-@lru_cache(maxsize=64)
-def _weighted_states(n_particles: int, energy_units: int) -> tuple:
-    params = SystemParams(n_particles, energy_units)
-    return tuple(enumerate_macrostates(params))
+def _extend(vectors, level: int):
+    """(counts, particles left, quanta left) of each fitting vector with one more level, lazily."""
+    return ((c + (k,), p - k, e - k * level) for c, p, e in vectors
+            for k in range((min(p, e // level) if level else p) + 1))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)  # callers read one table many times in a row; a table may hold a million entries
 def _joint_weight_table(n_particles: int, energy_units: int, levels: tuple) -> dict:
-    table = {}
-    for state, weight in _weighted_states(n_particles, energy_units):
-        key = tuple(state[j] for j in levels)
-        table[key] = table.get(key, 0) + weight
+    """Microstates per feasible count vector c at ``levels``: N!/(prod c_s! P!) f(P, M - c.levels).
+
+    P = N - |c|; row P of f (P particles off ``levels``) is row P-1's prefix sum minus its level shifts.
+    """
+    n, m = n_particles, energy_units
+    fits = (n + 1) * (m + 1) <= MAX_OUTPUT_ROWS
+    vectors = list(islice(reduce(_extend, levels, [((), n, m)]), MAX_OUTPUT_ROWS + 1)) if fits else []
+    if not fits or len(vectors) > MAX_OUTPUT_ROWS:
+        raise ValueError(f"oracle for N={n}, M={m}, levels {list(levels)}: over {MAX_OUTPUT_ROWS} entries")
+    by_free = {}  # feasible count vectors by P, with the quanta left to the other levels
+    for counts, free, energy in vectors:
+        by_free.setdefault(free, []).append((counts, energy))
+    table, row = {}, [1] + [0] * m
+    for free in range(n + 1):
+        for counts, energy in by_free.get(free, ()):
+            if row[energy]:
+                table[counts] = multinomial_weight(counts + (free,)) * row[energy]
+        previous, row = row, list(accumulate(row))
+        for s in levels:
+            row[s:] = [a - b for a, b in zip(row[s:], previous)]
     return table
 
 

@@ -218,6 +218,28 @@ class TestJointPdf:
         assert "--counts must match the number of levels" in err
 
 
+class TestCheckOraclePastTheWalkCap:
+    """--check-oracle needs no FLUCT_MAX_ENUM past the macrostate walk's N <= 12, M <= 16, nor at many levels."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "pdf --n 13 --m 16 --level 0 --check-oracle",
+            "pdf --n 200 --m 400 --level 0 --check-oracle",
+            "moments --n 30 --m 60 --levels 0,1 --check-oracle",
+            "jointpdf --n 20 --m 30 --levels 0,2 --counts 5,3 --check-oracle",
+            "jointpdf --n 12 --m 16 --levels 0,1,2,3,4,5 --counts 6,2,1,1,0,0 --check-oracle",
+        ],
+    )
+    def test_exits_clean(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("FLUCT_MAX_ENUM", raising=False)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and err == ""
+        if argv.startswith("moments"):
+            rows = out.strip().splitlines()[1:]
+            assert len(rows) == 10 and all(row.endswith(",exact-match") for row in rows)
+
+
 class TestCovariance:
     def test_csv_rows(self, capsys):
         code, out, _ = run(capsys, "covariance", "--n", "100", "--m", "2", "--t", "1.0")
@@ -251,6 +273,12 @@ class TestFluctuation:
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "fluctuation", "--n", "10", "--t-grid", "log:5:1:9")
         assert code == 1 and "t-grid" in err
+
+    @pytest.mark.parametrize("sizes", ["2", "1,2"])
+    def test_overflowing_energy_names_both_flags(self, capsys, sizes):
+        code, out, err = run(capsys, "fluctuation", "--n", sizes, "--t-grid", "log:1:1e308:3")
+        assert code == 1 and out == ""
+        assert err == "error: --n 2 times --t-grid point 1e+308 overflows a float\n"
 
     def test_sizes_must_be_positive(self, capsys):
         code, out, err = run(capsys, "fluctuation", "--n", "0", "--t-grid", "log:1:10:3")

@@ -26,6 +26,7 @@ from boltzgas.distributions import (
 )
 from boltzgas.enumeration import enumerate_macrostates, oracle_joint_pdf, oracle_pdf
 from boltzgas.figures import figure_data
+from boltzgas.identities import JOINT_NORMALIZATION_POINTS
 from boltzgas.moments import (
     conditioned_variance_limit,
     exact_moment,
@@ -659,6 +660,17 @@ class TestJointPdfExact:
         params = SystemParams(2, 2)
         assert joint_pdf_exact(params, [0], [2]) == 0
         assert joint_pdf_exact(params, [0, 1], [9, 0]) == 0
+
+    @pytest.mark.parametrize("n, m, levels", JOINT_NORMALIZATION_POINTS)
+    def test_each_marginal_is_the_one_level_law(self, n, m, levels):
+        params = SystemParams(n, m)
+        marginals = [[Fraction(0)] * (n + 1) for _ in levels]
+        for counts in itertools.product(range(n + 1), repeat=len(levels)):
+            value = joint_pdf_exact(params, levels, counts)
+            for axis, count in enumerate(counts):
+                marginals[axis][count] += value
+        for level, marginal in zip(levels, marginals):
+            assert tuple(marginal) == occupation_pdf_exact(params, level).probabilities
 
 
 class TestMultinomialLimit:

@@ -1,9 +1,14 @@
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from boltzgas import enumeration
+from boltzgas.distributions import joint_pdf_exact, occupation_pdf_exact
 from boltzgas.enumeration import (
+    _joint_weight_table,
     enumerate_macrostates,
     enumeration_cap,
     oracle_joint_pdf,
@@ -179,6 +184,80 @@ class TestOracleJointPdf:
             oracle_joint_pdf(params, [0, 3], [1, 1])
         with pytest.raises(ValueError):
             oracle_joint_pdf(params, [0, 1], [1])
+
+
+class TestJointWeightTable:
+    """The composition count equals the walk at desk scale, and the closed forms past it."""
+
+    @staticmethod
+    def walked(states, levels):
+        table = {}
+        for state, weight in states:
+            key = tuple(state[j] for j in levels)
+            table[key] = table.get(key, 0) + weight
+        return table
+
+    def test_equals_the_walk_at_desk_scale(self):
+        for n in range(1, 9):
+            for m in range(0, 11):
+                states = list(enumerate_macrostates(SystemParams(n, m)))
+                selections = [
+                    levels
+                    for size in (1, 2, 3)
+                    for levels in itertools.islice(
+                        itertools.combinations(range(m + 1), size), 1 + m if size == 1 else 6
+                    )
+                ]
+                for levels in selections:
+                    assert _joint_weight_table(n, m, levels) == self.walked(states, levels), (
+                        n, m, levels
+                    )
+
+    @pytest.mark.parametrize("n, m, level", [(200, 400, 0), (200, 400, 3), (200, 2000, 1)])
+    def test_equals_the_closed_form_past_the_walk(self, n, m, level):
+        params = SystemParams(n, m)
+        exact = occupation_pdf_exact(params, level).probabilities
+        assert oracle_pdf(params, level).probabilities == exact
+
+    def test_equals_the_joint_law_at_random_points(self):
+        params, levels = SystemParams(40, 60), (0, 1, 2)
+        rng = random.Random(20071)
+        for _ in range(200):
+            counts = tuple(rng.randrange(21) for _ in levels)
+            exact = joint_pdf_exact(params, levels, counts)
+            assert oracle_joint_pdf(params, levels, counts) == exact, counts
+
+    @pytest.mark.parametrize(
+        "n, m, levels, counts",
+        [(3, 10, tuple(range(10)), (1, 1, 1, 0, 0, 0, 0, 0, 0, 0)), (12, 16, tuple(range(6)), (6, 2, 1, 1, 0, 0))],
+    )
+    def test_many_levels_of_a_small_system_equal_the_walk(self, n, m, levels, counts):
+        params = SystemParams(n, m)
+        walked = self.walked(enumerate_macrostates(params), levels)
+        assert _joint_weight_table(n, m, levels) == walked
+        assert oracle_joint_pdf(params, levels, counts) == Fraction(walked.get(counts, 0), microstate_count(params))
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise AssertionError("built a row of a refused table")
+
+    def test_guard_refuses_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "accumulate", self.fail)
+        with pytest.raises(ValueError, match=re.escape("N=1000000000, M=1000000000, levels [0]")):
+            _joint_weight_table(10**9, 10**9, (0,))
+        # 4 * 11 cells fit under 100, the 112 count vectors of 3 particles on 10 levels do not
+        _joint_weight_table.cache_clear()
+        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 100)
+        with pytest.raises(ValueError, match=re.escape("N=3, M=10, levels [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]")):
+            _joint_weight_table(3, 10, tuple(range(10)))
+
+    def test_guard_admits_a_table_at_the_bound(self, monkeypatch):
+        _joint_weight_table.cache_clear()
+        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 5 * 7 - 1)
+        with pytest.raises(ValueError, match=re.escape("N=4, M=6, levels [2]")):
+            oracle_pdf(SystemParams(4, 6), 2)
+        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 5 * 7)
+        assert sum(oracle_pdf(SystemParams(4, 6), 2).probabilities) == 1
 
 
 class TestNormalizeSelection:
