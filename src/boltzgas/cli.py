@@ -118,11 +118,14 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_int_list(raw: str) -> list:
-    """The integers of a comma-separated list, the type of every list flag."""
+    """The integers of a comma-separated list, at least one, the type of every list flag."""
     try:
-        return [_parse_int(part) for part in raw.split(",") if part.strip() != ""]
+        values = [_parse_int(part) for part in raw.split(",") if part.strip() != ""]
+        if not values:
+            raise argparse.ArgumentTypeError(f"got {_shown(raw)}")
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list; {exc}") from None
+    return values
 
 
 def _parse_figure(raw: str):
@@ -248,9 +251,17 @@ def cmd_jointpdf(args) -> tuple:
     return _render_table(header, rows, args.format), failure
 
 
+def _check_float_range(flag: str, value: int) -> None:
+    """Refuse an integer flag of a float command that no float can hold."""
+    if value > sys.float_info.max:
+        raise ValueError(f"{flag} has {len(str(value))} digits, past the float range")
+
+
 def cmd_covariance(args) -> tuple:
     if args.n < 1:
         raise ValueError("need at least one particle")
+    _check_float_range("--n", args.n)
+    _check_float_range("--m", args.m)
     from .fluctuations import covariance_matrix, mean_vector
 
     temperature = args.t if args.t is not None else args.m / args.n
@@ -271,15 +282,15 @@ def cmd_covariance(args) -> tuple:
 
 
 def cmd_fluctuation(args) -> tuple:
-    sizes = args.n
-    if not sizes or any(n < 1 for n in sizes):
+    if any(n < 1 for n in args.n):
         raise ValueError("--n needs a comma-separated list of positive sizes")
-    if max(sizes) * max(args.t_grid) == math.inf:  # M = N*T must stay a finite float
-        raise ValueError(f"--n {max(sizes)} times --t-grid point {max(args.t_grid)!r} overflows a float")
+    _check_float_range("--n", max(args.n))
+    if max(args.n) * max(args.t_grid) == math.inf:  # M = N*T must stay a finite float
+        raise ValueError(f"--n {max(args.n)} times --t-grid point {max(args.t_grid)!r} overflows a float")
     from .fluctuations import total_fluctuation_ratio
 
-    header = ["temperature"] + [f"n_{n}" for n in sizes]
-    rows = [[t] + [total_fluctuation_ratio(n, n * t) for n in sizes] for t in args.t_grid]
+    header = ["temperature"] + [f"n_{n}" for n in args.n]
+    rows = [[t] + [total_fluctuation_ratio(n, n * t) for n in args.n] for t in args.t_grid]
     return _render_table(header, rows, args.format), None
 
 

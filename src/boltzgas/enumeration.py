@@ -1,19 +1,21 @@
 """Brute-force ground truth that shares no summation logic with the closed forms.
 
-``enumerate_macrostates`` walks every macrostate up to N <= 12, M <= 16
-(``FLUCT_MAX_ENUM``, "N,M" or one integer, raises it). The per-level oracles
-count the microstates behind each count vector as weak compositions that avoid
-the selected levels, in O(N*M*(1+|S|)) additions with no alternating sum,
-binomial moment or Taylor shift; they refuse more than MAX_OUTPUT_ROWS cells
-(N+1)*(M+1) or count vectors. The domain comes from ``system``.
+``enumerate_macrostates`` walks every macrostate, a partition of M into at most
+N parts (Andrews, The Theory of Partitions, 1976, ch. 1). The per-level
+oracles count the microstates behind each count vector as weak compositions
+that avoid the selected levels, in O(N*M*(1+|S|)) additions with no
+alternating sum, binomial moment or Taylor shift. Each refuses more than
+MAX_OUTPUT_ROWS cells (N+1)*(M+1), macrostates or count vectors before it
+yields or builds any. The domain comes from ``system``.
 """
 from __future__ import annotations
 
-import os
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, islice
-from typing import Iterator, NamedTuple
+from math import comb
 
 from .combinatorics import integral_value, multinomial_weight
 from .system import (
@@ -25,65 +27,51 @@ from .system import (
     normalize_selection,
 )
 
-DEFAULT_MAX_PARTICLES = 12
-DEFAULT_MAX_UNITS = 16
-
-ENUM_CAP_ENV = "FLUCT_MAX_ENUM"
-
-
-class WeightedMacrostate(NamedTuple):
-    state: OccupationVector
-    multiplicity: int
+WeightedMacrostate = namedtuple("WeightedMacrostate", "state multiplicity")
 
 
 def enumeration_cap() -> tuple:
-    """Current (max particles, max quanta) cap, honoring FLUCT_MAX_ENUM (N >= 1, M >= 0)."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if not raw:
-        return (DEFAULT_MAX_PARTICLES, DEFAULT_MAX_UNITS)
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        values = []
-    if len(values) == 1:
-        values *= 2
-    if len(values) != 2 or values[0] < 1 or values[1] < 0:
-        raise ValueError(f"{ENUM_CAP_ENV} must be an integer or 'N,M' pair, got {raw!r}")
-    return tuple(values)
+    """(12, 16), the N and M of the largest walk once allowed; it limits nothing now."""
+    return (12, 16)
+
+
+def _macrostate_count(n: int, m: int) -> int:
+    """Partitions of m into at most n parts, i.e. into parts <= n, counted until past MAX_OUTPUT_ROWS."""
+    ways = [1] + [0] * m  # ways[e]: partitions of e into the part sizes added so far, which never falls
+    for part in range(1, min(n, m) + 1):
+        if ways[m] > MAX_OUTPUT_ROWS:
+            break
+        for total in range(part, m + 1):
+            ways[total] += ways[total - part]
+    return ways[m]
 
 
 def enumerate_macrostates(params: SystemParams) -> Iterator[WeightedMacrostate]:
     """Yield every macrostate of ``params`` exactly once, with its multiplicity.
 
-    States are produced by recursive descent from the top energy level, i.e.
-    lexicographically over (n_M, n_(M-1), ...); the order is an implementation
-    detail, not a contract. The multiplicities over the stream sum to
-    C(M+N-1, N-1). Raises ValueError beyond ``enumeration_cap()``.
+    States come lexicographically over (n_M, ..., n_1): by top occupied level, its count, then
+    likewise below, so the recursion is as deep as a state's occupied levels. The order is an
+    implementation detail, not a contract; the multiplicities sum to C(M+N-1, N-1). Raises
+    ValueError, before the first state, past MAX_OUTPUT_ROWS cells (N+1)*(M+1) or macrostates.
     """
     n, m = params.n_particles, params.energy_units
-    n_cap, m_cap = enumeration_cap()
-    if n > n_cap or m > m_cap:
-        raise ValueError(
-            f"enumeration of N={n}, M={m} exceeds the cap N<={n_cap}, M<={m_cap}; "
-            f"raise {ENUM_CAP_ENV}"
-        )
+    if (n + 1) * (m + 1) > MAX_OUTPUT_ROWS or _macrostate_count(n, m) > MAX_OUTPUT_ROWS:
+        raise ValueError(f"enumeration of N={n}, M={m}: over {MAX_OUTPUT_ROWS} cells or macrostates")
     counts = [0] * (m + 1)
 
-    def descend(level, particles, energy):
-        if level == 0:
-            if energy == 0:
-                counts[0] = particles
-                state = OccupationVector(tuple(counts))
-                counts[0] = 0
-                yield WeightedMacrostate(state, multinomial_weight(state))
+    def descend(top, particles, energy, weight):
+        """States of ``energy`` quanta on ``particles`` at levels <= ``top``; ``weight`` places those above."""
+        if energy == 0:
+            yield WeightedMacrostate(OccupationVector((particles, *counts[1:])), weight)
             return
-        for k in range(min(particles, energy // level) + 1):
-            counts[level] = k
-            yield from descend(level - 1, particles - k, energy - k * level)
-        counts[level] = 0
+        # the top levels the particles reach, and the counts there that leave the rest room below
+        for level in range(-(-energy // particles), min(top, energy) + 1):
+            for k in range(max(1, energy - particles * (level - 1)), min(particles, energy // level) + 1):
+                counts[level] = k
+                yield from descend(level - 1, particles - k, energy - k * level, weight * comb(particles, k))
+            counts[level] = 0
 
-    yield from descend(m, n, m)
+    yield from descend(m, n, m, 1)
 
 
 def _extend(vectors, level: int):

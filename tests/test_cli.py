@@ -29,6 +29,14 @@ level,order,exact,value
 # a particle count past the float range: N * p and n * t overflow
 HUGE_N = "1" * 401
 
+# the one-line error of each request whose integer no float can hold
+FLOAT_RANGE_ERRORS = {
+    f"covariance --n {HUGE_N} --m 2 --t 1": "--n has 401 digits, past the float range",
+    f"fluctuation --n {HUGE_N} --t-grid log:1:10:3": "--n has 401 digits, past the float range",
+    f"covariance --n 2 --m {'1' * 310}": "--m has 310 digits, past the float range",
+    f"covariance --n {'1' * 331} --m 3": "--n has 331 digits, past the float range",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -219,7 +227,7 @@ class TestJointPdf:
 
 
 class TestCheckOraclePastTheWalkCap:
-    """--check-oracle needs no FLUCT_MAX_ENUM past the macrostate walk's N <= 12, M <= 16, nor at many levels."""
+    """--check-oracle runs past N <= 12, M <= 16, where the macrostate walk once stopped, and at many levels."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -231,8 +239,7 @@ class TestCheckOraclePastTheWalkCap:
             "jointpdf --n 12 --m 16 --levels 0,1,2,3,4,5 --counts 6,2,1,1,0,0 --check-oracle",
         ],
     )
-    def test_exits_clean(self, capsys, monkeypatch, argv):
-        monkeypatch.delenv("FLUCT_MAX_ENUM", raising=False)
+    def test_exits_clean(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         assert code == 0 and err == ""
         if argv.startswith("moments"):
@@ -457,12 +464,16 @@ class TestExitCodes:
             "jointpdf --n 1000 --m 2 --levels 0,1",
             pytest.param(f"covariance --n {HUGE_N} --m 2 --t 1", id="covariance-huge-n"),
             pytest.param(f"fluctuation --n {HUGE_N} --t-grid log:1:10:3", id="fluctuation-huge-n"),
+            pytest.param(f"covariance --n 2 --m {'1' * 310}", id="covariance-huge-m"),
+            pytest.param(f"covariance --n {'1' * 331} --m 3", id="covariance-huge-n-default-t"),
         ],
     )
     def test_oversized_or_nonfinite_request(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == "" and err.startswith("error:")
         assert "Traceback" not in err
+        if argv in FLOAT_RANGE_ERRORS:
+            assert err == f"error: {FLOAT_RANGE_ERRORS[argv]}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -534,6 +545,13 @@ class TestErrorShape:
             ("fluctuation --n 10 --t-grid lin:1:2:x", "--t-grid"),
             ("fluctuation --n 2 --t-grid log:1:1.7976931348623157e308:3", "--t-grid"),
             ("mc --n 2 --m 2 --levels 0,,x", "--levels"),
+            # an empty list, which would read as the default "all"
+            ("moments --n 2 --m 2 --levels ,", "--levels"),
+            ("moments --n 2 --m 2 --levels=", "--levels"),
+            ("mc --n 2 --m 2 --levels ,", "--levels"),
+            ("jointpdf --n 2 --m 2 --levels ,", "--levels"),
+            ("jointpdf --n 2 --m 2 --levels 0 --counts ,", "--counts"),
+            ("fluctuation --n ,", "--n"),
             ("mc --n 2 --m 2 --samples LONG", "--samples"),
             ("mc --n 2 --m 2 --seed LONG", "--seed"),
             ("figures --figure x --out-dir OUT", "--figure"),

@@ -1,6 +1,8 @@
 import itertools
+import os
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,14 +10,16 @@ import pytest
 from boltzgas import enumeration
 from boltzgas.distributions import joint_pdf_exact, occupation_pdf_exact
 from boltzgas.enumeration import (
+    WeightedMacrostate,
     _joint_weight_table,
+    _macrostate_count,
     enumerate_macrostates,
     enumeration_cap,
     oracle_joint_pdf,
     oracle_moment,
     oracle_pdf,
 )
-from boltzgas.system import SystemParams, microstate_count, normalize_selection
+from boltzgas.system import MAX_OUTPUT_ROWS, SystemParams, microstate_count, normalize_selection
 
 
 class TestEnumerateMacrostates:
@@ -41,8 +45,9 @@ class TestEnumerateMacrostates:
         for n in range(1, 11):
             for m in range(0, 15):
                 params = SystemParams(n, m)
-                total = sum(item.multiplicity for item in enumerate_macrostates(params))
-                assert total == microstate_count(params)
+                items = list(enumerate_macrostates(params))
+                assert sum(item.multiplicity for item in items) == microstate_count(params)
+                assert len(items) == _macrostate_count(n, m), (n, m)
 
     def test_every_state_conserves(self):
         params = SystemParams(5, 7)
@@ -55,40 +60,77 @@ class TestEnumerateMacrostates:
         states = [tuple(item.state) for item in enumerate_macrostates(params)]
         assert len(states) == len(set(states))
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            list(enumerate_macrostates(SystemParams(13, 5)))
+    def test_lexicographic_order(self):
+        # ascending over (n_M, ..., n_1), the order of the level-by-level descent
+        for n, m in [(3, 4), (6, 9), (12, 16), (20, 30)]:
+            states = [tuple(item.state) for item in enumerate_macrostates(SystemParams(n, m))]
+            assert states == sorted(states, key=lambda state: state[:0:-1]), (n, m)
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("FLUCT_MAX_ENUM", "14,20")
-        assert list(enumerate_macrostates(SystemParams(13, 2)))
-        monkeypatch.setenv("FLUCT_MAX_ENUM", "nonsense")
-        with pytest.raises(ValueError, match="FLUCT_MAX_ENUM"):
-            list(enumerate_macrostates(SystemParams(2, 2)))
+    def test_named_fields(self):
+        item = next(enumerate_macrostates(SystemParams(2, 2)))
+        assert WeightedMacrostate._fields == ("state", "multiplicity")
+        assert WeightedMacrostate.__module__ == "boltzgas.enumeration"
+        assert repr(item) == "WeightedMacrostate(state=OccupationVector(counts=(0, 2, 0)), multiplicity=1)"
 
-    def test_cap_env_single_integer_caps_both(self, monkeypatch):
-        monkeypatch.setenv("FLUCT_MAX_ENUM", "14")
-        assert enumeration_cap() == (14, 14)
-        assert list(enumerate_macrostates(SystemParams(14, 2)))
-        with pytest.raises(ValueError, match="cap"):
-            list(enumerate_macrostates(SystemParams(2, 15)))
 
-    def test_cap_env_rejects_three_values(self, monkeypatch):
-        monkeypatch.setenv("FLUCT_MAX_ENUM", "1,2,3")
-        with pytest.raises(ValueError, match="'N,M' pair, got '1,2,3'"):
-            enumeration_cap()
+class _NoEnvironment(dict):
+    def __getitem__(self, name):
+        raise AssertionError(f"read the environment variable {name!r}")
 
-    @pytest.mark.parametrize("raw", ["-1", "0,5", "3,-1"])
-    def test_cap_env_rejects_caps_below_the_domain(self, monkeypatch, raw):
-        # a cap below N = 1 or M = 0 would refuse every oracle call
-        monkeypatch.setenv("FLUCT_MAX_ENUM", raw)
-        with pytest.raises(ValueError, match=f"'N,M' pair, got '{raw}'"):
-            enumeration_cap()
+    def get(self, name, default=None):
+        return self[name]
 
-    def test_cap_env_accepts_the_smallest_caps(self, monkeypatch):
-        monkeypatch.setenv("FLUCT_MAX_ENUM", "1,0")
-        assert enumeration_cap() == (1, 0)
-        assert [item.multiplicity for item in enumerate_macrostates(SystemParams(1, 0))] == [1]
+    def __contains__(self, name):
+        return self[name]
+
+
+class TestWalkBound:
+    """The walk refuses more than MAX_OUTPUT_ROWS cells or macrostates, and reads no knob."""
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise AssertionError("built a state of a refused walk")
+
+    def test_reads_no_environment(self, monkeypatch):
+        monkeypatch.setattr(os, "environ", _NoEnvironment())
+        assert enumeration_cap() == (12, 16)
+        for n, m, states in [(13, 5, 7), (20, 30, 5507)]:
+            items = list(enumerate_macrostates(SystemParams(n, m)))
+            assert len(items) == states
+            assert sum(item.multiplicity for item in items) == microstate_count(SystemParams(n, m))
+
+    def test_refuses_past_the_macrostate_count(self, monkeypatch):
+        assert 62 * 62 <= MAX_OUTPUT_ROWS < _macrostate_count(61, 61)
+        monkeypatch.setattr(enumeration, "OccupationVector", self.fail)
+        with pytest.raises(ValueError, match=re.escape("N=61, M=61")):
+            next(enumerate_macrostates(SystemParams(61, 61)))
+
+    def test_refuses_past_the_cells_before_counting(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_macrostate_count", self.fail)
+        monkeypatch.setattr(enumeration, "OccupationVector", self.fail)
+        with pytest.raises(ValueError, match=re.escape("N=1, M=1000000")):
+            next(enumerate_macrostates(SystemParams(1, 10**6)))
+
+    def test_refuses_a_large_system_fast(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "OccupationVector", self.fail)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape("N=999, M=999")):
+            next(enumerate_macrostates(SystemParams(999, 999)))
+        assert time.perf_counter() - start < 1.0
+
+    def test_admits_a_walk_at_the_bound(self, monkeypatch):
+        # 13 * 17 = 221 cells, under the 224 macrostates
+        params = SystemParams(12, 16)
+        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 223)
+        with pytest.raises(ValueError, match=re.escape("N=12, M=16")):
+            next(enumerate_macrostates(params))
+        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 224)
+        assert len(list(enumerate_macrostates(params))) == 224
+
+    def test_depth_does_not_grow_with_the_levels(self):
+        # one state on the top level of nearly a million cells: far past the recursion limit in levels
+        (item,) = enumerate_macrostates(SystemParams(1, 499_998))
+        assert item.state[499_998] == 1 and item.multiplicity == 1
 
 
 class TestMicrostateCount:

@@ -114,9 +114,12 @@ def test_every_cache_is_bounded():
 
 
 # Loaded only by the calls that use them: the identity battery, the
-# standard-library modules for JSON and for writing files, and inspect, which
-# only NumPy imports. No call loads dataclasses.
-ON_DEMAND = {"boltzgas.identities", "statistics", "json", "tempfile", "pathlib", "inspect", "dataclasses"}
+# standard-library modules for JSON and for writing files, inspect, which
+# only NumPy imports, and typing, which only the identity battery, the figures
+# and the sampler import. No call loads dataclasses.
+ON_DEMAND = {
+    "boltzgas.identities", "statistics", "json", "tempfile", "pathlib", "inspect", "dataclasses", "typing",
+}
 
 
 def _cli_call(argv: str) -> str:
@@ -194,15 +197,15 @@ def test_calls_load_no_module_they_do_not_use(argv):
 @pytest.mark.parametrize(
     "argv, needed",
     [
-        ("identities --name sum-of-powers", {"boltzgas.identities", "statistics", "json"}),
+        ("identities --name sum-of-powers", {"boltzgas.identities", "statistics", "json", "typing"}),
         # the cli-small calls that write JSON
         ("pdf --n 30 --m 60 --level 2 --format json", {"json"}),
         ("covariance --n 50 --m 10 --format json", {"json"}),
         ("fluctuation --n 100 --t-grid lin:0.5:5:10 --format json", {"json"}),
         ("pdf --n 4 --m 6 --level 1 --out {tmp}/pdf.csv", {"tempfile", "pathlib"}),
         # NumPy imports inspect
-        ("figures --figure 7 --out-dir {tmp}/figs", {"json", "tempfile", "pathlib", "numpy", "inspect"}),
-        ("mc --n 4 --m 6 --samples 100", {"numpy", "inspect"}),
+        ("figures --figure 7 --out-dir {tmp}/figs", {"json", "tempfile", "pathlib", "numpy", "inspect", "typing"}),
+        ("mc --n 4 --m 6 --samples 100", {"numpy", "inspect", "typing"}),
     ],
 )
 def test_calls_load_what_they_use(tmp_path, argv, needed):
