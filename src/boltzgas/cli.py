@@ -6,8 +6,9 @@ Every ``cmd_*`` returns its output text and a failure message or None; only
 the rows of a failed check are always written before it exits 2.
 
 argparse parses every flag: each list, the T grid and the figure id have a
-``type`` callable, so a malformed value fails as "error: argument --FLAG:
-..." before any command runs, and each ``cmd_*`` receives parsed values.
+``type`` callable, so a malformed value, a repeated --levels entry included,
+fails as "error: argument --FLAG: ..." before any command runs, and each
+``cmd_*`` receives parsed values.
 
 Conventions: CSV always carries a header row, exact rationals are serialized
 as "numerator/denominator" strings in full (past Python's 4300-digit default
@@ -126,6 +127,14 @@ def _parse_int_list(raw: str) -> list:
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list; {exc}") from None
     return values
+
+
+def _parse_levels(raw: str) -> list:
+    """The distinct integers of a comma-separated list, the type of every --levels flag."""
+    levels = _parse_int_list(raw)
+    if len(set(levels)) != len(levels):
+        raise argparse.ArgumentTypeError(f"levels must be distinct, got {_shown(raw)}")
+    return levels
 
 
 def _parse_figure(raw: str):
@@ -264,6 +273,8 @@ def cmd_covariance(args) -> tuple:
     _check_float_range("--m", args.m)
     from .fluctuations import covariance_matrix, mean_vector
 
+    if args.t is None and args.m < 1:
+        raise ValueError(f"without --t, T = M/N needs --m >= 1, got --m {args.m}")
     temperature = args.t if args.t is not None else args.m / args.n
     rows = covariance_matrix(args.n, temperature, args.m)
     means = mean_vector(args.n, temperature, args.m)
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_microstates)
 
     p = sub.add_parser("moments", parents=[system], help="exact occupation-number moments")
-    p.add_argument("--levels", type=_parse_int_list, help="comma-separated levels (default: all)")
+    p.add_argument("--levels", type=_parse_levels, help="comma-separated levels (default: all)")
     p.add_argument("--order-max", type=_parse_int, default=4, dest="order_max")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     add_output_flags(p)
@@ -394,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pdf)
 
     p = sub.add_parser("jointpdf", parents=[system], help="exact joint occupation law")
-    p.add_argument("--levels", type=_parse_int_list, required=True, help="comma-separated ascending levels")
+    p.add_argument("--levels", type=_parse_levels, required=True, help="comma-separated ascending levels")
     p.add_argument("--counts", type=_parse_int_list, help="comma-separated counts for a single evaluation")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     add_output_flags(p)
@@ -419,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", parents=[system], help="Monte Carlo validation against exact moments")
     p.add_argument("--samples", type=_parse_int, default=100_000)
     p.add_argument("--seed", type=_parse_int, default=42)
-    p.add_argument("--levels", type=_parse_int_list, help="comma-separated levels (default: 0..min(M,10))")
+    p.add_argument("--levels", type=_parse_levels, help="comma-separated levels (default: 0..min(M,10))")
     add_output_flags(p)
     p.set_defaults(func=cmd_mc)
 

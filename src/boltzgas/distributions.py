@@ -2,7 +2,10 @@
 
 The exact univariate and joint laws are alternating sums of products of
 binomial coefficients, evaluated in integer arithmetic and normalized once at
-the end, so cancellation is never an issue. The limit laws (binomial, normal,
+the end, so cancellation is never an issue. A 1-D law is integer numerators
+over C(M+N-1, N-1), read through one entry point, ``occupation_pdf_window``;
+the joint law inverts a table of binomial moments, refused past
+MAX_OUTPUT_ROWS entries before it is built. The limit laws (binomial, normal,
 energy-conditioned normal, multinomial) depend on the specific energy T alone
 and are evaluated in log space to stay finite at large N.
 """
@@ -23,6 +26,7 @@ from .moments import (
 )
 from .system import (
     _LIMIT_SUM_TOLERANCE,
+    MAX_OUTPUT_ROWS,
     DistributionTable,
     SystemParams,
     _Value,
@@ -55,14 +59,14 @@ def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
     return a[: top + 1]
 
 
-def _window_numerators(params: SystemParams, level: int, lo: int, hi: int) -> tuple:
-    """(counts, numerators, denominator) of the exact law on the count window lo..hi.
+def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int) -> tuple:
+    """(counts, numerators, denominator): the exact law on the count window lo..hi.
 
-    The one representation of an exact 1-D law: P(n_level = k) is
-    numerators[i] / C(M+N-1, N-1) at counts[i] = k. The window is clamped to
-    0..N, and an empty one returns empty lists without a shift. It costs what
-    ``_pdf_numerators`` costs to ``hi`` and builds no Fraction; a float read as
-    numerator / denominator is correctly rounded, equal to float(Fraction).
+    P(n_level = counts[i]) = numerators[i] / denominator, over C(M+N-1, N-1).
+    Fraction(v, denominator) is the exact value and v / denominator its
+    correctly rounded float. The window is clamped to 0..N, an empty one
+    returns empty lists without a shift, and its mass need not sum to 1. It
+    costs the shift of ``_pdf_numerators`` to ``hi``, (hi + 1) N subtractions.
     """
     level = params.check_level(level)
     n, m = params.n_particles, params.energy_units
@@ -80,23 +84,8 @@ def occupation_pdf_exact(params: SystemParams, level: int) -> DistributionTable:
     Held as integer numerators over C(M+N-1, N-1), so it costs the full shift
     of ``_pdf_numerators`` (N^2 / 2 subtractions) and no Fraction until one is read.
     """
-    _, numerators, total = _window_numerators(params, level, 0, params.n_particles)
+    _, numerators, total = occupation_pdf_window(params, level, 0, params.n_particles)
     return DistributionTable.from_numerators(numerators, total)
-
-
-def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int):
-    """Exact occupation probabilities on the count window lo..hi (inclusive).
-
-    Returns (counts, probabilities) as plain lists; the probabilities are the
-    same exact values as the full table restricted to the window. Intended for
-    plotting large systems where the full support is mostly negligible mass.
-    A window is not a ``DistributionTable``: its mass need not sum to 1.
-    The window is clamped to 0..N and an empty one returns ([], []). A window
-    costs about (hi + 1) N big-integer subtractions, N^2 / 2 for the full
-    table, plus one reduced Fraction (a gcd) per count in it.
-    """
-    counts, numerators, total = _window_numerators(params, level, lo, hi)
-    return counts, [Fraction(v, total) for v in numerators]
 
 
 def _multinomial_log_pmf(n: int, counts, log_probs) -> float:
@@ -226,7 +215,21 @@ def _nested_terms(n: int, m: int, levels: tuple) -> list:
     return terms
 
 
-@lru_cache(maxsize=64)
+def _term_count(n: int, m: int, levels: tuple, cap: int) -> int:
+    """Entries of ``_joint_term_table``, one step per prefix of r, counted until past ``cap``."""
+    j, rest = levels[0], levels[1:]
+    top = min(n, m // j) if j else n
+    if not rest:  # r_j = N, every particle left on level j, needs exactly the quanta left
+        return top + 1 - (top == n and n * j != m)
+    count = 0
+    for r in range(top + 1):
+        if count > cap:
+            break
+        count += _term_count(n - r, m - r * j, rest, cap - count)
+    return count
+
+
+@lru_cache(maxsize=4)  # callers read one table many times in a row; a table may hold a million entries
 def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     """Nonzero binomial moments B[r] of the occupations at ``levels``, as (r, B[r]) pairs.
 
@@ -235,7 +238,10 @@ def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     N!/(prod_s r_s! (N - |r|)!) W(M - r.j, N - |r|), so B[r] / C(M+N-1, N-1) is
     the joint binomial moment E[prod_s C(n_(j_s), r_s)]. It is the one-level
     weight row nested once per extra level; r runs in lexicographic order.
+    Raises ValueError, before any entry is built, past MAX_OUTPUT_ROWS entries.
     """
+    if _term_count(n, m, levels, MAX_OUTPUT_ROWS) > MAX_OUTPUT_ROWS:
+        raise ValueError(f"joint law of N={n}, M={m}, levels {list(levels)}: over {MAX_OUTPUT_ROWS} entries")
     return tuple(_nested_terms(n, m, levels))
 
 

@@ -4,7 +4,8 @@ Each figure builder returns a FigureData object: named panels of (header,
 rows) plus a manifest describing parameters, so callers can write CSVs or
 plot directly. Values are floats; exact quantities are converted after the
 exact computation finishes. Figures 3-5 read the exact laws as integer
-numerators over C(M+N-1, N-1) and take each float as numerator / denominator,
+numerators over C(M+N-1, N-1) (figure 5 through the public
+``occupation_pdf_window``) and take each float as numerator / denominator,
 which Python rounds correctly, so no Fraction is built; their cost is the
 Taylor shift of each law (see ``distributions._pdf_numerators``).
 """
@@ -18,10 +19,10 @@ import numpy as np
 
 from .distributions import (
     LimitValidityWarning,
-    _window_numerators,
     occupation_pdf_binomial_limit,
     occupation_pdf_exact,
     occupation_pdf_normal_limit,
+    occupation_pdf_window,
 )
 from .combinatorics import integral_value
 from .fluctuations import pearson_correlation, total_fluctuation_ratio
@@ -148,7 +149,7 @@ def figure_high_temperature_spread() -> FigureData:
             sigma = math.sqrt(limit.variance)
             lo = int(limit.mean - 12.0 * sigma)
             hi = int(math.ceil(limit.mean + 12.0 * sigma))
-            counts, numerators, total = _window_numerators(params, level, lo, hi)
+            counts, numerators, total = occupation_pdf_window(params, level, lo, hi)
             rows.extend((n, k, v / total) for k, v in zip(counts, numerators))
         panels.append(Panel(f"t{t}", ("n_particles", "count", "probability"), tuple(rows)))
     manifest = {

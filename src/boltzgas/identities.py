@@ -37,6 +37,9 @@ def reports_to_json(reports) -> str:
 # --------------------------------------------------------------------------
 # asserted identities
 
+_SERIES_ORDER = 16  # K, the last Taylor coefficient the differential identity compares
+
+
 def check_power_of_sum(n: int, m: int, level: int) -> IdentityReport:
     """Compare ``power_of_sum_row``, the weight row of both exact laws, with the
     coefficients of (1 + z + ... + z^M + z^j u)^N, multiplied out factor by
@@ -67,33 +70,30 @@ def check_power_of_sum(n: int, m: int, level: int) -> IdentityReport:
     return IdentityReport(name="power-of-sum", params=params, verdict="exact-equal")
 
 
-def check_differential_identity(q: int, order: int, series_order: int = 16) -> IdentityReport:
+def check_differential_identity(q: int, order: int) -> IdentityReport:
     """Check d^m/dy^m (e^y - 1)^q against its falling-factorial expansion.
 
     Each side is an exponential polynomial sum_{i=0..q} c_i e^(iy) with
     integer c_i. The left side has c_i = (-1)^(q-i) C(q,i) i^m; the right
     side sums q^(s) a_s^(m) e^(sy) (e^y - 1)^(q-s), a binomial row shifted up
     by s. The y^k Taylor coefficient of their difference is
-    sum_i gap_i i^k / k!, compared for k = 0..``series_order``. That is
-    exact at every order, not only up to y^K: for K >= q the map from the
-    gap_i to these coefficients is a Vandermonde matrix on the distinct
-    nodes 0..q, so they all vanish only when the two sides are equal.
+    sum_i gap_i i^k / k!, compared for k = 0..K with K = 16. That is exact at
+    every order, not only up to y^K: for K >= q the map from the gap_i to
+    these coefficients is a Vandermonde matrix on the distinct nodes 0..q, so
+    they all vanish only when the two sides are equal. So q <= 16.
     """
     q = integral_value("q", q, 1)
     order = integral_value("order", order, 1)
-    series_order = integral_value("series_order", series_order)
-    params = {"q": q, "m": order, "K": series_order}
-    if series_order < order + q + 4:
-        raise ValueError(
-            f"series order {series_order} too small for q={q}, m={order}; need >= {order + q + 4}"
-        )
+    params = {"q": q, "m": order, "K": _SERIES_ORDER}
+    if q > _SERIES_ORDER:
+        raise ValueError(f"q={q} needs a series past y^{_SERIES_ORDER}; need q <= {_SERIES_ORDER}")
     gap = [(-1) ** (q - i) * math.comb(q, i) * i**order for i in range(q + 1)]
     row = stirling_like_row(order)
     for s in range(1, min(order, q) + 1):
         weight = math.perm(q, s) * row[s - 1]
         for i in range(q - s + 1):
             gap[i + s] -= weight * (-1) ** (q - s - i) * math.comb(q - s, i)
-    for k in range(series_order + 1):
+    for k in range(_SERIES_ORDER + 1):
         coefficient = Fraction(sum(c * i**k for i, c in enumerate(gap)), math.factorial(k))
         if coefficient:
             return IdentityReport(

@@ -475,6 +475,13 @@ class TestExitCodes:
         if argv in FLOAT_RANGE_ERRORS:
             assert err == f"error: {FLOAT_RANGE_ERRORS[argv]}\n"
 
+    def test_default_temperature_names_its_flags(self, capsys):
+        code, out, err = run(capsys, "covariance", "--n", "2", "--m", "0")
+        assert code == 1 and out == ""
+        assert err == "error: without --t, T = M/N needs --m >= 1, got --m 0\n"
+        code, out, _ = run(capsys, "covariance", "--n", "2", "--m", "0", "--t", "1")
+        assert code == 0 and out == "level_a,level_b,covariance\n0,0,0.5\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -545,6 +552,10 @@ class TestErrorShape:
             ("fluctuation --n 10 --t-grid lin:1:2:x", "--t-grid"),
             ("fluctuation --n 2 --t-grid log:1:1.7976931348623157e308:3", "--t-grid"),
             ("mc --n 2 --m 2 --levels 0,,x", "--levels"),
+            # a repeated level, which would print its rows twice
+            ("moments --n 2 --m 2 --levels 1,1 --order-max 0", "--levels"),
+            ("mc --n 3 --m 4 --samples 100 --levels 1,1", "--levels"),
+            ("jointpdf --n 2 --m 2 --levels 1,1", "--levels"),
             # an empty list, which would read as the default "all"
             ("moments --n 2 --m 2 --levels ,", "--levels"),
             ("moments --n 2 --m 2 --levels=", "--levels"),

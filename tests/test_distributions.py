@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boltzgas import distributions, system
+from boltzgas import distributions, enumeration, system
 from boltzgas.combinatorics import binomial, multinomial_weight, weak_compositions
 from boltzgas.distributions import (
     DistributionTable,
@@ -191,10 +192,10 @@ class TestOccupationPdfExact:
             sigma = math.sqrt(limit.variance)
             lo = int(limit.mean - 12.0 * sigma)
             hi = int(math.ceil(limit.mean + 12.0 * sigma))
-            counts, probs = occupation_pdf_window(params, 1, lo, hi)
+            counts, numerators, denominator = occupation_pdf_window(params, 1, lo, hi)
             kept = slice(max(lo, 0), min(hi, n) + 1)
             assert counts == list(table.support[kept]), t
-            assert probs == list(table.probabilities[kept]), t
+            assert [Fraction(v, denominator) for v in numerators] == list(table.probabilities[kept]), t
 
     @pytest.mark.parametrize("lo, hi", [(5, 3), (-5, -1), (9, 12)])
     def test_empty_window_does_no_shift(self, monkeypatch, lo, hi):
@@ -202,7 +203,7 @@ class TestOccupationPdfExact:
             raise AssertionError("an empty window shifted")
 
         monkeypatch.setattr(distributions, "_pdf_numerators", no_shift)
-        assert occupation_pdf_window(SystemParams(8, 10), 1, lo, hi) == ([], [])
+        assert occupation_pdf_window(SystemParams(8, 10), 1, lo, hi) == ([], [], binomial(17, 7))
 
     @pytest.mark.parametrize("level", [True, 1.0, np.float64(1.0)])
     def test_rejects_non_integer_levels(self, level):
@@ -225,9 +226,9 @@ class TestOccupationPdfExact:
     def test_window_matches_full_table(self):
         params = SystemParams(8, 10)
         table = occupation_pdf_exact(params, 1)
-        counts, probs = occupation_pdf_window(params, 1, 2, 5)
+        counts, numerators, denominator = occupation_pdf_window(params, 1, 2, 5)
         assert counts == [2, 3, 4, 5]
-        assert probs == list(table.probabilities[2:6])
+        assert [Fraction(v, denominator) for v in numerators] == list(table.probabilities[2:6])
 
 
 class TestExactRepresentation:
@@ -241,7 +242,7 @@ class TestExactRepresentation:
         params = SystemParams(n, m)
         total = binomial(m + n - 1, n - 1)
         for level in range(m + 1):
-            counts, numerators, denominator = distributions._window_numerators(params, level, 0, n)
+            counts, numerators, denominator = occupation_pdf_window(params, level, 0, n)
             assert counts == list(range(n + 1)) and denominator == total
             assert sum(numerators) == total
             table = occupation_pdf_exact(params, level)
@@ -253,11 +254,11 @@ class TestExactRepresentation:
             assert table.variance() == sum((k - mu) ** 2 * p for k, p in enumerate(fractions))
             lo = data.draw(st.integers(-3, n + 3), label="lo")
             hi = data.draw(st.integers(-3, n + 3), label="hi")
-            window = distributions._window_numerators(params, level, lo, hi)
-            counts, probs = occupation_pdf_window(params, level, lo, hi)
-            assert counts == window[0] == [k for k in range(n + 1) if lo <= k <= hi]
+            counts, numerators, denominator = occupation_pdf_window(params, level, lo, hi)
+            probs = [Fraction(v, denominator) for v in numerators]
+            assert counts == [k for k in range(n + 1) if lo <= k <= hi] and denominator == total
             assert probs == [fractions[k] for k in counts]
-            assert [v / total for v in window[1]] == [float(p) for p in probs]
+            assert [v / total for v in numerators] == [float(p) for p in probs]
 
     def test_figure_5_floats_are_the_rounded_fractions(self):
         data = figure_data(5)
@@ -270,10 +271,9 @@ class TestExactRepresentation:
                 hi = int(math.ceil(limit.mean + 12.0 * sigma))
                 params = SystemParams(n, n * t)
                 total = binomial(n * t + n - 1, n - 1)
-                counts, numerators, _ = distributions._window_numerators(params, 1, lo, hi)
-                counts_too, probs = occupation_pdf_window(params, 1, lo, hi)
-                assert counts == counts_too
-                assert probs == [Fraction(v, total) for v in numerators], (n, t)
+                counts, numerators, denominator = occupation_pdf_window(params, 1, lo, hi)
+                assert denominator == total, (n, t)
+                probs = [Fraction(v, denominator) for v in numerators]
                 expected.extend((n, k, float(p)) for k, p in zip(counts, probs))
             assert list(panel.rows) == expected, t
 
@@ -580,6 +580,69 @@ class TestJointTermTable:
         distributions._joint_term_table(12, 16, (0, 1, 2))
         assert len(rows) == 91  # one row per (r_0, r_1) with r_0 + r_1 <= 12
         assert len(comb_calls) <= len(rows)
+
+    # the bench lattices, whose tables the joint-lattice benchmark reads, and the battery's points
+    @pytest.mark.parametrize(
+        "n, m, levels",
+        [(12, 16, (0, 1, 2)), (12, 16, (0, 2, 4)), (11, 15, (1, 2, 3)), (13, 17, (0, 1, 3))]
+        + list(JOINT_NORMALIZATION_POINTS),
+    )
+    def test_bound_counts_every_entry(self, monkeypatch, n, m, levels):
+        self._assert_bound_is_the_length(monkeypatch, n, m, levels)
+        assert distributions._joint_term_table(n, m, levels) == _reference_table(n, m, levels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_count_is_the_table_length(self, data):
+        n = data.draw(st.integers(1, 12), label="N")
+        m = data.draw(st.integers(0, 16), label="M")
+        levels = tuple(
+            data.draw(
+                st.lists(st.integers(0, m), min_size=1, max_size=4, unique=True).map(sorted),
+                label="levels",
+            )
+        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._assert_bound_is_the_length(monkeypatch, n, m, levels)
+
+    @staticmethod
+    def _assert_bound_is_the_length(monkeypatch, n, m, levels):
+        """A bound of exactly the table's length admits it, and one less refuses it."""
+        distributions._joint_term_table.cache_clear()
+        size = len(distributions._joint_term_table(n, m, levels))
+        distributions._joint_term_table.cache_clear()
+        monkeypatch.setattr(distributions, "MAX_OUTPUT_ROWS", size - 1)
+        with pytest.raises(ValueError, match=f"over {size - 1} entries"):
+            distributions._joint_term_table(n, m, levels)
+        monkeypatch.setattr(distributions, "MAX_OUTPUT_ROWS", size)
+        assert len(distributions._joint_term_table(n, m, levels)) == size
+        distributions._joint_term_table.cache_clear()
+
+    def test_refuses_a_table_past_the_row_bound_before_building_it(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("an entry was built")
+
+        monkeypatch.setattr(distributions, "power_of_sum_row", no_build)
+        start = time.perf_counter()
+        for n, m, levels in ((1000, 1000, (0, 1, 2)), (200, 200, (0, 1, 2)), (10**6, 5, (0, 1))):
+            with pytest.raises(ValueError, match=rf"N={n}, M={m}, levels \[{', '.join(map(str, levels))}\]"):
+                joint_pdf_exact(SystemParams(n, m), levels, (1,) * len(levels))
+        assert time.perf_counter() - start < 1.0
+
+    def test_answers_a_table_just_under_the_bound(self):
+        # (150, 150, (0,1,2)) has 433,276 entries; (200, 200) has 1,020,201 and is refused
+        params, levels, counts = SystemParams(150, 150), (0, 1, 2), (75, 37, 19)
+        try:
+            value = joint_pdf_exact(params, levels, counts)
+            assert len(distributions._joint_term_table(150, 150, levels)) == 433_276
+            distributions._joint_term_table.cache_clear()
+            assert value == oracle_joint_pdf(params, levels, counts) > 0
+        finally:
+            distributions._joint_term_table.cache_clear()
+            enumeration._joint_weight_table.cache_clear()
+
+    def test_cache_holds_four_tables(self):
+        assert distributions._joint_term_table.cache_parameters()["maxsize"] == 4
 
 
 class TestJointPdfExact:

@@ -51,17 +51,19 @@ class TestDifferentialIdentity:
     def test_first_order(self):
         assert check_differential_identity(1, 1).verdict == "exact-equal"
 
-    @pytest.mark.parametrize("q, m, order", [(2, 3, 10), (3, 5, 12), (6, 6, 16)])
-    def test_exact_equal(self, q, m, order):
-        assert check_differential_identity(q, m, series_order=order).verdict == "exact-equal"
+    @pytest.mark.parametrize("q, m", [(2, 3), (3, 5), (6, 6), (16, 12)])
+    def test_exact_equal(self, q, m):
+        report = check_differential_identity(q, m)
+        assert report.verdict == "exact-equal" and report.params["K"] == 16
 
-    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
+    # K = 16 coefficients decide the identity for every q <= K, whatever the order m
+    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=12))
     def test_exact_equal_at_smallest_order(self, q, m):
-        assert check_differential_identity(q, m, series_order=m + q + 4).verdict == "exact-equal"
+        assert check_differential_identity(q, m).verdict == "exact-equal"
 
     def test_rejects_small_order(self):
-        with pytest.raises(ValueError):
-            check_differential_identity(4, 4, series_order=8)
+        with pytest.raises(ValueError, match="q <= 16"):
+            check_differential_identity(17, 4)
 
     def test_perturbed_row_is_a_mismatch(self, monkeypatch):
         row = identities.stirling_like_row

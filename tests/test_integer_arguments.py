@@ -116,7 +116,6 @@ POLICY = [
     ("check_power_of_sum", lambda v: check_power_of_sum(2, 3, v), 1, "level", 0),
     ("check_differential_identity", lambda v: check_differential_identity(v, 2), 2, "q", 1),
     ("check_differential_identity", lambda v: check_differential_identity(2, v), 2, "order", 1),
-    ("check_differential_identity", lambda v: check_differential_identity(2, 2, v), 16, "series_order", None),
     ("check_simplex_sum_ii", lambda v: check_simplex_sum_ii(v, [Fraction(1, 2)], 3), 1, "arity", 1),
     ("check_simplex_sum_ii", lambda v: check_simplex_sum_ii(1, [Fraction(1, 2)], v), 3, "n_top", 0),
     ("measure_sum_of_powers_residual", lambda v: measure_sum_of_powers_residual(v, 10), 2, "n", 1),

@@ -95,6 +95,20 @@ def test_import_graph_runs_one_way():
     assert late == []
 
 
+@pytest.mark.parametrize("module", ["cli", "figures", "identities"])
+def test_products_import_no_private_library_name(module):
+    # A product calls the library by its public names, which a tracer of public functions sees.
+    tree = ast.parse((Path(boltzgas.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_oracle_imports_no_closed_form():
     # The enumeration oracle shares only the model's domain with the laws it witnesses.
     assert {sibling for sibling, _ in _sibling_imports("enumeration")} == {"combinatorics", "system"}
