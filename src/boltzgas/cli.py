@@ -269,6 +269,8 @@ def _check_float_range(flag: str, value: int) -> None:
 def cmd_covariance(args) -> tuple:
     if args.n < 1:
         raise ValueError("need at least one particle")
+    if args.m < 0:
+        raise ValueError(f"--m must be >= 0, got {args.m}")
     _check_float_range("--n", args.n)
     _check_float_range("--m", args.m)
     from .fluctuations import covariance_matrix, mean_vector

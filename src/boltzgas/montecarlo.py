@@ -5,9 +5,15 @@ Algorithms*, 1978): a uniform (N-1)-subset of the M+N-1 slot positions
 determines per-particle energies, so every labeled microstate is drawn with
 equal probability and no rejection.
 
+The statistics accumulate from those N per-particle energies, never from a
+sample's M+1 level counts: sorting a sample's energies makes each run of
+equal energy one occupied level, and the run's length is that level's count.
+So post-processing a sample costs O(N log N), whatever M is; drawing it
+costs O(M+N).
+
 The output contract: sample i belongs to chunk i // CHUNK_SIZE, whose generator
 derives from (seed, chunk index) alone. A chunk is drawn in blocks that consume
-its generator in order, and each block's counts are added to exact integer
+its generator in order, and each block's statistics are added to exact integer
 accumulators. So neither the block size nor the order in which chunks are
 reduced changes the result: a fixed config gives bit-identical statistics.
 A block has BLOCK_ROWS rows, or fewer when a wide system's block would pass
@@ -26,9 +32,11 @@ from .moments import exact_moment
 from .system import OccupationVector, SystemParams, _Value, integral_value, store_integral_fields
 
 CHUNK_SIZE = 1 << 14
-# Rows held in memory at once. A row's arrays peak at about 24 * (M+N-1) bytes
-# (traced: 47 MiB for 1024 rows of 2019 slots), so a block has BLOCK_ROWS rows,
-# or as many as fit in BLOCK_BYTES (at least one) once M+N-1 passes 2730.
+# Rows held in memory at once. A block peaks while its float64 keys and their
+# int64 argpartition indices are both held, about 16 bytes per slot (traced:
+# 32.5 MiB for 1024 rows of 2019 slots, 46.8 MiB for 254 rows of 10999); the
+# byte budget counts 24 per slot, so a block has BLOCK_ROWS rows, or as many as
+# fit in BLOCK_BYTES (at least one) once M+N-1 passes 2730.
 BLOCK_ROWS = 1 << 10
 BLOCK_BYTES = 64 << 20
 
@@ -54,28 +62,57 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def sample_microstate(params: SystemParams, rng: np.random.Generator) -> OccupationVector:
     """Draw one occupation vector uniformly over all microstates (a batch of one)."""
-    return OccupationVector(tuple(_level_counts_batch(params, rng, 1)[0]))
+    energies = _energies_batch(params, rng, 1)[0]
+    return OccupationVector(tuple(np.bincount(energies, minlength=params.level_count).tolist()))
 
 
-def _level_counts_batch(params: SystemParams, rng: np.random.Generator, batch: int) -> np.ndarray:
-    """(batch, M+1) array of level counts for a batch of independent microstates."""
+def _energies_batch(params: SystemParams, rng: np.random.Generator, batch: int) -> np.ndarray:
+    """(batch, N) int64 array of per-particle energies for a batch of independent microstates."""
     n, m = params.n_particles, params.energy_units
     if m == 0 or n == 1:  # one microstate: every particle on level M
-        counts = np.zeros((batch, m + 1), dtype=np.int64)
-        counts[:, m] = n
-        return counts
+        return np.full((batch, n), m, dtype=np.int64)
     slots = m + n - 1
     keys = rng.random((batch, slots))
-    bars = np.sort(np.argpartition(keys, n - 1, axis=1)[:, : n - 1], axis=1)
+    bars = np.argpartition(keys, n - 1, axis=1)[:, : n - 1]
+    # a slot index is < M+N-1: int32 rows sort in about half the time of int64
+    bars = np.sort(bars.astype(np.int32) if slots <= 2**31 else bars, axis=1)
     edges = np.concatenate(
         (np.full((batch, 1), -1), bars, np.full((batch, 1), slots)), axis=1
     )
-    energies = np.diff(edges, axis=1) - 1  # (batch, N) per-particle energies
+    energies = np.diff(edges, axis=1) - 1
     if energies.min() < 0 or not np.all(energies.sum(axis=1) == m):
         raise AssertionError("sampled microstate violates a conservation law")
-    flat = energies + (m + 1) * np.arange(batch)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=batch * (m + 1)).reshape(batch, m + 1)
-    return counts.astype(np.int64, copy=False)  # bincount may return int32 on Windows
+    return energies.astype(np.int64, copy=False)  # NumPy's default int is int32 on some hosts
+
+
+def _add_block(energies: np.ndarray, sums, square_sums, histograms) -> None:
+    """Add one block's per-level statistics to the int64 accumulators, in place.
+
+    Sorting each row of ``energies`` makes every run of equal energy one
+    occupied (sample, level) cell, of count c = the run's length; levels no
+    particle of a sample holds have count 0 and add nothing to Σc or Σc².
+    Histogram row j counts its cells at c, and its bin 0 takes the samples
+    with no run at level j.
+    """
+    rows, n = energies.shape
+    # every energy is <= M: int32 rows sort in about half the time of int64
+    energies = energies.astype(np.int32 if len(sums) <= 2**31 else np.int64)
+    energies.sort(axis=1)
+    flat = energies.ravel()
+    run_start = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=run_start[1:])
+    run_start[::n] = True  # each row's first particle starts a run
+    starts = np.flatnonzero(run_start)
+    levels = flat[starts]
+    lengths = np.diff(starts, append=flat.size)
+    np.add.at(sums, levels, lengths)
+    np.add.at(square_sums, levels, lengths * lengths)
+    cutoff = len(histograms) - 1
+    low = levels <= cutoff
+    cell_index = (n + 1) * levels[low].astype(np.int64) + lengths[low]
+    cells = np.bincount(cell_index, minlength=histograms.size).reshape(histograms.shape)
+    cells[:, 0] = rows - cells.sum(axis=1)
+    histograms += cells
 
 
 class EmpiricalStats(_Value):
@@ -133,11 +170,8 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
         rng = chunk_rng(config.seed, chunk_index)
         chunk_rows = min(CHUNK_SIZE, remaining)
         for start in range(0, chunk_rows, block_rows):
-            counts = _level_counts_batch(params, rng, min(block_rows, chunk_rows - start))
-            sums += counts.sum(axis=0)
-            square_sums += np.einsum("ij,ij->j", counts, counts)
-            for level in range(histogram_cutoff + 1):
-                histograms[level] += np.bincount(counts[:, level], minlength=n + 1)
+            energies = _energies_batch(params, rng, min(block_rows, chunk_rows - start))
+            _add_block(energies, sums, square_sums, histograms)
         remaining -= chunk_rows
         chunk_index += 1
     return EmpiricalStats(

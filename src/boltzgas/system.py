@@ -96,7 +96,10 @@ class OccupationVector(_Value):
     _fields = ("counts",)
 
     def __init__(self, counts: tuple):
-        counts = tuple(integral_value("occupation number", c, 0) for c in counts)
+        counts = tuple(counts)
+        # counts that are all non-negative ints need no per-count check
+        if not (list(map(type, counts)).count(int) == len(counts) and min(counts, default=0) >= 0):
+            counts = tuple(integral_value("occupation number", c, 0) for c in counts)
         object.__setattr__(self, "counts", counts)
 
     def __len__(self):

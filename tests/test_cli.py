@@ -29,12 +29,14 @@ level,order,exact,value
 # a particle count past the float range: N * p and n * t overflow
 HUGE_N = "1" * 401
 
-# the one-line error of each request whose integer no float can hold
-FLOAT_RANGE_ERRORS = {
+# the one-line error of each request whose integer no float can hold, or
+# whose flag is out of range
+ONE_LINE_ERRORS = {
     f"covariance --n {HUGE_N} --m 2 --t 1": "--n has 401 digits, past the float range",
     f"fluctuation --n {HUGE_N} --t-grid log:1:10:3": "--n has 401 digits, past the float range",
     f"covariance --n 2 --m {'1' * 310}": "--m has 310 digits, past the float range",
     f"covariance --n {'1' * 331} --m 3": "--n has 331 digits, past the float range",
+    "covariance --n 2 --m -1 --t 1": "--m must be >= 0, got -1",
 }
 
 
@@ -466,14 +468,15 @@ class TestExitCodes:
             pytest.param(f"fluctuation --n {HUGE_N} --t-grid log:1:10:3", id="fluctuation-huge-n"),
             pytest.param(f"covariance --n 2 --m {'1' * 310}", id="covariance-huge-m"),
             pytest.param(f"covariance --n {'1' * 331} --m 3", id="covariance-huge-n-default-t"),
+            "covariance --n 2 --m -1 --t 1",
         ],
     )
     def test_oversized_or_nonfinite_request(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == "" and err.startswith("error:")
         assert "Traceback" not in err
-        if argv in FLOAT_RANGE_ERRORS:
-            assert err == f"error: {FLOAT_RANGE_ERRORS[argv]}\n"
+        if argv in ONE_LINE_ERRORS:
+            assert err == f"error: {ONE_LINE_ERRORS[argv]}\n"
 
     def test_default_temperature_names_its_flags(self, capsys):
         code, out, err = run(capsys, "covariance", "--n", "2", "--m", "0")

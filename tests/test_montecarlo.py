@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boltzgas import montecarlo
+from boltzgas.cli import main
 from boltzgas.distributions import occupation_pdf_exact
 from boltzgas.enumeration import enumerate_macrostates
 from boltzgas.montecarlo import (
     CHUNK_SIZE,
     SamplerConfig,
-    _level_counts_batch,
+    _add_block,
+    _energies_batch,
     chunk_rng,
     empirical_stats,
     sample_microstate,
@@ -30,6 +33,48 @@ def no_draws(monkeypatch):
         raise AssertionError("sampled before the input check")
 
     monkeypatch.setattr(montecarlo, "chunk_rng", fail)
+
+
+# SHA-256 of repr((count_sums, count_square_sums, histograms)) for 20_000
+# samples (a full chunk plus 3616 rows) at seed 29, keyed by (N, M, cutoff),
+# recorded before the sampler's statistics were accumulated from per-particle
+# energies. Any change to the stream or to the accumulators shows here.
+STREAM_DIGESTS = {
+    (50, 100, None): "7ba5bd5bdd046762ac976fc2e4e150467af8fe2b78402e198b90445ceae5692a",
+    (50, 100, 0): "a44c1d4fbfd7d1b2d06c13f97864e62b8ab22e495643e82f2d7d1b469cd181aa",
+    (50, 100, 3): "3c2bf854267b276f4b5a4aae9b422a59693b078367359cafcad66ee2080cefa7",
+    (100, 1000, None): "62a40628d6983a56fda6bbcd22762b7af2ec13f5d67fefdb1d29884aec9355f8",
+    (100, 1000, 0): "802f38131d06d19d19f7f8533dee3e898532df9ad5a069d0cc2c4ef80998ea61",
+    (100, 1000, 3): "fc2321649652642476b8bda90e39c18ad0b6409acd963b9402f9bae289694130",
+    (50, 5000, None): "c157da184c5fa9f419d881811022c5d7d096b720a8f395b130f494de30adb933",
+    (50, 5000, 0): "a287c3aeab9a48aba85d2962759e0bc9bdc1eeefd23a299aa1a7b95cf1ca3e7f",
+    (50, 5000, 3): "c1be3b25f0414ca6c0bdcdbd8db0536d118cc08e44cd06fbdf47c147f2e95901",
+    (1, 5, None): "cd56fd18e3ad395d7d35e29c2d4acb02c236a128de648b505a7bfb9644f95ba8",
+    (1, 5, 0): "1ca6c0e1508dabbbd1a5c9dced40948e5ddd97491b529f24192ca022fcbf1e0c",
+    (1, 5, 3): "954554d868e701d819a565b78bd77440ddae2a953852953e03c4ecde51f99c07",
+    (4, 0, None): "7995b6be7697a61da9556a3b726a91ab8e34d48f647df52032bda43ea7ca4b1f",
+    (4, 0, 0): "7995b6be7697a61da9556a3b726a91ab8e34d48f647df52032bda43ea7ca4b1f",
+    (4, 0, 3): "7995b6be7697a61da9556a3b726a91ab8e34d48f647df52032bda43ea7ca4b1f",
+    (3, 2, None): "d5336efecd0841234a6d7d35fe47d28ecafc52e9f8a07ad985ccf18d9a1f3e58",
+    (3, 2, 0): "98f0c95270ce4e993ecb7e42af7b75005cd454824d48fae4a5a18d524eedb79b",
+    (3, 2, 3): "d5336efecd0841234a6d7d35fe47d28ecafc52e9f8a07ad985ccf18d9a1f3e58",
+}
+# SHA-256 of the stdout of `mc --n 10 --m 15 --samples 20000 --seed 7`
+MC_REPORT_DIGEST = "dcc8240f564f9020d39cb60fa9c0522b553f5bddf25a1b226412c9dce6c9afde"
+
+
+class TestPinnedStream:
+    @pytest.mark.parametrize("n, m, cutoff", list(STREAM_DIGESTS))
+    def test_accumulators_match_the_recorded_digest(self, n, m, cutoff):
+        stats = empirical_stats(SamplerConfig(SystemParams(n, m), 20_000, 29), cutoff)
+        payload = (stats.count_sums, stats.count_square_sums, stats.histograms)
+        digest = hashlib.sha256(repr(payload).encode()).hexdigest()
+        assert digest == STREAM_DIGESTS[n, m, cutoff]
+
+    def test_mc_report_matches_the_recorded_digest(self, capsys):
+        assert main("mc --n 10 --m 15 --samples 20000 --seed 7".split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == MC_REPORT_DIGEST
 
 
 class TestSamplerConfig:
@@ -85,11 +130,10 @@ class TestSampleMicrostate:
 class TestBatchSampling:
     def test_batch_conserves(self):
         params = SystemParams(6, 9)
-        counts = _level_counts_batch(params, chunk_rng(5, 0), 500)
-        assert counts.shape == (500, 10)
-        assert np.all(counts.sum(axis=1) == 6)
-        energies = counts @ np.arange(10)
-        assert np.all(energies == 9)
+        energies = _energies_batch(params, chunk_rng(5, 0), 500)
+        assert energies.shape == (500, 6) and energies.dtype == np.int64
+        assert np.all(energies >= 0)
+        assert np.all(energies.sum(axis=1) == 9)
 
     @settings(max_examples=150, deadline=None)
     @example(n=1, m=50, batch=3, seed=0)  # one microstate: N = 1
@@ -102,11 +146,33 @@ class TestBatchSampling:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_conservation_at_random_sizes(self, n, m, batch, seed):
-        counts = _level_counts_batch(SystemParams(n, m), chunk_rng(seed, 0), batch)
-        assert counts.dtype == np.int64 and counts.shape == (batch, m + 1)
-        assert np.all(counts >= 0)
-        assert np.all(counts.sum(axis=1) == n)
-        assert np.all(counts @ np.arange(m + 1) == m)
+        energies = _energies_batch(SystemParams(n, m), chunk_rng(seed, 0), batch)
+        assert energies.dtype == np.int64 and energies.shape == (batch, n)
+        assert np.all(energies >= 0)
+        assert np.all(energies.sum(axis=1) == m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        m=st.integers(0, 60),
+        batch=st.integers(1, 40),
+        cutoff=st.integers(0, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_statistics_match_the_count_vectors(self, n, m, batch, cutoff, seed):
+        # the runs of sorted energies against each sample's M+1 counts, built one by one
+        energies = _energies_batch(SystemParams(n, m), chunk_rng(seed, 0), batch)
+        drawn = energies.copy()
+        counts = np.array([np.bincount(row, minlength=m + 1) for row in energies])
+        cutoff = min(cutoff, m)
+        sums, square_sums = np.zeros(m + 1, np.int64), np.zeros(m + 1, np.int64)
+        histograms = np.zeros((cutoff + 1, n + 1), np.int64)
+        _add_block(energies, sums, square_sums, histograms)
+        assert np.array_equal(energies, drawn)
+        assert np.array_equal(sums, counts.sum(axis=0))
+        assert np.array_equal(square_sums, (counts * counts).sum(axis=0))
+        for level in range(cutoff + 1):
+            assert np.array_equal(histograms[level], np.bincount(counts[:, level], minlength=n + 1))
 
     def test_uniform_over_microstates(self):
         # chi-squared against multiplicity/total for every macrostate of (3, 3)
@@ -120,7 +186,11 @@ class TestBatchSampling:
         remaining, index = samples, 0
         while remaining:
             batch = min(CHUNK_SIZE, remaining)
-            counts = _level_counts_batch(params, chunk_rng(99, index), batch)
+            energies = _energies_batch(params, chunk_rng(99, index), batch)
+            # one bincount per row, offset so that the rows share one call
+            width = params.level_count
+            flat = energies + width * np.arange(batch)[:, None]
+            counts = np.bincount(flat.ravel(), minlength=width * batch).reshape(batch, width)
             keys, freq = np.unique(counts, axis=0, return_counts=True)
             for key, count in zip(map(tuple, keys), freq):
                 observed[key] += int(count)
@@ -158,8 +228,8 @@ class TestEmpiricalStats:
             remaining -= batch
             index += 1
         for index, batch in reversed(chunks):
-            counts = _level_counts_batch(config.params, chunk_rng(config.seed, index), batch)
-            sums += counts.sum(axis=0)
+            energies = _energies_batch(config.params, chunk_rng(config.seed, index), batch)
+            sums += np.bincount(energies.ravel(), minlength=7)
         assert tuple(int(v) for v in sums) == reference.count_sums
 
     def test_rejects_square_sum_overflow(self, no_draws):
@@ -199,8 +269,8 @@ class TestEmpiricalStats:
             assert empirical_stats(config) == reference
 
     def test_peak_memory_is_bounded_by_a_block(self):
-        # One 16384-row chunk of the wide system: 438 MiB traced if the whole
-        # chunk is held at once, 28 MiB in 1024-row blocks.
+        # One 16384-row chunk of the wide system: 19 MiB traced in 1024-row
+        # blocks, where its keys and indices alone would take 275 MiB at once.
         config = SamplerConfig(SystemParams(100, 1000), CHUNK_SIZE, 101)
         tracemalloc.start()
         try:
@@ -211,7 +281,7 @@ class TestEmpiricalStats:
         assert peak <= 64 * 2**20
 
     def test_wide_blocks_keep_to_the_byte_budget(self, monkeypatch):
-        # 2019 slots: 1024-row blocks trace about 47 MiB, and a 1 MiB budget
+        # 2019 slots: 1024-row blocks trace about 32 MiB, and a 1 MiB budget
         # gives 21-row blocks that draw the same stream.
         config = SamplerConfig(SystemParams(20, 2000), 2000, 17)
         reference = empirical_stats(config)

@@ -67,6 +67,24 @@ class TestOccupationVector:
         state = OccupationVector(tuple(np.array([1, 2, 0], dtype=np.int64)))
         assert state.counts == (1, 2, 0)
         assert all(type(c) is int for c in state.counts)
+        mixed = OccupationVector((1, np.int64(2), 0))
+        assert mixed == state and all(type(c) is int for c in mixed.counts)
+
+    @pytest.mark.parametrize(
+        "counts, error, message",
+        [
+            ((1, True), TypeError, "occupation number must be an integer, got True"),
+            ((0, 2.0, -1), TypeError, "occupation number must be an integer, got 2.0"),
+            ((1, -1), ValueError, "occupation number must be >= 0, got -1"),
+            ((np.int64(-2), 1), ValueError, "occupation number must be >= 0, got -2"),
+            ((2, np.int64(1), -3), ValueError, "occupation number must be >= 0, got -3"),
+        ],
+    )
+    def test_error_messages(self, counts, error, message):
+        # the first bad count is named, whichever check finds it
+        with pytest.raises(error) as info:
+            OccupationVector(counts)
+        assert str(info.value) == message
 
     def test_conservation_check(self):
         params = SystemParams(2, 2)
