@@ -17,7 +17,8 @@ params = SystemParams(n_particles=50, energy_units=100)
 config = SamplerConfig(params=params, sample_count=200_000, seed=7)
 print(f"sampling {config.sample_count:,} microstates of N=50, M=100 (seed {config.seed})")
 
-rows = z_score_report(config, levels=range(8))
+stats = empirical_stats(config)
+rows = z_score_report(stats, levels=range(8))
 print("\nempirical vs exact means (z = gap in standard errors):")
 for row in rows:
     print(
@@ -26,7 +27,6 @@ for row in rows:
     )
 assert all(not row.flagged for row in rows)
 
-stats = empirical_stats(config)
 table = occupation_pdf_exact(params, 1)
 tv = 0.5 * sum(
     abs(stats.histograms[1][k] / config.sample_count - float(table.probabilities[k]))

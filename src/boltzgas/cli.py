@@ -5,19 +5,18 @@ Every ``cmd_*`` returns its output text and a failure message or None; only
 --out (temp file plus rename) or to stdout, and then sets the exit code, so
 the rows of a failed check are always written before it exits 2.
 
-argparse parses every flag: each list, the T grid and the figure id have a
-``type`` callable, so a malformed value, a repeated --levels entry included,
-fails as "error: argument --FLAG: ..." before any command runs, and each
-``cmd_*`` receives parsed values.
+argparse checks every flag: a check on one flag is that flag's ``type``, so a
+bad value fails as one line "error: argument --FLAG: ..." before any command
+runs. A ``cmd_*`` checks only flag combinations (row caps, --counts length,
+lattice arity, default T = M/N, N*T overflow) and an identity's --name.
 
 Conventions: CSV always carries a header row, exact rationals are serialized
 as "numerator/denominator" strings in full (past Python's 4300-digit default
 for int <-> str), floats use 12 significant digits, and output is UTF-8 with
-LF line endings. A ``moments`` table or a ``jointpdf`` lattice of more than
-MAX_OUTPUT_ROWS rows is refused before any row is computed. Exit codes: 0 all
-checks passed, 1 a usage or parameter-domain error (a ValueError, numeric
-overflow from a huge --n and an unwritable output path included), 2 an
-internal assertion or oracle comparison failed (an AssertionError).
+LF line endings. Exit codes: 0 all checks passed, 1 a usage or
+parameter-domain error (a ValueError, numeric overflow and an unwritable
+output path included), 2 an internal assertion or oracle comparison failed
+(an AssertionError).
 
 The exact commands run on integers and Fractions alone, and the covariance
 and fluctuation commands on Python floats. A call imports only what it runs:
@@ -38,6 +37,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .combinatorics import json_default, json_text
 from .distributions import (
@@ -104,24 +104,29 @@ _MAX_INT_CHARS = 4300
 
 
 def _shown(text: str) -> str:
-    """``text`` quoted for an error message, or only its length past _MAX_INT_CHARS."""
-    return repr(text) if len(text) <= _MAX_INT_CHARS else f"<{len(text)} characters>"
+    """``text`` quoted for an error message, or only its length past 64 characters."""
+    return repr(text) if len(text) <= 64 else f"<{len(text)} characters>"
 
 
-def _parse_int(text: str) -> int:
-    """int(text), the type of every integer flag and of each list element."""
+def _parse_int(text: str, lo=-math.inf, hi=math.inf) -> int:
+    """int(text) in lo..hi, both inclusive: the type of every integer flag and list element."""
     if len(text) <= _MAX_INT_CHARS:
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
+        else:
+            if lo <= value <= hi:
+                return value
+            bounds = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {_shown(text)}")
+    raise argparse.ArgumentTypeError(f"expected an integer, got {_shown(text)}")
 
 
-def _parse_int_list(raw: str) -> list:
-    """The integers of a comma-separated list, at least one, the type of every list flag."""
+def _parse_int_list(raw: str, lo=-math.inf, hi=math.inf) -> list:
+    """The integers in lo..hi of a comma-separated list, at least one: every list flag."""
     try:
-        values = [_parse_int(part) for part in raw.split(",") if part.strip() != ""]
+        values = [_parse_int(part, lo, hi) for part in raw.split(",") if part.strip() != ""]
         if not values:
             raise argparse.ArgumentTypeError(f"got {_shown(raw)}")
     except argparse.ArgumentTypeError as exc:
@@ -130,21 +135,26 @@ def _parse_int_list(raw: str) -> list:
 
 
 def _parse_levels(raw: str) -> list:
-    """The distinct integers of a comma-separated list, the type of every --levels flag."""
-    levels = _parse_int_list(raw)
+    """The distinct levels (integers >= 0) of a comma-separated list: every --levels flag."""
+    levels = _parse_int_list(raw, 0)
     if len(set(levels)) != len(levels):
         raise argparse.ArgumentTypeError(f"levels must be distinct, got {_shown(raw)}")
     return levels
 
 
 def _parse_figure(raw: str):
-    """'all' or one figure id, the type of --figure."""
-    if raw == "all":
-        return raw
+    """'all' or one figure id 1..7, the type of --figure."""
+    return raw if raw == "all" else _parse_int(raw, 1, 7)
+
+
+def _parse_temperature(raw: str) -> float:
+    """A positive finite float, the type of --t."""
     try:
-        return _parse_int(raw)
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"expected 1..7 or 'all', got {_shown(raw)}") from None
+        if 0 < float(raw) < math.inf:  # written so that NaN fails too
+            return float(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {_shown(raw)}")
 
 
 def _parse_t_grid(raw: str) -> list:
@@ -195,8 +205,6 @@ def cmd_microstates(args) -> tuple:
 
 def cmd_moments(args) -> tuple:
     params = SystemParams(args.n, args.m)
-    if args.order_max < 0:
-        raise ValueError(f"--order-max must be >= 0, got {args.order_max}")
     level_count = len(args.levels) if args.levels else params.level_count
     if level_count * (args.order_max + 1) > MAX_OUTPUT_ROWS:
         raise ValueError(f"the moments table would exceed {MAX_OUTPUT_ROWS} rows")
@@ -260,19 +268,7 @@ def cmd_jointpdf(args) -> tuple:
     return _render_table(header, rows, args.format), failure
 
 
-def _check_float_range(flag: str, value: int) -> None:
-    """Refuse an integer flag of a float command that no float can hold."""
-    if value > sys.float_info.max:
-        raise ValueError(f"{flag} has {len(str(value))} digits, past the float range")
-
-
 def cmd_covariance(args) -> tuple:
-    if args.n < 1:
-        raise ValueError("need at least one particle")
-    if args.m < 0:
-        raise ValueError(f"--m must be >= 0, got {args.m}")
-    _check_float_range("--n", args.n)
-    _check_float_range("--m", args.m)
     from .fluctuations import covariance_matrix, mean_vector
 
     if args.t is None and args.m < 1:
@@ -295,9 +291,6 @@ def cmd_covariance(args) -> tuple:
 
 
 def cmd_fluctuation(args) -> tuple:
-    if any(n < 1 for n in args.n):
-        raise ValueError("--n needs a comma-separated list of positive sizes")
-    _check_float_range("--n", max(args.n))
     if max(args.n) * max(args.t_grid) == math.inf:  # M = N*T must stay a finite float
         raise ValueError(f"--n {max(args.n)} times --t-grid point {max(args.t_grid)!r} overflows a float")
     from .fluctuations import total_fluctuation_ratio
@@ -386,21 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the system size, shared by the commands that build a SystemParams
     system = argparse.ArgumentParser(add_help=False)
-    system.add_argument("--n", type=_parse_int, required=True)
-    system.add_argument("--m", type=_parse_int, required=True)
+    system.add_argument("--n", type=partial(_parse_int, lo=1), required=True)
+    system.add_argument("--m", type=partial(_parse_int, lo=0), required=True)
 
     p = sub.add_parser("microstates", parents=[system], help="total number of microstates")
     p.set_defaults(func=cmd_microstates)
 
     p = sub.add_parser("moments", parents=[system], help="exact occupation-number moments")
     p.add_argument("--levels", type=_parse_levels, help="comma-separated levels (default: all)")
-    p.add_argument("--order-max", type=_parse_int, default=4, dest="order_max")
+    p.add_argument("--order-max", type=partial(_parse_int, lo=0), default=4, dest="order_max")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     add_output_flags(p)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("pdf", parents=[system], help="exact occupation-number law at one level")
-    p.add_argument("--level", type=_parse_int, required=True)
+    p.add_argument("--level", type=partial(_parse_int, lo=0), required=True)
     p.add_argument("--compare-limit", action="store_true", dest="compare_limit")
     p.add_argument("--check-oracle", action="store_true", dest="check_oracle")
     add_output_flags(p)
@@ -414,14 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jointpdf)
 
     p = sub.add_parser("covariance", help="limit-model mean vector and covariance")
-    p.add_argument("--n", type=_parse_int, required=True)
-    p.add_argument("--m", type=_parse_int, required=True, help="energy cutoff (matrix spans 0..M)")
-    p.add_argument("--t", type=float, help="temperature (default M/N)")
+    p.add_argument("--n", type=partial(_parse_int, lo=1, hi=sys.float_info.max), required=True)
+    p.add_argument(
+        "--m", type=partial(_parse_int, lo=0, hi=math.isqrt(MAX_OUTPUT_ROWS) - 1), required=True,
+        help="energy cutoff (matrix spans 0..M)",
+    )
+    p.add_argument("--t", type=_parse_temperature, help="temperature (default M/N)")
     add_output_flags(p)
     p.set_defaults(func=cmd_covariance)
 
     p = sub.add_parser("fluctuation", help="total fluctuation ratio over a T grid")
-    p.add_argument("--n", type=_parse_int_list, required=True, help="comma-separated particle counts")
+    p.add_argument(
+        "--n", type=partial(_parse_int_list, lo=1, hi=sys.float_info.max), required=True,
+        help="comma-separated particle counts",
+    )
     p.add_argument(
         "--t-grid", type=_parse_t_grid, default="log:0.01:10000:181", dest="t_grid",
         help="log:START:STOP:COUNT or lin:START:STOP:COUNT",
@@ -430,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fluctuation)
 
     p = sub.add_parser("mc", parents=[system], help="Monte Carlo validation against exact moments")
-    p.add_argument("--samples", type=_parse_int, default=100_000)
-    p.add_argument("--seed", type=_parse_int, default=42)
+    p.add_argument("--samples", type=partial(_parse_int, lo=1), default=100_000)
+    p.add_argument("--seed", type=partial(_parse_int, lo=0, hi=2**64 - 1), default=42)
     p.add_argument("--levels", type=_parse_levels, help="comma-separated levels (default: 0..min(M,10))")
     add_output_flags(p)
     p.set_defaults(func=cmd_mc)

@@ -4,8 +4,9 @@ The exact univariate and joint laws are alternating sums of products of
 binomial coefficients, evaluated in integer arithmetic and normalized once at
 the end, so cancellation is never an issue. A 1-D law is integer numerators
 over C(M+N-1, N-1), read through one entry point, ``occupation_pdf_window``;
-the joint law inverts a table of binomial moments, refused past
-MAX_OUTPUT_ROWS entries before it is built. The limit laws (binomial, normal,
+the joint law inverts a table of binomial moments. Either table is refused
+before it is built past MAX_OUTPUT_ROWS entries or an estimated
+MAX_TABLE_BYTES of integers. The limit laws (binomial, normal,
 energy-conditioned normal, multinomial) depend on the specific energy T alone
 and are evaluated in log space to stay finite at large N.
 """
@@ -27,6 +28,7 @@ from .moments import (
 from .system import (
     _LIMIT_SUM_TOLERANCE,
     MAX_OUTPUT_ROWS,
+    MAX_TABLE_BYTES,
     DistributionTable,
     SystemParams,
     _Value,
@@ -38,6 +40,23 @@ from .system import (
 
 class LimitValidityWarning(UserWarning):
     """A limit law was requested outside its stated range of validity."""
+
+
+def _check_table_size(law: str, n: int, m: int, arity: int, entries: int) -> None:
+    """Refuse, before it is built, a table past MAX_OUTPUT_ROWS entries or MAX_TABLE_BYTES.
+
+    An entry of the N+1 weights of one level or of the joint table over
+    ``arity`` levels is a multinomial coefficient, below (arity + 1)^N, times
+    a binomial of at most C(M+N-1, k) < (e (M+N) / k)^k, k = min(N-1, M). Its
+    bits are estimated from that bound with ``math.log2``, so no binomial is
+    computed. ``law`` names the table in the ValueError.
+    """
+    if entries > MAX_OUTPUT_ROWS:
+        raise ValueError(f"{law}: over {MAX_OUTPUT_ROWS} entries")
+    k = min(n - 1, m)
+    bits = n * math.log2(arity + 1) + k * (math.log2(m + n) - math.log2(max(k, 1)) + math.log2(math.e))
+    if entries * bits > 8 * MAX_TABLE_BYTES:
+        raise ValueError(f"{law}: about {entries * bits / 8:.3g} bytes of integers, over {MAX_TABLE_BYTES}")
 
 
 def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
@@ -66,12 +85,15 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int) ->
     Fraction(v, denominator) is the exact value and v / denominator its
     correctly rounded float. The window is clamped to 0..N, an empty one
     returns empty lists without a shift, and its mass need not sum to 1. It
-    costs the shift of ``_pdf_numerators`` to ``hi``, (hi + 1) N subtractions.
+    costs the shift of ``_pdf_numerators`` to ``hi``, (hi + 1) N subtractions,
+    over the N+1 weights of the level, which are refused past the bounds of
+    ``_check_table_size`` before the first is built.
     """
     level = params.check_level(level)
     n, m = params.n_particles, params.energy_units
     lo = max(0, integral_value("lo", lo))
     hi = min(n, integral_value("hi", hi))
+    _check_table_size(f"law of N={n}, M={m}, level {level}", n, m, 1, n + 1)
     total = microstate_count(params)
     if hi < lo:
         return [], [], total
@@ -238,10 +260,11 @@ def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     N!/(prod_s r_s! (N - |r|)!) W(M - r.j, N - |r|), so B[r] / C(M+N-1, N-1) is
     the joint binomial moment E[prod_s C(n_(j_s), r_s)]. It is the one-level
     weight row nested once per extra level; r runs in lexicographic order.
-    Raises ValueError, before any entry is built, past MAX_OUTPUT_ROWS entries.
+    Raises ValueError, before any entry is built, past the bounds of
+    ``_check_table_size``.
     """
-    if _term_count(n, m, levels, MAX_OUTPUT_ROWS) > MAX_OUTPUT_ROWS:
-        raise ValueError(f"joint law of N={n}, M={m}, levels {list(levels)}: over {MAX_OUTPUT_ROWS} entries")
+    entries = _term_count(n, m, levels, MAX_OUTPUT_ROWS)
+    _check_table_size(f"joint law of N={n}, M={m}, levels {list(levels)}", n, m, len(levels), entries)
     return tuple(_nested_terms(n, m, levels))
 
 

@@ -22,6 +22,10 @@ _LIMIT_SUM_TOLERANCE = 1e-12
 # covariance matrix, may have. Larger requests fail before anything is built.
 MAX_OUTPUT_ROWS = 1_000_000
 
+# The most bytes of integers an exact law's table may hold, estimated from its
+# entry count and a bound on its entries' bits before any entry is built.
+MAX_TABLE_BYTES = 1 << 28
+
 
 def store_integral_fields(instance, **minimums) -> None:
     """Store each ``field=minimum`` of a value type as a checked int (see ``integral_value``)."""

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boltzgas import distributions, enumeration, system
-from boltzgas.combinatorics import binomial, multinomial_weight, weak_compositions
+from boltzgas.combinatorics import binomial, multinomial_weight, power_of_sum_row, weak_compositions
 from boltzgas.distributions import (
     DistributionTable,
     LimitValidityWarning,
@@ -643,6 +643,52 @@ class TestJointTermTable:
 
     def test_cache_holds_four_tables(self):
         assert distributions._joint_term_table.cache_parameters()["maxsize"] == 4
+
+
+class TestTableSizeBound:
+    """An exact law refuses a table past MAX_OUTPUT_ROWS entries or MAX_TABLE_BYTES of integers."""
+
+    def test_refuses_before_any_binomial(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a binomial or an entry was computed")
+
+        for name in ("power_of_sum_row", "microstate_count", "_binomial"):
+            monkeypatch.setattr(distributions, name, no_build)
+        calls = [
+            (lambda: occupation_pdf_exact(SystemParams(10**6, 5), 0), "over 1000000 entries"),
+            # about 10**5 entries of 1.5e6 bits
+            (lambda: occupation_pdf_window(SystemParams(10**5, 10**9), 1, 0, 10), "bytes of integers"),
+            (lambda: joint_pdf_exact(SystemParams(10**6, 10**6), (0,), (1,)), "bytes of integers"),
+        ]
+        start = time.perf_counter()
+        for call, match in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "n, m, levels",
+        [(1, 0, (0,)), (8, 10, (1,)), (40, 7, (0,)), (30, 600, (2,)), (12, 16, (0, 1, 2)), (20, 30, (0, 2))],
+    )
+    def test_a_budget_one_byte_short_refuses_the_table(self, monkeypatch, n, m, levels):
+        # so the estimate is at least the bits the table holds
+        params = SystemParams(n, m)
+        distributions._joint_term_table.cache_clear()
+        bits = sum(weight.bit_length() for _, weight in distributions._joint_term_table(n, m, levels))
+        distributions._joint_term_table.cache_clear()
+        monkeypatch.setattr(distributions, "MAX_TABLE_BYTES", (bits - 1) // 8)
+        with pytest.raises(ValueError, match=r"joint law .* bytes of integers"):
+            joint_pdf_exact(params, levels, (0,) * len(levels))
+        if len(levels) == 1:
+            bits = sum(weight.bit_length() for weight in power_of_sum_row(m, levels[0], n))
+            monkeypatch.setattr(distributions, "MAX_TABLE_BYTES", (bits - 1) // 8)
+            with pytest.raises(ValueError, match=r"law .* bytes of integers"):
+                occupation_pdf_window(params, levels[0], 0, n)
+
+    @pytest.mark.parametrize("n, m", [(1024, 10240), (5000, 50000)])
+    def test_answers_the_sizes_the_cli_is_run_at(self, n, m):
+        counts, numerators, total = occupation_pdf_window(SystemParams(n, m), 1, 0, 0)
+        assert counts == [0] and 0 < numerators[0] < total
 
 
 class TestJointPdfExact:
