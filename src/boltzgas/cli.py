@@ -8,7 +8,8 @@ the rows of a failed check are always written before it exits 2.
 argparse checks every flag: a check on one flag is that flag's ``type``, so a
 bad value fails as one line "error: argument --FLAG: ..." before any command
 runs. A ``cmd_*`` checks only flag combinations (row caps, --counts length,
-lattice arity, default T = M/N, N*T overflow) and an identity's --name.
+lattice arity, default T = M/N, N*T overflow). ``identities --name`` takes a
+family of the battery, checked in its type, and runs only that family.
 
 Conventions: CSV always carries a header row, exact rationals are serialized
 as "numerator/denominator" strings in full (past Python's 4300-digit default
@@ -103,9 +104,9 @@ def _render_table(header, rows, fmt="csv") -> str:
 _MAX_INT_CHARS = 4300
 
 
-def _shown(text: str) -> str:
+def _shown(text: str, quote=repr) -> str:
     """``text`` quoted for an error message, or only its length past 64 characters."""
-    return repr(text) if len(text) <= 64 else f"<{len(text)} characters>"
+    return quote(text) if len(text) <= 64 else f"<{len(text)} characters>"
 
 
 def _parse_int(text: str, lo=-math.inf, hi=math.inf) -> int:
@@ -155,6 +156,15 @@ def _parse_temperature(raw: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive finite number, got {_shown(raw)}")
+
+
+def _parse_identity_name(raw: str) -> str:
+    """A key of the battery's family table, the type of --name; loads the battery only here."""
+    from .identities import IDENTITY_FAMILIES
+
+    if raw not in IDENTITY_FAMILIES:
+        raise argparse.ArgumentTypeError(f"expected one of {', '.join(IDENTITY_FAMILIES)}, got {_shown(raw)}")
+    return raw
 
 
 def _parse_t_grid(raw: str) -> list:
@@ -291,8 +301,9 @@ def cmd_covariance(args) -> tuple:
 
 
 def cmd_fluctuation(args) -> tuple:
-    if max(args.n) * max(args.t_grid) == math.inf:  # M = N*T must stay a finite float
-        raise ValueError(f"--n {max(args.n)} times --t-grid point {max(args.t_grid)!r} overflows a float")
+    n, t = max(args.n), max(args.t_grid)
+    if n * t == math.inf:  # M = N*T must stay a finite float
+        raise ValueError(f"--n {_shown(str(n), str)} times --t-grid point {t!r} overflows a float")
     from .fluctuations import total_fluctuation_ratio
 
     header = ["temperature"] + [f"n_{n}" for n in args.n]
@@ -323,13 +334,9 @@ def cmd_mc(args) -> tuple:
 
 
 def cmd_identities(args) -> tuple:
-    from .identities import reports_to_json, run_standard_battery
+    from .identities import IDENTITY_FAMILIES, reports_to_json, run_standard_battery
 
-    reports = run_standard_battery()
-    if args.name:
-        reports = [r for r in reports if r.name == args.name]
-        if not reports:
-            raise ValueError(f"no identity named {args.name!r}")
+    reports = list(IDENTITY_FAMILIES[args.name]()) if args.name else run_standard_battery()
     failed = any(r.verdict == "mismatch" for r in reports)
     return reports_to_json(reports) + "\n", "an asserted identity failed" if failed else None
 
@@ -436,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("identities", help="run the identity-check battery (JSON)")
-    p.add_argument("--name", help="restrict to one identity name")
+    p.add_argument("--name", type=_parse_identity_name, help="run only this identity family")
     p.add_argument("--out", help="output path (atomic write); default stdout")
     p.set_defaults(func=cmd_identities)
 

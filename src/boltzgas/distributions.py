@@ -6,7 +6,8 @@ the end, so cancellation is never an issue. A 1-D law is integer numerators
 over C(M+N-1, N-1), read through one entry point, ``occupation_pdf_window``;
 the joint law inverts a table of binomial moments. Either table is refused
 before it is built past MAX_OUTPUT_ROWS entries or an estimated
-MAX_TABLE_BYTES of integers. The limit laws (binomial, normal,
+MAX_TABLE_BYTES of integers, and a 1-D law's shift past an estimated
+MAX_SHIFT_WORDS word operations. The limit laws (binomial, normal,
 energy-conditioned normal, multinomial) depend on the specific energy T alone
 and are evaluated in log space to stay finite at large N.
 """
@@ -28,6 +29,7 @@ from .moments import (
 from .system import (
     _LIMIT_SUM_TOLERANCE,
     MAX_OUTPUT_ROWS,
+    MAX_SHIFT_WORDS,
     MAX_TABLE_BYTES,
     DistributionTable,
     SystemParams,
@@ -42,14 +44,14 @@ class LimitValidityWarning(UserWarning):
     """A limit law was requested outside its stated range of validity."""
 
 
-def _check_table_size(law: str, n: int, m: int, arity: int, entries: int) -> None:
+def _check_table_size(law: str, n: int, m: int, arity: int, entries: int) -> float:
     """Refuse, before it is built, a table past MAX_OUTPUT_ROWS entries or MAX_TABLE_BYTES.
 
     An entry of the N+1 weights of one level or of the joint table over
     ``arity`` levels is a multinomial coefficient, below (arity + 1)^N, times
     a binomial of at most C(M+N-1, k) < (e (M+N) / k)^k, k = min(N-1, M). Its
     bits are estimated from that bound with ``math.log2``, so no binomial is
-    computed. ``law`` names the table in the ValueError.
+    computed. ``law`` names the table in the ValueError. Returns the bits of an entry.
     """
     if entries > MAX_OUTPUT_ROWS:
         raise ValueError(f"{law}: over {MAX_OUTPUT_ROWS} entries")
@@ -57,6 +59,7 @@ def _check_table_size(law: str, n: int, m: int, arity: int, entries: int) -> Non
     bits = n * math.log2(arity + 1) + k * (math.log2(m + n) - math.log2(max(k, 1)) + math.log2(math.e))
     if entries * bits > 8 * MAX_TABLE_BYTES:
         raise ValueError(f"{law}: about {entries * bits / 8:.3g} bytes of integers, over {MAX_TABLE_BYTES}")
+    return bits
 
 
 def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
@@ -87,13 +90,19 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int) ->
     returns empty lists without a shift, and its mass need not sum to 1. It
     costs the shift of ``_pdf_numerators`` to ``hi``, (hi + 1) N subtractions,
     over the N+1 weights of the level, which are refused past the bounds of
-    ``_check_table_size`` before the first is built.
+    ``_check_table_size`` before the first is built. So is a shift past
+    MAX_SHIFT_WORDS, estimated as (hi + 1)(N + 1) subtractions of integers of
+    the bits ``_check_table_size`` estimates for an entry.
     """
     level = params.check_level(level)
     n, m = params.n_particles, params.energy_units
     lo = max(0, integral_value("lo", lo))
     hi = min(n, integral_value("hi", hi))
-    _check_table_size(f"law of N={n}, M={m}, level {level}", n, m, 1, n + 1)
+    law = f"law of N={n}, M={m}, level {level}"
+    bits = _check_table_size(law, n, m, 1, n + 1)
+    words = (hi + 1) * (n + 1) * bits / 64 if lo <= hi else 0
+    if words > MAX_SHIFT_WORDS:
+        raise ValueError(f"{law}: a shift of about {words:.3g} word operations, over {MAX_SHIFT_WORDS}")
     total = microstate_count(params)
     if hi < lo:
         return [], [], total
@@ -307,10 +316,13 @@ def multinomial_trial_probabilities(temperature, arity: int) -> list:
 
 
 def joint_pdf_multinomial_limit(n_particles: int, temperature, counts) -> float:
-    """Large-system joint law on the lowest len(counts) levels (multinomial).
+    """Independent-particle joint law on the lowest len(counts) levels (multinomial).
 
-    counts[l] is the occupation of level l; the remaining N - sum(counts)
-    particles fall in the overflow class. Evaluated in log space.
+    This is the paper's large-system joint law. Like
+    ``occupation_pdf_binomial_limit``, it treats the particles as independent,
+    so it ignores that the total energy is fixed, and it is not the limit of
+    the exact joint law. counts[l] is the occupation of level l; the remaining
+    N - sum(counts) particles fall in the overflow class. Evaluated in log space.
     """
     n_particles = check_particle_count(n_particles)
     counts = [integral_value("count", c, 0) for c in counts]
@@ -333,11 +345,14 @@ def macrostate_probability_exact(params: SystemParams, state) -> Fraction:
 
 
 def macrostate_probability_largeN(n_particles: int, temperature, state) -> float:
-    """Large-system macrostate weight N!/prod(n_l!) * T^M / (T+1)^(N+M).
+    """Independent-particle macrostate weight N!/prod(n_l!) * T^M / (T+1)^(N+M).
 
-    Carries a non-unity prefactor relative to the exact probability; the
-    exact-to-limit ratio approaches 1/sqrt(2 pi N T (T+1)) as the system
-    grows. Requires the state to hold exactly N particles and M = T*N quanta.
+    The multinomial law of ``joint_pdf_multinomial_limit`` over every level
+    of the state: it treats the particles as independent and ignores that
+    the total energy is fixed. Carries a non-unity prefactor relative to the
+    exact probability; the exact-to-limit ratio approaches
+    1/sqrt(2 pi N T (T+1)) as the system grows. Requires the state to hold
+    exactly N particles and M = T*N quanta.
     """
     n_particles = check_particle_count(n_particles)
     check_temperature(temperature)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -82,7 +83,8 @@ def figure_mean_vs_std() -> FigureData:
     return FigureData(2, "level-1 mean density vs its fluctuation", tuple(panels), manifest)
 
 
-def _exact_vs_limit_panels(n_particles: int):
+def figure_exact_vs_limit(figure_id: int, n_particles: int) -> FigureData:
+    """Exact vs limit occupation laws at N = ``n_particles`` (figure 3 at N=50, figure 4 at N=100)."""
     temperatures = (1, 2, 3, 4)
     levels = (0, 1, 2, 3)
     panels = []
@@ -115,19 +117,7 @@ def _exact_vs_limit_panels(n_particles: int):
         "levels": list(levels),
         "note": "limit columns for level >= T fall outside the limit's stated validity",
     }
-    return panels, manifest
-
-
-def figure_exact_vs_limit_small() -> FigureData:
-    """Exact vs limit occupation laws at N=50 (figure 3)."""
-    panels, manifest = _exact_vs_limit_panels(50)
-    return FigureData(3, "exact vs limit occupation laws, N=50", tuple(panels), manifest)
-
-
-def figure_exact_vs_limit_large() -> FigureData:
-    """Exact vs limit occupation laws at N=100 (figure 4)."""
-    panels, manifest = _exact_vs_limit_panels(100)
-    return FigureData(4, "exact vs limit occupation laws, N=100", tuple(panels), manifest)
+    return FigureData(figure_id, f"exact vs limit occupation laws, N={n_particles}", tuple(panels), manifest)
 
 
 def figure_high_temperature_spread() -> FigureData:
@@ -203,8 +193,8 @@ def figure_total_fluctuation() -> FigureData:
 _BUILDERS = {
     1: figure_relative_std,
     2: figure_mean_vs_std,
-    3: figure_exact_vs_limit_small,
-    4: figure_exact_vs_limit_large,
+    3: partial(figure_exact_vs_limit, 3, 50),
+    4: partial(figure_exact_vs_limit, 4, 100),
     5: figure_high_temperature_spread,
     6: figure_correlations,
     7: figure_total_fluctuation,

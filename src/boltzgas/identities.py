@@ -235,7 +235,10 @@ def check_joint_normalization(n: int, m: int, levels) -> IdentityReport:
 
 
 # --------------------------------------------------------------------------
-# standard battery (what the command-line `identities` run executes)
+# standard battery (what the command-line `identities` run executes): one
+# table of families, keyed by the name their reports carry, in battery order.
+# Each entry yields its family's reports on the standard grid and looks the
+# checks up by their module names when it runs.
 
 SIMPLEX_RATIOS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7))
 
@@ -249,23 +252,21 @@ JOINT_NORMALIZATION_POINTS = (
     (6, 8, (3,)),
 )
 
+IDENTITY_FAMILIES = {
+    "power-of-sum": lambda: (
+        check_power_of_sum(n, m, level) for n in range(1, 7) for m in range(9) for level in range(m + 1)
+    ),
+    "differential": lambda: (check_differential_identity(q, k) for q in range(1, 7) for k in range(1, 7)),
+    "simplex-sum-ii": lambda: (
+        check_simplex_sum_ii(p, SIMPLEX_RATIOS[:p], n_top) for p in range(1, 5) for n_top in (3, 5, 8)
+    ),
+    "sum-of-powers": lambda: (
+        measure_sum_of_powers_residual(n, t) for n in range(1, 5) for t in (10, 30, 50)
+    ),
+    "joint-normalization": lambda: (check_joint_normalization(*point) for point in JOINT_NORMALIZATION_POINTS),
+}
+
 
 def run_standard_battery() -> list:
-    """Every identity check at its standard grid, as a flat report list."""
-    reports = []
-    for n in range(1, 7):
-        for m in range(9):
-            for level in range(m + 1):
-                reports.append(check_power_of_sum(n, m, level))
-    for q in range(1, 7):
-        for order in range(1, 7):
-            reports.append(check_differential_identity(q, order))
-    for arity in range(1, 5):
-        for n_top in (3, 5, 8):
-            reports.append(check_simplex_sum_ii(arity, SIMPLEX_RATIOS[:arity], n_top))
-    for n in range(1, 5):
-        for t in (10, 30, 50):
-            reports.append(measure_sum_of_powers_residual(n, t))
-    for n, m, levels in JOINT_NORMALIZATION_POINTS:
-        reports.append(check_joint_normalization(n, m, levels))
-    return reports
+    """Every identity check at its standard grid, as a flat report list: the families in table order."""
+    return [report for family in IDENTITY_FAMILIES.values() for report in family()]

@@ -26,6 +26,12 @@ MAX_OUTPUT_ROWS = 1_000_000
 # entry count and a bound on its entries' bits before any entry is built.
 MAX_TABLE_BYTES = 1 << 28
 
+# The most 64-bit word operations the Taylor shift of a 1-D exact law may take,
+# estimated as (top + 1)(N + 1) subtractions of integers of the table's
+# estimated bits before any entry is built. 2^30 words took about 1.7 s on a
+# shared 2-core Xeon with Python 3.11 ((N, M) = (4000, 8), level 0).
+MAX_SHIFT_WORDS = 1 << 30
+
 
 def store_integral_fields(instance, **minimums) -> None:
     """Store each ``field=minimum`` of a value type as a checked int (see ``integral_value``)."""

@@ -290,6 +290,12 @@ class TestFluctuation:
         assert code == 1 and out == ""
         assert err == "error: --n 2 times --t-grid point 1e+308 overflows a float\n"
 
+    def test_a_huge_n_is_named_by_its_length(self, capsys):
+        code, out, err = run(capsys, "fluctuation", "--n", str(10**308), "--t-grid", "log:1:10:3")
+        assert code == 1 and out == ""
+        assert err == "error: --n <309 characters> times --t-grid point 10.0 overflows a float\n"
+        assert err.count("\n") == 1 and len(err) < 200
+
     @pytest.mark.parametrize("kind", ["lin", "log"])
     def test_grid_matches_numpy(self, kind):
         # NumPy is the reference: the lin rule is linspace's to the last bit,
@@ -337,6 +343,36 @@ class TestIdentities:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "identities", "--name", "nope")
         assert code == 1 and "nope" in err
+
+
+class TestIdentityFamilies:
+    @pytest.fixture(scope="class")
+    def battery(self):
+        return json.loads(identities.reports_to_json(identities.run_standard_battery()))
+
+    @pytest.mark.parametrize("name", list(identities.IDENTITY_FAMILIES))
+    def test_a_name_prints_its_reports_of_the_battery(self, capsys, battery, name):
+        code, out, err = run(capsys, "identities", "--name", name)
+        assert code == 0 and err == ""
+        assert json.loads(out) == [r for r in battery if r["name"] == name]
+
+    def test_an_unknown_name_fails_before_any_check(self, capsys, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("an identity check ran")
+
+        for check in (
+            "check_power_of_sum",
+            "check_differential_identity",
+            "check_simplex_sum_ii",
+            "measure_sum_of_powers_residual",
+            "check_joint_normalization",
+            "run_standard_battery",
+        ):
+            monkeypatch.setattr(identities, check, no_check)
+        code, out, err = run(capsys, "identities", "--name", "nope")
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument --name: ") and err.count("\n") == 1
+        assert "'nope'" in err and "sum-of-powers" in err
 
 
 class TestFailedCheck:

@@ -659,6 +659,9 @@ class TestTableSizeBound:
             # about 10**5 entries of 1.5e6 bits
             (lambda: occupation_pdf_window(SystemParams(10**5, 10**9), 1, 0, 10), "bytes of integers"),
             (lambda: joint_pdf_exact(SystemParams(10**6, 10**6), (0,), (1,)), "bytes of integers"),
+            # within MAX_TABLE_BYTES, but shifts past MAX_SHIFT_WORDS: about 1.5e12 and 1.2e10 words
+            (lambda: occupation_pdf_exact(SystemParams(46000, 8), 0), "N=46000, M=8, level 0: .* word"),
+            (lambda: occupation_pdf_exact(SystemParams(5000, 50000), 1), "word operations"),
         ]
         start = time.perf_counter()
         for call, match in calls:
@@ -689,6 +692,27 @@ class TestTableSizeBound:
     def test_answers_the_sizes_the_cli_is_run_at(self, n, m):
         counts, numerators, total = occupation_pdf_window(SystemParams(n, m), 1, 0, 0)
         assert counts == [0] and 0 < numerators[0] < total
+
+
+class TestShiftWorkBound:
+    """A 1-D law refuses a shift past MAX_SHIFT_WORDS estimated word operations."""
+
+    @pytest.mark.parametrize("n, m, level", [(8, 10, 1), (12, 16, 0), (40, 7, 0), (30, 600, 2)])
+    def test_a_budget_one_word_short_refuses_the_law(self, monkeypatch, n, m, level):
+        params = SystemParams(n, m)
+        bits = distributions._check_table_size("law", n, m, 1, n + 1)
+        words = math.ceil((n + 1) * (n + 1) * bits / 64)
+        monkeypatch.setattr(distributions, "MAX_SHIFT_WORDS", words - 1)
+        with pytest.raises(ValueError, match=r"law .* word operations"):
+            occupation_pdf_exact(params, level)
+        # a window to a lower count shifts less
+        assert occupation_pdf_window(params, level, 0, n - 1)[0] == list(range(n))
+        monkeypatch.setattr(distributions, "MAX_SHIFT_WORDS", words)
+        assert occupation_pdf_exact(params, level) == oracle_pdf(params, level)
+
+    def test_answers_the_full_law_the_cli_is_run_at(self):
+        table = occupation_pdf_exact(SystemParams(1024, 10240), 1)
+        assert len(table.probabilities) == 1025
 
 
 class TestJointPdfExact:

@@ -50,6 +50,13 @@ class TestFigureData:
         assert exact_mass == pytest.approx(1.0, abs=1e-9)
         assert limit_mass == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("figure_id, n", [(3, 50), (4, 100)])
+    def test_exact_vs_limit_figures_name_their_size(self, figure_id, n):
+        data = figure_data(figure_id)
+        assert data.figure_id == figure_id and data.manifest["n_particles"] == n
+        assert data.title == f"exact vs limit occupation laws, N={n}"
+        assert len(data.panels[0].rows) == n + 1
+
     def test_correlation_panels(self):
         data = figure_data(6)
         assert [p.name for p in data.panels] == ["j1", "j2", "j3", "j4"]

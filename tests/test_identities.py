@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import boltzgas.identities as identities
 from boltzgas.identities import (
+    IDENTITY_FAMILIES,
     SIMPLEX_RATIOS,
     check_differential_identity,
     check_joint_normalization,
@@ -187,3 +188,28 @@ class TestReports:
             "sum-of-powers",
             "joint-normalization",
         }
+
+
+class TestFamilyTable:
+    def test_keys_in_battery_order(self):
+        assert list(IDENTITY_FAMILIES) == [
+            "power-of-sum",
+            "differential",
+            "simplex-sum-ii",
+            "sum-of-powers",
+            "joint-normalization",
+        ]
+
+    @pytest.mark.parametrize("name", list(IDENTITY_FAMILIES))
+    def test_each_family_reports_under_its_key(self, name):
+        reports = list(IDENTITY_FAMILIES[name]())
+        assert reports and all(r.name == name for r in reports)
+
+    def test_battery_joins_the_families_in_table_order(self):
+        joined = [r for family in IDENTITY_FAMILIES.values() for r in family()]
+        assert run_standard_battery() == joined
+        assert len(joined) == 337
+
+    def test_families_call_the_checks_by_module_name(self, monkeypatch):
+        monkeypatch.setattr(identities, "measure_sum_of_powers_residual", lambda n, t: (n, t))
+        assert list(IDENTITY_FAMILIES["sum-of-powers"]())[:4] == [(1, 10), (1, 30), (1, 50), (2, 10)]
