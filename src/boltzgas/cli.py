@@ -7,9 +7,9 @@ the rows of a failed check are always written before it exits 2.
 
 argparse checks every flag: a check on one flag is that flag's ``type``, so a
 bad value fails as one line "error: argument --FLAG: ..." before any command
-runs. A ``cmd_*`` checks only flag combinations (row caps, --counts length,
-lattice arity, default T = M/N, N*T overflow). ``identities --name`` takes a
-family of the battery, checked in its type, and runs only that family.
+runs. A ``cmd_*`` checks only flag combinations (row and cell caps, --counts
+length, lattice arity, default T = M/N, N*T overflow). ``identities --name``
+takes a family of the battery, checked in its type, and runs only that family.
 
 Conventions: CSV always carries a header row, exact rationals are serialized
 as "numerator/denominator" strings in full (past Python's 4300-digit default
@@ -301,6 +301,8 @@ def cmd_covariance(args) -> tuple:
 
 
 def cmd_fluctuation(args) -> tuple:
+    if len(args.t_grid) * len(args.n) > MAX_OUTPUT_ROWS:
+        raise ValueError(f"the fluctuation grid would exceed {MAX_OUTPUT_ROWS} cells (--t-grid points x --n)")
     n, t = max(args.n), max(args.t_grid)
     if n * t == math.inf:  # M = N*T must stay a finite float
         raise ValueError(f"--n {_shown(str(n), str)} times --t-grid point {t!r} overflows a float")

@@ -4,10 +4,11 @@ The exact univariate and joint laws are alternating sums of products of
 binomial coefficients, evaluated in integer arithmetic and normalized once at
 the end, so cancellation is never an issue. A 1-D law is integer numerators
 over C(M+N-1, N-1), read through one entry point, ``occupation_pdf_window``;
-the joint law inverts a table of binomial moments. Either table is refused
-before it is built past MAX_OUTPUT_ROWS entries or an estimated
-MAX_TABLE_BYTES of integers, and a 1-D law's shift past an estimated
-MAX_SHIFT_WORDS word operations. The limit laws (binomial, normal,
+the joint law inverts a table of binomial moments, one entry per count vector
+of ``system.fitting_vectors``. Either table is refused before it is built past
+MAX_OUTPUT_ROWS entries or an estimated MAX_TABLE_BYTES of integers, by the
+size check in ``system`` that the oracle shares, and a 1-D law's shift past an
+estimated MAX_SHIFT_WORDS word operations. The limit laws (binomial, normal,
 energy-conditioned normal, multinomial) depend on the specific energy T alone
 and are evaluated in log space to stay finite at large N.
 """
@@ -28,13 +29,14 @@ from .moments import (
 )
 from .system import (
     _LIMIT_SUM_TOLERANCE,
-    MAX_OUTPUT_ROWS,
     MAX_SHIFT_WORDS,
-    MAX_TABLE_BYTES,
     DistributionTable,
     SystemParams,
+    _check_table_size,
     _Value,
     as_occupation,
+    fitting_vector_count,
+    fitting_vectors,
     microstate_count,
     normalize_selection,
 )
@@ -42,24 +44,6 @@ from .system import (
 
 class LimitValidityWarning(UserWarning):
     """A limit law was requested outside its stated range of validity."""
-
-
-def _check_table_size(law: str, n: int, m: int, arity: int, entries: int) -> float:
-    """Refuse, before it is built, a table past MAX_OUTPUT_ROWS entries or MAX_TABLE_BYTES.
-
-    An entry of the N+1 weights of one level or of the joint table over
-    ``arity`` levels is a multinomial coefficient, below (arity + 1)^N, times
-    a binomial of at most C(M+N-1, k) < (e (M+N) / k)^k, k = min(N-1, M). Its
-    bits are estimated from that bound with ``math.log2``, so no binomial is
-    computed. ``law`` names the table in the ValueError. Returns the bits of an entry.
-    """
-    if entries > MAX_OUTPUT_ROWS:
-        raise ValueError(f"{law}: over {MAX_OUTPUT_ROWS} entries")
-    k = min(n - 1, m)
-    bits = n * math.log2(arity + 1) + k * (math.log2(m + n) - math.log2(max(k, 1)) + math.log2(math.e))
-    if entries * bits > 8 * MAX_TABLE_BYTES:
-        raise ValueError(f"{law}: about {entries * bits / 8:.3g} bytes of integers, over {MAX_TABLE_BYTES}")
-    return bits
 
 
 def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
@@ -227,39 +211,6 @@ def occupation_pdf_normal_limit(n_particles: int, temperature, level: int) -> No
     return NormalApproximation(mean=n_particles * p, variance=n_particles * p * (1.0 - p))
 
 
-def _nested_terms(n: int, m: int, levels: tuple) -> list:
-    """(r, B[r]) pairs of ``_joint_term_table``, uncached so the cache holds only whole tables.
-
-    B[(r_1, *rest)] = C(N, r_1) B'[rest], where B' is the table of the remaining
-    levels at N - r_1 particles and M - r_1 j_1 quanta; the last level's B' is
-    its ``power_of_sum_row``. C(N, r_1) steps by exact integer updates.
-    """
-    j = levels[0]
-    if len(levels) == 1:
-        return [((q,), weight) for q, weight in enumerate(power_of_sum_row(m, j, n)) if weight]
-    terms = []
-    choose = 1
-    for r in range(min(n, m // j) + 1 if j else n + 1):
-        for tail, weight in _nested_terms(n - r, m - r * j, levels[1:]):
-            terms.append(((r, *tail), choose * weight))
-        choose = choose * (n - r) // (r + 1)
-    return terms
-
-
-def _term_count(n: int, m: int, levels: tuple, cap: int) -> int:
-    """Entries of ``_joint_term_table``, one step per prefix of r, counted until past ``cap``."""
-    j, rest = levels[0], levels[1:]
-    top = min(n, m // j) if j else n
-    if not rest:  # r_j = N, every particle left on level j, needs exactly the quanta left
-        return top + 1 - (top == n and n * j != m)
-    count = 0
-    for r in range(top + 1):
-        if count > cap:
-            break
-        count += _term_count(n - r, m - r * j, rest, cap - count)
-    return count
-
-
 @lru_cache(maxsize=4)  # callers read one table many times in a row; a table may hold a million entries
 def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     """Nonzero binomial moments B[r] of the occupations at ``levels``, as (r, B[r]) pairs.
@@ -268,13 +219,20 @@ def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     ((1 - z^(M+1))/(1 - z) + sum_s z^(j_s) u_s)^N, namely
     N!/(prod_s r_s! (N - |r|)!) W(M - r.j, N - |r|), so B[r] / C(M+N-1, N-1) is
     the joint binomial moment E[prod_s C(n_(j_s), r_s)]. It is the one-level
-    weight row nested once per extra level; r runs in lexicographic order.
-    Raises ValueError, before any entry is built, past the bounds of
-    ``_check_table_size``.
+    weight row of the last level, ``power_of_sum_row``, times the multinomial
+    weight of each fitting prefix on the levels before it; r runs in
+    lexicographic order. Raises ValueError, before any entry is built, past
+    the bounds of ``_check_table_size`` on the ``fitting_vector_count``.
     """
-    entries = _term_count(n, m, levels, MAX_OUTPUT_ROWS)
-    _check_table_size(f"joint law of N={n}, M={m}, levels {list(levels)}", n, m, len(levels), entries)
-    return tuple(_nested_terms(n, m, levels))
+    law = f"joint law of N={n}, M={m}, levels {list(levels)}"
+    _check_table_size(law, n, m, len(levels), fitting_vector_count(n, m, levels))
+    *head, last = levels
+    terms = []
+    for prefix, particles, quanta in fitting_vectors(n, m, head):
+        weight = multinomial_weight(prefix + (particles,))
+        row = power_of_sum_row(quanta, last, particles)
+        terms.extend((prefix + (q,), weight * entry) for q, entry in enumerate(row) if entry)
+    return tuple(terms)
 
 
 def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:

@@ -5,16 +5,17 @@ N parts (Andrews, The Theory of Partitions, 1976, ch. 1). The per-level
 oracles count the microstates behind each count vector as weak compositions
 that avoid the selected levels, in O(N*M*(1+|S|)) additions with no
 alternating sum, binomial moment or Taylor shift. Each refuses more than
-MAX_OUTPUT_ROWS cells (N+1)*(M+1), macrostates or count vectors before it
-yields or builds any. The domain comes from ``system``.
+MAX_OUTPUT_ROWS cells (N+1)*(M+1) or macrostates, or a table past the closed
+form's bounds, before it yields or builds any. The domain, the walk of the
+count vectors and the size check of their table come from ``system``.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import accumulate, islice
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .combinatorics import integral_value, multinomial_weight
@@ -23,6 +24,9 @@ from .system import (
     DistributionTable,
     OccupationVector,
     SystemParams,
+    _check_table_size,
+    fitting_vector_count,
+    fitting_vectors,
     microstate_count,
     normalize_selection,
 )
@@ -74,25 +78,21 @@ def enumerate_macrostates(params: SystemParams) -> Iterator[WeightedMacrostate]:
     yield from descend(m, n, m, 1)
 
 
-def _extend(vectors, level: int):
-    """(counts, particles left, quanta left) of each fitting vector with one more level, lazily."""
-    return ((c + (k,), p - k, e - k * level) for c, p, e in vectors
-            for k in range((min(p, e // level) if level else p) + 1))
-
-
 @lru_cache(maxsize=4)  # callers read one table many times in a row; a table may hold a million entries
 def _joint_weight_table(n_particles: int, energy_units: int, levels: tuple) -> dict:
-    """Microstates per feasible count vector c at ``levels``: N!/(prod c_s! P!) f(P, M - c.levels).
+    """Microstates per fitting count vector c at ``levels``: N!/(prod c_s! P!) f(P, M - c.levels).
 
     P = N - |c|; row P of f (P particles off ``levels``) is row P-1's prefix sum minus its level shifts.
+    Refused before any vector is built past MAX_OUTPUT_ROWS cells (N+1)(M+1), or as the closed form's
+    table is: an entry is at most its binomial moment B[c], as f(P, E) counts some of W(E, P).
     """
     n, m = n_particles, energy_units
-    fits = (n + 1) * (m + 1) <= MAX_OUTPUT_ROWS
-    vectors = list(islice(reduce(_extend, levels, [((), n, m)]), MAX_OUTPUT_ROWS + 1)) if fits else []
-    if not fits or len(vectors) > MAX_OUTPUT_ROWS:
-        raise ValueError(f"oracle for N={n}, M={m}, levels {list(levels)}: over {MAX_OUTPUT_ROWS} entries")
-    by_free = {}  # feasible count vectors by P, with the quanta left to the other levels
-    for counts, free, energy in vectors:
+    law = f"oracle for N={n}, M={m}, levels {list(levels)}"
+    if (n + 1) * (m + 1) > MAX_OUTPUT_ROWS:
+        raise ValueError(f"{law}: over {MAX_OUTPUT_ROWS} cells")
+    _check_table_size(law, n, m, len(levels), fitting_vector_count(n, m, levels))
+    by_free = {}  # fitting count vectors by P, with the quanta left to the other levels
+    for counts, free, energy in fitting_vectors(n, m, levels):
         by_free.setdefault(free, []).append((counts, energy))
     table, row = {}, [1] + [0] * m
     for free in range(n + 1):

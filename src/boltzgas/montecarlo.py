@@ -28,15 +28,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .combinatorics import integral_value
 from .moments import exact_moment
-from .system import OccupationVector, SystemParams, _Value, integral_value, store_integral_fields
+from .system import MAX_OUTPUT_ROWS, OccupationVector, SystemParams, _Value, store_integral_fields
 
 CHUNK_SIZE = 1 << 14
 # Rows held in memory at once. A block peaks while its float64 keys and their
 # int64 argpartition indices are both held, about 16 bytes per slot (traced:
 # 32.5 MiB for 1024 rows of 2019 slots, 46.8 MiB for 254 rows of 10999); the
 # byte budget counts 24 per slot, so a block has BLOCK_ROWS rows, or as many as
-# fit in BLOCK_BYTES (at least one) once M+N-1 passes 2730.
+# fit in BLOCK_BYTES once M+N-1 passes 2730; a run whose one row does not fit is refused.
 BLOCK_ROWS = 1 << 10
 BLOCK_BYTES = 64 << 20
 
@@ -74,8 +75,9 @@ def _energies_batch(params: SystemParams, rng: np.random.Generator, batch: int) 
     slots = m + n - 1
     keys = rng.random((batch, slots))
     bars = np.argpartition(keys, n - 1, axis=1)[:, : n - 1]
-    # a slot index is < M+N-1: int32 rows sort in about half the time of int64
-    bars = np.sort(bars.astype(np.int32) if slots <= 2**31 else bars, axis=1)
+    # a slot index is < M+N-1, below 2^31 in any row of keys that fits in memory:
+    # int32 rows sort in about half the time of int64
+    bars = np.sort(bars.astype(np.int32), axis=1)
     edges = np.concatenate(
         (np.full((batch, 1), -1), bars, np.full((batch, 1), slots)), axis=1
     )
@@ -95,8 +97,8 @@ def _add_block(energies: np.ndarray, sums, square_sums, histograms) -> None:
     with no run at level j.
     """
     rows, n = energies.shape
-    # every energy is <= M: int32 rows sort in about half the time of int64
-    energies = energies.astype(np.int32 if len(sums) <= 2**31 else np.int64)
+    # every energy is <= M, below 2^31 as above: int32 rows sort in about half the time of int64
+    energies = energies.astype(np.int32)
     energies.sort(axis=1)
     flat = energies.ravel()
     run_start = np.empty(flat.size, dtype=bool)
@@ -147,6 +149,9 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
 
     Histograms are kept for levels 0..min(histogram_cutoff, M), cutoff 12 by
     default. Deterministic: a fixed config always returns the same object.
+    Raises ValueError before the first draw when sample_count * N^2 reaches
+    2^63, when one row of M+N-1 keys passes BLOCK_BYTES, or past
+    MAX_OUTPUT_ROWS histogram cells (cutoff + 1)(N + 1).
     """
     params = config.params
     n, m = params.n_particles, params.energy_units
@@ -160,10 +165,14 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
     if histogram_cutoff is None:
         histogram_cutoff = 12
     histogram_cutoff = min(integral_value("histogram_cutoff", histogram_cutoff, 0), m)
+    slots, cells = max(m + n - 1, 1), (histogram_cutoff + 1) * (n + 1)
+    if slots > BLOCK_BYTES // 24 or cells > MAX_OUTPUT_ROWS:
+        raise ValueError(f"N={n}, M={m}: needs a row of {slots} keys (at most {BLOCK_BYTES // 24}) "
+                         f"and {cells} histogram cells (at most {MAX_OUTPUT_ROWS})")
     sums = np.zeros(m + 1, dtype=np.int64)
     square_sums = np.zeros(m + 1, dtype=np.int64)
     histograms = np.zeros((histogram_cutoff + 1, n + 1), dtype=np.int64)
-    block_rows = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (24 * max(m + n - 1, 1))))
+    block_rows = min(BLOCK_ROWS, BLOCK_BYTES // (24 * slots))
     remaining = config.sample_count
     chunk_index = 0
     while remaining > 0:

@@ -6,12 +6,14 @@ counts; every labeled assignment (microstate) with total energy M is equally
 likely, and there are C(M+N-1, N-1) of them. The "temperature" of a system is
 the specific energy M/N. The level-range check, the level selections of the
 joint laws and the law type ``DistributionTable`` are defined here, once, for
-the exact laws, their limits and the oracle alike.
+the exact laws, their limits and the oracle alike, and so are the one walk and
+count of the count vectors that fit a selection, and the exact tables' size check.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 
 from .combinatorics import _binomial, integral_value
@@ -174,6 +176,58 @@ def normalize_selection(params: SystemParams, levels, counts) -> tuple:
         raise ValueError("levels and counts must have equal length")
     pairs = sorted(zip(levels, counts))
     return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
+
+
+def _fitting_counts(particles: int, quanta: int, level: int) -> int:
+    """How many counts k = 0, 1, ... fit at ``level``, with ``particles`` and ``quanta`` left.
+
+    k stops at the particles and at the quanta's room; k = every particle needs exactly the quanta.
+    """
+    top = min(particles, quanta // level) if level else particles
+    return top + 1 - (top == particles and particles * level != quanta)
+
+
+def fitting_vectors(n: int, m: int, levels: tuple):
+    """(counts, particles left, quanta left) of every count vector at ``levels`` that fits, lazily.
+
+    A vector fits when it leaves no quanta without a particle: these index the joint law's
+    nonzero binomial moments and hold every count vector the oracle can weigh, in lexicographic order.
+    """
+    def extend(vectors, level):
+        return ((c + (k,), p - k, e - k * level) for c, p, e in vectors
+                for k in range(_fitting_counts(p, e, level)))
+
+    return reduce(extend, levels, [((), n, m)])
+
+
+def fitting_vector_count(n: int, m: int, levels: tuple) -> int:
+    """The number of ``fitting_vectors``, counted until past MAX_OUTPUT_ROWS: the last level's arithmetically."""
+    *head, last = levels
+    count = 0
+    for _, particles, quanta in fitting_vectors(n, m, head):
+        if count > MAX_OUTPUT_ROWS:
+            break
+        count += _fitting_counts(particles, quanta, last)
+    return count
+
+
+def _check_table_size(law: str, n: int, m: int, arity: int, entries: int) -> float:
+    """Refuse, before it is built, a table past MAX_OUTPUT_ROWS entries or MAX_TABLE_BYTES.
+
+    An entry of the N+1 weights of one level or of a joint table over
+    ``arity`` levels (the closed form's, or the oracle's, whose entries are at
+    most the closed form's) is a multinomial coefficient, below (arity + 1)^N,
+    times a binomial of at most C(M+N-1, k) < (e (M+N) / k)^k, k = min(N-1, M).
+    Its bits are estimated from that bound with ``math.log2``, so no binomial
+    is computed. ``law`` names the table in the ValueError. Returns the bits of an entry.
+    """
+    if entries > MAX_OUTPUT_ROWS:
+        raise ValueError(f"{law}: over {MAX_OUTPUT_ROWS} entries")
+    k = min(n - 1, m)
+    bits = n * math.log2(arity + 1) + k * (math.log2(m + n) - math.log2(max(k, 1)) + math.log2(math.e))
+    if entries * bits > 8 * MAX_TABLE_BYTES:
+        raise ValueError(f"{law}: about {entries * bits / 8:.3g} bytes of integers, over {MAX_TABLE_BYTES}")
+    return bits
 
 
 class DistributionTable(_Value):

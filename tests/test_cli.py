@@ -488,6 +488,11 @@ class TestExitCodes:
             "moments --n 2 --m 2 --levels 0 --order-max 100000000000000000000",
             "jointpdf --n 1000 --m 2 --levels 0,1",
             "pdf --n 1000000 --m 5 --level 0",
+            # 1000 columns of a million grid points: 10**9 cells
+            pytest.param(
+                f"fluctuation --n {','.join(map(str, range(1, 1001)))} --t-grid log:1:2:1000000",
+                id="fluctuation-1000-columns-of-a-million-points",
+            ),
         ],
     )
     def test_oversized_or_nonfinite_request(self, capsys, argv):

@@ -563,23 +563,25 @@ class TestJointTermTable:
         assert table == _reference_table(n, m, levels) == _oracle_term_table(n, m, levels)
 
     def test_takes_one_binomial_per_last_level_row(self, monkeypatch):
-        comb, row = math.comb, distributions.power_of_sum_row
-        comb_calls, rows = [], []
+        weight, row = distributions.multinomial_weight, distributions.power_of_sum_row
+        weights, rows = [], []
 
-        def counting_comb(n, k):
-            comb_calls.append((n, k))
-            return comb(n, k)
+        def counting_weight(counts):
+            weights.append(counts)
+            return weight(counts)
 
         def counting_row(p, j, n):
             rows.append((p, j, n))
             return row(p, j, n)
 
-        monkeypatch.setattr(math, "comb", counting_comb)
+        monkeypatch.setattr(distributions, "multinomial_weight", counting_weight)
         monkeypatch.setattr(distributions, "power_of_sum_row", counting_row)
         distributions._joint_term_table.cache_clear()
         distributions._joint_term_table(12, 16, (0, 1, 2))
-        assert len(rows) == 91  # one row per (r_0, r_1) with r_0 + r_1 <= 12
-        assert len(comb_calls) <= len(rows)
+        # one row per (r_0, r_1) with r_0 + r_1 < 12; r_0 + r_1 = 12 would leave quanta without a particle
+        assert len(rows) == 78
+        # one multinomial weight, a product of binomials, per row; the row itself takes one binomial
+        assert len(weights) <= len(rows)
 
     # the bench lattices, whose tables the joint-lattice benchmark reads, and the battery's points
     @pytest.mark.parametrize(
@@ -607,16 +609,22 @@ class TestJointTermTable:
 
     @staticmethod
     def _assert_bound_is_the_length(monkeypatch, n, m, levels):
-        """A bound of exactly the table's length admits it, and one less refuses it."""
-        distributions._joint_term_table.cache_clear()
+        """A bound of exactly the closed form's length admits both tables, and one less refuses them."""
+        tables = (distributions._joint_term_table, enumeration._joint_weight_table)
+        for table in tables:
+            table.cache_clear()
         size = len(distributions._joint_term_table(n, m, levels))
-        distributions._joint_term_table.cache_clear()
-        monkeypatch.setattr(distributions, "MAX_OUTPUT_ROWS", size - 1)
-        with pytest.raises(ValueError, match=f"over {size - 1} entries"):
-            distributions._joint_term_table(n, m, levels)
-        monkeypatch.setattr(distributions, "MAX_OUTPUT_ROWS", size)
+        expected = enumeration._joint_weight_table(n, m, levels)
+        for table in tables:
+            table.cache_clear()
+            monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", size - 1)
+            with pytest.raises(ValueError, match=f"N={n}, M={m}, .*: over {size - 1} entries"):
+                table(n, m, levels)
+            monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", size)
         assert len(distributions._joint_term_table(n, m, levels)) == size
-        distributions._joint_term_table.cache_clear()
+        assert enumeration._joint_weight_table(n, m, levels) == expected
+        for table in tables:
+            table.cache_clear()
 
     def test_refuses_a_table_past_the_row_bound_before_building_it(self, monkeypatch):
         def no_build(*args):
@@ -679,12 +687,12 @@ class TestTableSizeBound:
         distributions._joint_term_table.cache_clear()
         bits = sum(weight.bit_length() for _, weight in distributions._joint_term_table(n, m, levels))
         distributions._joint_term_table.cache_clear()
-        monkeypatch.setattr(distributions, "MAX_TABLE_BYTES", (bits - 1) // 8)
+        monkeypatch.setattr(system, "MAX_TABLE_BYTES", (bits - 1) // 8)
         with pytest.raises(ValueError, match=r"joint law .* bytes of integers"):
             joint_pdf_exact(params, levels, (0,) * len(levels))
         if len(levels) == 1:
             bits = sum(weight.bit_length() for weight in power_of_sum_row(m, levels[0], n))
-            monkeypatch.setattr(distributions, "MAX_TABLE_BYTES", (bits - 1) // 8)
+            monkeypatch.setattr(system, "MAX_TABLE_BYTES", (bits - 1) // 8)
             with pytest.raises(ValueError, match=r"law .* bytes of integers"):
                 occupation_pdf_window(params, levels[0], 0, n)
 

@@ -3,11 +3,12 @@ import os
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from boltzgas import enumeration
+from boltzgas import enumeration, system
 from boltzgas.distributions import joint_pdf_exact, occupation_pdf_exact
 from boltzgas.enumeration import (
     WeightedMacrostate,
@@ -287,11 +288,26 @@ class TestJointWeightTable:
         monkeypatch.setattr(enumeration, "accumulate", self.fail)
         with pytest.raises(ValueError, match=re.escape("N=1000000000, M=1000000000, levels [0]")):
             _joint_weight_table(10**9, 10**9, (0,))
-        # 4 * 11 cells fit under 100, the 112 count vectors of 3 particles on 10 levels do not
+        # 4 * 11 cells fit under 58, the 59 fitting count vectors of 3 particles on 10 levels do not
         _joint_weight_table.cache_clear()
-        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 100)
+        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 58)
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 58)
         with pytest.raises(ValueError, match=re.escape("N=3, M=10, levels [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]")):
             _joint_weight_table(3, 10, tuple(range(10)))
+
+    def test_refuses_past_the_closed_form_bound_before_any_vector(self, monkeypatch):
+        # 401 * 2001 cells fit; over a million fitting count vectors do not, and none is built
+        monkeypatch.setattr(enumeration, "accumulate", self.fail)
+        monkeypatch.setattr(enumeration, "multinomial_weight", self.fail)
+        _joint_weight_table.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape("N=400, M=2000, levels [0, 1, 2]: over 1000000 entries")):
+                oracle_joint_pdf(SystemParams(400, 2000), (0, 1, 2), (1, 1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_guard_admits_a_table_at_the_bound(self, monkeypatch):
         _joint_weight_table.cache_clear()

@@ -240,6 +240,20 @@ class TestEmpiricalStats:
             with pytest.raises(ValueError, match="2\\^63"):
                 empirical_stats(config)
 
+    @pytest.mark.parametrize(
+        "n, m, cutoff, match",
+        [
+            # one row of 3,000,009 keys passes BLOCK_BYTES // 24 = 2,796,202
+            (10, 3 * 10**6, 0, "3000009 keys"),
+            # (10**6 + 1) * 1001 int64 histogram cells, about 8 GB
+            (1000, 10**6, 10**6, "1001001001 histogram cells"),
+        ],
+    )
+    def test_rejects_a_run_past_its_memory_bounds(self, no_draws, n, m, cutoff, match):
+        config = SamplerConfig(SystemParams(n, m), 1, 1)
+        with pytest.raises(ValueError, match=match):
+            empirical_stats(config, histogram_cutoff=cutoff)
+
     @pytest.mark.parametrize("cutoff", [-1, -3])
     def test_rejects_negative_histogram_cutoff(self, no_draws, cutoff):
         config = SamplerConfig(SystemParams(4, 6), 100, 5)
