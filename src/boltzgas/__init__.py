@@ -17,7 +17,6 @@ from .combinatorics import (
     multinomial_weight,
     power_of_sum_coefficient,
     stirling_like_row,
-    triangle_coefficient,
 )
 from .distributions import (
     DistributionTable,

@@ -7,9 +7,10 @@ the rows of a failed check are always written before it exits 2.
 
 argparse checks every flag: a check on one flag is that flag's ``type``, so a
 bad value fails as one line "error: argument --FLAG: ..." before any command
-runs. A ``cmd_*`` checks only flag combinations (row and cell caps, --counts
-length, lattice arity, default T = M/N, N*T overflow). ``identities --name``
-takes a family of the battery, checked in its type, and runs only that family.
+runs. A ``cmd_*`` checks only flag combinations (row, cell and byte caps,
+--counts length, lattice arity, default T = M/N, N*T overflow).
+``identities --name`` takes a family of the battery, checked in its type, and
+runs only that family.
 
 Conventions: CSV always carries a header row, exact rationals are serialized
 as "numerator/denominator" strings in full (past Python's 4300-digit default
@@ -48,7 +49,7 @@ from .distributions import (
 )
 from .enumeration import oracle_joint_pdf, oracle_moment, oracle_pdf
 from .moments import exact_moment
-from .system import MAX_OUTPUT_ROWS, SystemParams, microstate_count
+from .system import MAX_OUTPUT_ROWS, MAX_TABLE_BYTES, SystemParams, microstate_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,6 +219,13 @@ def cmd_moments(args) -> tuple:
     level_count = len(args.levels) if args.levels else params.level_count
     if level_count * (args.order_max + 1) > MAX_OUTPUT_ROWS:
         raise ValueError(f"the moments table would exceed {MAX_OUTPUT_ROWS} rows")
+    # a moment of order k is below N^k, so its numerator holds about k log2(N + 1)
+    # bits more than its denominator; summed over the orders 0..K of each level
+    size = level_count * args.order_max * (args.order_max + 1) / 2 * math.log2(args.n + 1) / 8
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"the moments table would hold about {size:.3g} bytes of integers, over {MAX_TABLE_BYTES}"
+        )
     levels = args.levels or range(level_count)
     header = ["level", "order", "exact", "value"]
     if args.check_oracle:

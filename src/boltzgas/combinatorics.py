@@ -2,8 +2,8 @@
 
 Everything here is integer or rational arithmetic with no rounding: binomial
 coefficients under the zero-outside-range convention, multinomial placement
-weights, the Stirling-style coefficient triangle that converts log-derivatives
-into falling factorials, and the expansion coefficients of
+weights, the identity battery's Stirling-style triangle that converts
+log-derivatives into falling factorials, and the expansion coefficients of
 ((1 - z^(M+1))/(1 - z) + z^j u)^N, whose rows the joint laws nest per level.
 The one integer check of the library, ``integral_value``, which every count,
 level, order and size argument of the public API passes with its lower bound,
@@ -15,7 +15,6 @@ import math
 import numbers
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 # Exact probabilities and moments reach callers as reduced arbitrary-precision
 # rationals; an exact law holds integer numerators over one denominator until
@@ -90,50 +89,18 @@ def multinomial_weight(occupation) -> int:
     return weight
 
 
-def _closed_form_entry(s: int, m: int) -> int:
-    # Inclusion-exclusion surjection count divided by s!; integer by construction.
-    total = sum((-1) ** q * _binomial(s, q) * (s - q) ** m for q in range(s + 1))
-    quotient, remainder = divmod(total, math.factorial(s))
-    if remainder:
-        raise AssertionError(f"closed form not integral at s={s}, m={m}")
-    return quotient
-
-
-@lru_cache(maxsize=32)
-def _triangle_row(m: int) -> tuple:
-    row = (1,)
-    for order in range(1, m):
-        # row is row `order`; a_s(order+1) = s*a_s(order) + a_(s-1)(order)
-        row = tuple(s * a + b for s, a, b in zip(range(1, order + 2), row + (0,), (0,) + row))
-    for s, value in enumerate(row, start=1):
-        check = _closed_form_entry(s, m)
-        if check != value:
-            raise AssertionError(
-                f"coefficient triangle broken at order {m}, entry {s}: "
-                f"recursion {value} vs closed form {check}"
-            )
-    return row
-
-
 def stirling_like_row(m: int) -> list:
     """Row m of the coefficient triangle (entries a_s for s = 1..m).
 
-    Row m follows from row 1 = (1) via a_s -> s*a_s + a_(s-1); every entry of
-    row m is cross-checked against the independent inclusion-exclusion closed
-    form sum((-1)^q C(s,q) (s-q)^m) / s!, and construction fails loudly on any
-    disagreement. The 32 most recently used rows are cached. These are the
-    weights expanding the m-th derivative of f(e^y) into falling-factorial
-    derivatives of f.
+    Row m follows from row 1 = (1) via a_s -> s*a_s + a_(s-1): the Stirling
+    numbers of the second kind S(m, s). These are the weights expanding the
+    m-th derivative of f(e^y) into falling-factorial derivatives of f.
     """
-    return list(_triangle_row(integral_value("m", m, 1)))
-
-
-def triangle_coefficient(s: int, m: int) -> int:
-    """Entry a_s of row m, with the convention 0 outside 1 <= s <= m."""
-    s, m = integral_value("s", s), integral_value("m", m)
-    if m < 1 or s < 1 or s > m:
-        return 0
-    return _triangle_row(m)[s - 1]
+    row = [1]
+    for order in range(1, integral_value("m", m, 1)):
+        # row is row `order`; a_s(order+1) = s*a_s(order) + a_(s-1)(order)
+        row = [s * a + b for s, a, b in zip(range(1, order + 2), row + [0], [0] + row)]
+    return row
 
 
 def weak_compositions(total: int, parts: int) -> int:

@@ -55,12 +55,15 @@ def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
     coefficient of sum_q A_q (y - 1)^q. That Taylor shift by -1 runs in place
     with integer subtractions only (Ruffini-Horner). Pass i touches entries
     i..N-1 alone, so entry k is final once pass k ends and the passes stop at
-    ``top`` (0 <= top <= N): about (top + 1) N big-integer subtractions, N^2 / 2
-    for the full table, which is where the time of an exact law goes.
+    ``top`` (0 <= top <= N). The weights past the support s = min(N, M // j)
+    (N at level 0) are 0 and stay 0, so both loops stop at s: about
+    (top + 1) s big-integer subtractions, s^2 / 2 for the full table, which is
+    where the time of an exact law goes.
     """
     a = power_of_sum_row(m, level, n)
-    for i in range(min(top, n - 1) + 1):
-        for j in range(n - 1, i - 1, -1):
+    support = min(n, m // level) if level else n
+    for i in range(min(top, support - 1) + 1):
+        for j in range(support - 1, i - 1, -1):
             a[j] -= a[j + 1]
     return a[: top + 1]
 
@@ -72,11 +75,12 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int) ->
     Fraction(v, denominator) is the exact value and v / denominator its
     correctly rounded float. The window is clamped to 0..N, an empty one
     returns empty lists without a shift, and its mass need not sum to 1. It
-    costs the shift of ``_pdf_numerators`` to ``hi``, (hi + 1) N subtractions,
-    over the N+1 weights of the level, which are refused past the bounds of
-    ``_check_table_size`` before the first is built. So is a shift past
-    MAX_SHIFT_WORDS, estimated as (hi + 1)(N + 1) subtractions of integers of
-    the bits ``_check_table_size`` estimates for an entry.
+    costs the shift of ``_pdf_numerators`` to ``hi``, (hi + 1) s subtractions
+    over the support s = min(N, M // j) (N at level 0) of the N+1 weights of
+    the level, which are refused past the bounds of ``_check_table_size``
+    before the first is built. So is a shift past MAX_SHIFT_WORDS, estimated
+    as (hi + 1)(s + 1) subtractions of integers of the bits
+    ``_check_table_size`` estimates for an entry.
     """
     level = params.check_level(level)
     n, m = params.n_particles, params.energy_units
@@ -84,7 +88,8 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int) ->
     hi = min(n, integral_value("hi", hi))
     law = f"law of N={n}, M={m}, level {level}"
     bits = _check_table_size(law, n, m, 1, n + 1)
-    words = (hi + 1) * (n + 1) * bits / 64 if lo <= hi else 0
+    support = min(n, m // level) if level else n
+    words = (hi + 1) * (support + 1) * bits / 64 if lo <= hi else 0
     if words > MAX_SHIFT_WORDS:
         raise ValueError(f"{law}: a shift of about {words:.3g} word operations, over {MAX_SHIFT_WORDS}")
     total = microstate_count(params)
@@ -97,7 +102,8 @@ def occupation_pdf_exact(params: SystemParams, level: int) -> DistributionTable:
     """Exact law of the occupation number at ``level``: P(n_j = k) for k = 0..N.
 
     Held as integer numerators over C(M+N-1, N-1), so it costs the full shift
-    of ``_pdf_numerators`` (N^2 / 2 subtractions) and no Fraction until one is read.
+    of ``_pdf_numerators`` (s^2 / 2 subtractions over the support s) and no
+    Fraction until one is read.
     """
     _, numerators, total = occupation_pdf_window(params, level, 0, params.n_particles)
     return DistributionTable.from_numerators(numerators, total)

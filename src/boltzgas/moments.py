@@ -1,6 +1,10 @@
 """Closed-form occupation-number moments and fluctuation measures.
 
-Exact quantities are reduced rationals valid for any (N, M); the ``*_limit``
+Exact quantities are reduced rationals valid for any (N, M). The m-th moment
+swaps the sums in sum_k k^m P(n_j = k): the weights A_q of
+``power_of_sum_coefficient`` meet the forward differences of the powers
+0^m, 1^m, ..., min(N, m)^m, and a differencing past MAX_SHIFT_WORDS word
+operations or powers past MAX_TABLE_BYTES are refused first. The ``*_limit``
 functions evaluate the large-system forms, which depend on the specific energy
 T = M/N alone. The domain checks and the level probability p_j of that model
 live here only; ``distributions`` and ``fluctuations`` use them too.
@@ -10,8 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .combinatorics import power_of_sum_coefficient, triangle_coefficient, weak_compositions
-from .system import SystemParams, integral_value, microstate_count
+from .combinatorics import power_of_sum_coefficient, weak_compositions
+from .system import MAX_SHIFT_WORDS, MAX_TABLE_BYTES, SystemParams, integral_value, microstate_count
 
 BOLTZMANN_CONSTANT = 1.380649e-23  # J/K, exact SI value
 
@@ -31,27 +35,40 @@ def check_temperature(temperature) -> None:
 def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
     """Exact m-th raw moment <n_j^m> of the occupation number at ``level``.
 
-    Evaluates the finite alternating-free sum
+    A_q = C(N,q) W(M-qj, N-q), ``power_of_sum_coefficient`` at z^M u^q, sums
+    C(n_j, q) over the microstates. Writing k^m = sum_q C(k, q) Delta^q[x^m](0)
+    in sum_k k^m P(n_j = k) and swapping the sums gives
 
-        sum_{q=1}^{min(N, m)} a_q^(m) q! A_q,   A_q = C(N,q) W(M-qj, N-q),
+        C(M+N-1, N-1) <n_j^m> = sum_{q=1}^{min(N, m)} Delta^q[x^m](0) A_q,
 
-    normalized by C(M+N-1, N-1), where a_q^(m) are the coefficient-triangle
-    entries and A_q is ``power_of_sum_coefficient`` at z^M u^q: the weak
-    compositions W of the leftover energy times the ways to pick the q
-    particles. The q = N term is nonzero only when N*j == M, i.e. all N
-    particles can sit on the requested level. Only the q <= order entries of
-    the weight row are needed, so they are taken one at a time.
+    where Delta^q[x^m](0) = q! S(m, q) is the q-th forward difference of
+    0^m, 1^m, 2^m, ... at 0; at m >= 1 the q = 0 term is 0^m = 0. The
+    q = N term is nonzero only when N*j == M. The powers i^m, i = 0..min(N, m),
+    are differenced in place with subtractions only: about min(N, m)^2 / 2
+    subtractions of integers of m log2(min(N, m) + 1) bits. Before any power is
+    built, that work is refused past MAX_SHIFT_WORDS word operations and the
+    powers past MAX_TABLE_BYTES.
     """
     level = params.check_level(level)
     order = integral_value("order", order, 0)
     if order == 0:
         return Fraction(1)
     n, m_units, j = params.n_particles, params.energy_units, level
+    top = min(n, order)
+    bits = order * math.log2(top + 1)
+    words, size = top * top / 2 * bits / 64, (top + 1) * bits / 8
+    if words > MAX_SHIFT_WORDS or size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"moment of N={n}, M={m_units}, level {j}, order {order}: a differencing of about "
+            f"{words:.3g} word operations on {size:.3g} bytes of powers, over "
+            f"{MAX_SHIFT_WORDS} words or {MAX_TABLE_BYTES} bytes"
+        )
+    differences = [i**order for i in range(top + 1)]
+    for q in range(1, top + 1):
+        for i in range(top, q - 1, -1):
+            differences[i] -= differences[i - 1]
     total = sum(
-        triangle_coefficient(q, order)
-        * math.factorial(q)
-        * power_of_sum_coefficient(m_units, j, n, q)
-        for q in range(1, min(n, order) + 1)
+        differences[q] * power_of_sum_coefficient(m_units, j, n, q) for q in range(1, top + 1)
     )
     return Fraction(total, microstate_count(params))
 

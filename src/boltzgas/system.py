@@ -24,13 +24,14 @@ _LIMIT_SUM_TOLERANCE = 1e-12
 # covariance matrix, may have. Larger requests fail before anything is built.
 MAX_OUTPUT_ROWS = 1_000_000
 
-# The most bytes of integers an exact law's table may hold, estimated from its
-# entry count and a bound on its entries' bits before any entry is built.
+# The most bytes of integers an exact law's table, a moment's powers or a CLI
+# moments table may hold, estimated from a bound on their bits before any is built.
 MAX_TABLE_BYTES = 1 << 28
 
-# The most 64-bit word operations the Taylor shift of a 1-D exact law may take,
-# estimated as (top + 1)(N + 1) subtractions of integers of the table's
-# estimated bits before any entry is built. 2^30 words took about 1.7 s on a
+# The most 64-bit word operations the Taylor shift of a 1-D exact law, or the
+# differencing of a moment's powers, may take, estimated before any entry is
+# built: (top + 1)(s + 1) subtractions of integers of the table's estimated bits
+# over the support s of the law's level. 2^30 words took about 1.7 s on a
 # shared 2-core Xeon with Python 3.11 ((N, M) = (4000, 8), level 0).
 MAX_SHIFT_WORDS = 1 << 30
 

@@ -486,6 +486,7 @@ class TestExitCodes:
         [
             "moments --n 2 --m 100000000000000000000",
             "moments --n 2 --m 2 --levels 0 --order-max 100000000000000000000",
+            "moments --n 2 --m 2 --levels 0 --order-max 999999",
             "jointpdf --n 1000 --m 2 --levels 0,1",
             "pdf --n 1000000 --m 5 --level 0",
             # 1000 columns of a million grid points: 10**9 cells
@@ -522,7 +523,8 @@ class TestExitCodes:
 
 
 class TestRowCaps:
-    """moments and jointpdf refuse a table past MAX_OUTPUT_ROWS before computing a row."""
+    """moments and jointpdf refuse a table past MAX_OUTPUT_ROWS before computing a row,
+    and moments one past MAX_TABLE_BYTES of integers."""
 
     CASES = [
         ("moments --n 2 --m 100", 505),  # 101 levels x 5 orders
@@ -547,6 +549,22 @@ class TestRowCaps:
         monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", rows, raising=False)
         code, out, _ = run(capsys, *argv.split())
         assert code == 0 and len(out.splitlines()) == 1 + rows
+
+    # 3 levels x orders 0..40 at N = 7: 3 x (40 x 41 / 2) x log2(8) bits, 922.5 bytes
+    MOMENTS = "moments --n 7 --m 9 --levels 0,1,2 --order-max 40"
+    MOMENTS_BYTES = 923
+
+    def test_moments_one_byte_past_their_budget_are_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TABLE_BYTES", self.MOMENTS_BYTES - 1)
+        monkeypatch.setattr(cli, "exact_moment", self.fail)
+        code, out, err = run(capsys, *self.MOMENTS.split())
+        assert code == 1 and out == ""
+        assert err == f"error: the moments table would hold about 922 bytes of integers, over {self.MOMENTS_BYTES - 1}\n"
+
+    def test_moments_at_their_budget_are_written(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TABLE_BYTES", self.MOMENTS_BYTES)
+        code, out, _ = run(capsys, *self.MOMENTS.split())
+        assert code == 0 and len(out.splitlines()) == 1 + 3 * 41
 
     def test_single_point_is_not_capped(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", 1, raising=False)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -182,6 +183,18 @@ class TestOccupationPdfExact:
                 a[j] -= a[j + 1]
         for top in sorted({0, 1, n - 1, n}):
             assert distributions._pdf_numerators(n, m, level, top) == a[: top + 1], top
+
+    def test_every_levels_numerators_match_the_recorded_digest(self):
+        # SHA-256 recorded when the shift ran over all N + 1 weights of every level
+        grid = [(n, m) for n in (1, 2, 3, 5, 8, 13, 40) for m in (0, 1, 2, 7, 20, 64)]
+        numerators = [
+            distributions._pdf_numerators(n, m, level, top)
+            for n, m in grid + [(100, 300), (64, 1000), (300, 100)]
+            for level in range(m + 1)
+            for top in (n, n // 3)
+        ]
+        digest = hashlib.sha256(repr(numerators).encode()).hexdigest()
+        assert digest == "ae05821146604dcceaaf4ae3c22b8448cabe1e49b30afe72d285f8315b415ccb"
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_figure_5_windows_match_the_full_table(self, n):
@@ -703,13 +716,21 @@ class TestTableSizeBound:
 
 
 class TestShiftWorkBound:
-    """A 1-D law refuses a shift past MAX_SHIFT_WORDS estimated word operations."""
+    """A 1-D law refuses a shift past MAX_SHIFT_WORDS estimated word operations.
 
-    @pytest.mark.parametrize("n, m, level", [(8, 10, 1), (12, 16, 0), (40, 7, 0), (30, 600, 2)])
+    The shift runs over the support s = min(N, M // j) (N at level 0), so the
+    estimate of the full law is (N + 1)(s + 1) subtractions of the entry bits.
+    """
+
+    @pytest.mark.parametrize(
+        "n, m, level",
+        [(8, 10, 1), (12, 16, 0), (40, 7, 0), (30, 600, 2), (40, 20, 3), (100, 30, 10)],
+    )
     def test_a_budget_one_word_short_refuses_the_law(self, monkeypatch, n, m, level):
         params = SystemParams(n, m)
         bits = distributions._check_table_size("law", n, m, 1, n + 1)
-        words = math.ceil((n + 1) * (n + 1) * bits / 64)
+        support = min(n, m // level) if level else n
+        words = math.ceil((n + 1) * (support + 1) * bits / 64)
         monkeypatch.setattr(distributions, "MAX_SHIFT_WORDS", words - 1)
         with pytest.raises(ValueError, match=r"law .* word operations"):
             occupation_pdf_exact(params, level)
@@ -721,6 +742,14 @@ class TestShiftWorkBound:
     def test_answers_the_full_law_the_cli_is_run_at(self):
         table = occupation_pdf_exact(SystemParams(1024, 10240), 1)
         assert len(table.probabilities) == 1025
+
+    def test_a_high_level_is_bounded_by_its_support(self):
+        # level 0 of (46000, 8) shifts over 46001 weights and is refused; level 1
+        # over its 9 nonzero weights
+        params = SystemParams(46000, 8)
+        with pytest.raises(ValueError, match="word operations"):
+            occupation_pdf_exact(params, 0)
+        assert occupation_pdf_exact(params, 1) == oracle_pdf(params, 1)
 
 
 class TestJointPdfExact:

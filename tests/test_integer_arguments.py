@@ -47,7 +47,6 @@ from boltzgas import (
     stirling_like_row,
     sum_of_powers_residual_slope,
     total_fluctuation_ratio,
-    triangle_coefficient,
     variance_limit,
 )
 from boltzgas.combinatorics import power_of_sum_row
@@ -64,8 +63,6 @@ POLICY = [
     ("stirling_like_row", stirling_like_row, 3, "m", 1),
     ("binomial", lambda v: binomial(v, 2), 4, "n", None),
     ("binomial", lambda v: binomial(4, v), 2, "k", None),
-    ("triangle_coefficient", lambda v: triangle_coefficient(v, 3), 2, "s", None),
-    ("triangle_coefficient", lambda v: triangle_coefficient(2, v), 3, "m", None),
     ("power_of_sum_coefficient", lambda v: power_of_sum_coefficient(v, 1, 4, 1), 6, "p", None),
     ("power_of_sum_coefficient", lambda v: power_of_sum_coefficient(6, v, 4, 1), 1, "j", 0),
     ("power_of_sum_coefficient", lambda v: power_of_sum_coefficient(6, 1, v, 1), 4, "N", None),

@@ -1,8 +1,14 @@
+import hashlib
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boltzgas import moments
 
 from boltzgas.distributions import (
     joint_pdf_multinomial_limit,
@@ -32,6 +38,19 @@ from boltzgas.moments import (
     variance_limit,
 )
 from boltzgas.system import SystemParams
+
+# SHA-256 of repr() of the moment lists, recorded when the moments were read
+# through the coefficient triangle
+MOMENT_DIGESTS = {
+    "N <= 12, M <= 16, every level, orders 0..12":
+        "0796632851c981efa4c4f5886be2a341e8a9451c14a1a5ea3a72408268e1ecbf",
+    "N = 200, M = 400, level 1, orders 0..200":
+        "0a09966ff8f9b7ffb38d245deb55b96165519c4bad3d2bee2138f736b85d9c3d",
+}
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(list(values)).encode()).hexdigest()
 
 
 class TestExactMoment:
@@ -76,6 +95,66 @@ class TestExactMoment:
             exact_moment(SystemParams(2, 2), 3, 1)
         with pytest.raises(ValueError):
             exact_moment(SystemParams(2, 2), 1, -1)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_at_random_sizes(self, data):
+        params = SystemParams(data.draw(st.integers(1, 10)), data.draw(st.integers(0, 14)))
+        level = data.draw(st.integers(0, params.energy_units))
+        order = data.draw(st.integers(0, 12))
+        assert exact_moment(params, level, order) == oracle_moment(params, level, order)
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (6, 8)])
+    def test_matches_oracle_to_order_200(self, n, m):
+        params = SystemParams(n, m)
+        for level in range(m + 1):
+            for order in range(201):
+                expected = oracle_moment(params, level, order)
+                assert exact_moment(params, level, order) == expected, (level, order)
+
+    def test_small_grid_matches_the_recorded_digest(self):
+        values = (
+            exact_moment(SystemParams(n, m), level, order)
+            for n in range(1, 13)
+            for m in range(17)
+            for level in range(m + 1)
+            for order in range(13)
+        )
+        assert _digest(values) == MOMENT_DIGESTS["N <= 12, M <= 16, every level, orders 0..12"]
+
+    def test_high_orders_match_the_recorded_digest(self):
+        params = SystemParams(200, 400)
+        values = (exact_moment(params, 1, order) for order in range(201))
+        assert _digest(values) == MOMENT_DIGESTS["N = 200, M = 400, level 1, orders 0..200"]
+
+    @pytest.mark.parametrize(
+        "n, m, level, order",
+        [(1000, 2000, 1, 10**6), (2, 2, 0, 10**9), (10**6, 5, 0, 10**5)],
+    )
+    def test_refuses_a_huge_order_before_any_weight(self, monkeypatch, n, m, level, order):
+        def fail(*args):
+            raise AssertionError("a refused moment computed a weight")
+
+        monkeypatch.setattr(moments, "power_of_sum_coefficient", fail)
+        monkeypatch.setattr(moments, "microstate_count", fail)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"N={n}, M={m}, level {level}, order {order}: "):
+            exact_moment(SystemParams(n, m), level, order)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("n, m, level, order", [(8, 10, 1, 12), (3, 4, 0, 200), (40, 30, 2, 60)])
+    def test_a_budget_one_short_refuses_the_moment(self, monkeypatch, n, m, level, order):
+        params = SystemParams(n, m)
+        top = min(n, order)
+        bits = order * math.log2(top + 1)
+        expected = oracle_moment(params, level, order)
+        needs = {"MAX_SHIFT_WORDS": top * top / 2 * bits / 64, "MAX_TABLE_BYTES": (top + 1) * bits / 8}
+        for name, need in needs.items():
+            monkeypatch.setattr(moments, name, math.ceil(need) - 1)
+            with pytest.raises(ValueError, match="word operations .* bytes of powers"):
+                exact_moment(params, level, order)
+            monkeypatch.setattr(moments, name, math.ceil(need))
+            assert exact_moment(params, level, order) == expected
 
 
 def test_concurrent_sweep_matches_sequential():
