@@ -7,8 +7,8 @@ the rows of a failed check are always written before it exits 2.
 
 argparse checks every flag: a check on one flag is that flag's ``type``, so a
 bad value fails as one line "error: argument --FLAG: ..." before any command
-runs. A ``cmd_*`` checks only flag combinations (row, cell and byte caps,
---counts length, lattice arity, default T = M/N, N*T overflow).
+runs. A ``cmd_*`` checks only flag combinations (table sizes, through
+``system.check_budget``; --counts length, lattice arity, default T = M/N, N*T overflow).
 ``identities --name`` takes a family of the battery, checked in its type, and
 runs only that family.
 
@@ -49,7 +49,7 @@ from .distributions import (
 )
 from .enumeration import oracle_joint_pdf, oracle_moment, oracle_pdf
 from .moments import exact_moment
-from .system import MAX_OUTPUT_ROWS, MAX_TABLE_BYTES, SystemParams, microstate_count
+from .system import MAX_OUTPUT_ROWS, SystemParams, check_budget, microstate_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,15 +217,10 @@ def cmd_microstates(args) -> tuple:
 def cmd_moments(args) -> tuple:
     params = SystemParams(args.n, args.m)
     level_count = len(args.levels) if args.levels else params.level_count
-    if level_count * (args.order_max + 1) > MAX_OUTPUT_ROWS:
-        raise ValueError(f"the moments table would exceed {MAX_OUTPUT_ROWS} rows")
     # a moment of order k is below N^k, so its numerator holds about k log2(N + 1)
     # bits more than its denominator; summed over the orders 0..K of each level
-    size = level_count * args.order_max * (args.order_max + 1) / 2 * math.log2(args.n + 1) / 8
-    if size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"the moments table would hold about {size:.3g} bytes of integers, over {MAX_TABLE_BYTES}"
-        )
+    bits = level_count * args.order_max * (args.order_max + 1) / 2 * math.log2(args.n + 1)
+    check_budget("the moments table", level_count * (args.order_max + 1), bits)
     levels = args.levels or range(level_count)
     header = ["level", "order", "exact", "value"]
     if args.check_oracle:
@@ -272,8 +267,7 @@ def cmd_jointpdf(args) -> tuple:
     else:
         if arity > 3:
             raise ValueError("full lattice output is limited to 3 levels; pass --counts")
-        if (params.n_particles + 1) ** arity > MAX_OUTPUT_ROWS:
-            raise ValueError(f"the full lattice would exceed {MAX_OUTPUT_ROWS} points; pass --counts")
+        check_budget("the full lattice without --counts", (params.n_particles + 1) ** arity)
         lattice = itertools.product(range(params.n_particles + 1), repeat=arity)
     rows = []
     failed = False
@@ -309,8 +303,7 @@ def cmd_covariance(args) -> tuple:
 
 
 def cmd_fluctuation(args) -> tuple:
-    if len(args.t_grid) * len(args.n) > MAX_OUTPUT_ROWS:
-        raise ValueError(f"the fluctuation grid would exceed {MAX_OUTPUT_ROWS} cells (--t-grid points x --n)")
+    check_budget("the fluctuation grid (--t-grid points x --n)", len(args.t_grid) * len(args.n))
     n, t = max(args.n), max(args.t_grid)
     if n * t == math.inf:  # M = N*T must stay a finite float
         raise ValueError(f"--n {_shown(str(n), str)} times --t-grid point {t!r} overflows a float")

@@ -5,12 +5,10 @@ binomial coefficients, evaluated in integer arithmetic and normalized once at
 the end, so cancellation is never an issue. A 1-D law is integer numerators
 over C(M+N-1, N-1), read through one entry point, ``occupation_pdf_window``;
 the joint law inverts a table of binomial moments, one entry per count vector
-of ``system.fitting_vectors``. Either table is refused before it is built past
-MAX_OUTPUT_ROWS entries or an estimated MAX_TABLE_BYTES of integers, by the
-size check in ``system`` that the oracle shares, and a 1-D law's shift past an
-estimated MAX_SHIFT_WORDS word operations. The limit laws (binomial, normal,
-energy-conditioned normal, multinomial) depend on the specific energy T alone
-and are evaluated in log space to stay finite at large N.
+of ``system.fitting_vectors``. Each is refused before it is built past the
+work budget of ``system.check_budget`` (README, "Limits"). The limit laws
+(binomial, normal, energy-conditioned normal, multinomial) depend on the
+specific energy T alone and are evaluated in log space to stay finite at large N.
 """
 from __future__ import annotations
 
@@ -29,12 +27,12 @@ from .moments import (
 )
 from .system import (
     _LIMIT_SUM_TOLERANCE,
-    MAX_SHIFT_WORDS,
     DistributionTable,
     SystemParams,
-    _check_table_size,
     _Value,
     as_occupation,
+    check_budget,
+    entry_bits,
     fitting_vector_count,
     fitting_vectors,
     microstate_count,
@@ -75,23 +73,19 @@ def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int) ->
     Fraction(v, denominator) is the exact value and v / denominator its
     correctly rounded float. The window is clamped to 0..N, an empty one
     returns empty lists without a shift, and its mass need not sum to 1. It
-    costs the shift of ``_pdf_numerators`` to ``hi``, (hi + 1) s subtractions
-    over the support s = min(N, M // j) (N at level 0) of the N+1 weights of
-    the level, which are refused past the bounds of ``_check_table_size``
-    before the first is built. So is a shift past MAX_SHIFT_WORDS, estimated
-    as (hi + 1)(s + 1) subtractions of integers of the bits
-    ``_check_table_size`` estimates for an entry.
+    costs the shift of ``_pdf_numerators`` to ``hi`` over the support
+    s = min(N, M // j) (N at level 0) of the level's N+1 weights: refused
+    before the first is built past N+1 entries, s+1 entries of ``entry_bits``
+    or (min(hi, s) + 1)(s + 1) subtractions of them (README, "Limits").
     """
     level = params.check_level(level)
     n, m = params.n_particles, params.energy_units
     lo = max(0, integral_value("lo", lo))
     hi = min(n, integral_value("hi", hi))
-    law = f"law of N={n}, M={m}, level {level}"
-    bits = _check_table_size(law, n, m, 1, n + 1)
     support = min(n, m // level) if level else n
-    words = (hi + 1) * (support + 1) * bits / 64 if lo <= hi else 0
-    if words > MAX_SHIFT_WORDS:
-        raise ValueError(f"{law}: a shift of about {words:.3g} word operations, over {MAX_SHIFT_WORDS}")
+    bits = (support + 1) * entry_bits(n, m, 1)
+    passes = min(hi, support) + 1 if lo <= hi else 0
+    check_budget(f"law of N={n}, M={m}, level {level}", n + 1, bits, passes * bits / 64)
     total = microstate_count(params)
     if hi < lo:
         return [], [], total
@@ -228,10 +222,11 @@ def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     weight row of the last level, ``power_of_sum_row``, times the multinomial
     weight of each fitting prefix on the levels before it; r runs in
     lexicographic order. Raises ValueError, before any entry is built, past
-    the bounds of ``_check_table_size`` on the ``fitting_vector_count``.
+    the work budget on the ``fitting_vector_count`` entries of ``entry_bits``.
     """
+    count = fitting_vector_count(n, m, levels)
     law = f"joint law of N={n}, M={m}, levels {list(levels)}"
-    _check_table_size(law, n, m, len(levels), fitting_vector_count(n, m, levels))
+    check_budget(law, count, count * entry_bits(n, m, len(levels)))
     *head, last = levels
     terms = []
     for prefix, particles, quanta in fitting_vectors(n, m, head):

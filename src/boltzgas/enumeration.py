@@ -4,10 +4,10 @@
 N parts (Andrews, The Theory of Partitions, 1976, ch. 1). The per-level
 oracles count the microstates behind each count vector as weak compositions
 that avoid the selected levels, in O(N*M*(1+|S|)) additions with no
-alternating sum, binomial moment or Taylor shift. Each refuses more than
-MAX_OUTPUT_ROWS cells (N+1)*(M+1) or macrostates, or a table past the closed
-form's bounds, before it yields or builds any. The domain, the walk of the
-count vectors and the size check of their table come from ``system``.
+alternating sum, binomial moment or Taylor shift. Each refuses its cells
+(N+1)*(M+1), then its macrostates or count vectors, past the work budget of
+``system.check_budget`` before it yields or builds any (README, "Limits"). The
+domain, the walk of the count vectors and the budget come from ``system``.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from .system import (
     DistributionTable,
     OccupationVector,
     SystemParams,
-    _check_table_size,
+    check_budget,
+    entry_bits,
     fitting_vector_count,
     fitting_vectors,
     microstate_count,
@@ -56,11 +57,12 @@ def enumerate_macrostates(params: SystemParams) -> Iterator[WeightedMacrostate]:
     States come lexicographically over (n_M, ..., n_1): by top occupied level, its count, then
     likewise below, so the recursion is as deep as a state's occupied levels. The order is an
     implementation detail, not a contract; the multiplicities sum to C(M+N-1, N-1). Raises
-    ValueError, before the first state, past MAX_OUTPUT_ROWS cells (N+1)*(M+1) or macrostates.
+    ValueError, before the first state, past the budget's rows in cells (N+1)*(M+1), then in macrostates.
     """
     n, m = params.n_particles, params.energy_units
-    if (n + 1) * (m + 1) > MAX_OUTPUT_ROWS or _macrostate_count(n, m) > MAX_OUTPUT_ROWS:
-        raise ValueError(f"enumeration of N={n}, M={m}: over {MAX_OUTPUT_ROWS} cells or macrostates")
+    walk = f"enumeration of N={n}, M={m}"
+    check_budget(walk, (n + 1) * (m + 1))
+    check_budget(walk, _macrostate_count(n, m))
     counts = [0] * (m + 1)
 
     def descend(top, particles, energy, weight):
@@ -83,14 +85,14 @@ def _joint_weight_table(n_particles: int, energy_units: int, levels: tuple) -> d
     """Microstates per fitting count vector c at ``levels``: N!/(prod c_s! P!) f(P, M - c.levels).
 
     P = N - |c|; row P of f (P particles off ``levels``) is row P-1's prefix sum minus its level shifts.
-    Refused before any vector is built past MAX_OUTPUT_ROWS cells (N+1)(M+1), or as the closed form's
-    table is: an entry is at most its binomial moment B[c], as f(P, E) counts some of W(E, P).
+    Refused before any vector is built past the budget's rows in cells (N+1)(M+1), then as the closed
+    form's table is: an entry is at most its binomial moment B[c], as f(P, E) counts some of W(E, P).
     """
     n, m = n_particles, energy_units
     law = f"oracle for N={n}, M={m}, levels {list(levels)}"
-    if (n + 1) * (m + 1) > MAX_OUTPUT_ROWS:
-        raise ValueError(f"{law}: over {MAX_OUTPUT_ROWS} cells")
-    _check_table_size(law, n, m, len(levels), fitting_vector_count(n, m, levels))
+    check_budget(law, (n + 1) * (m + 1))
+    count = fitting_vector_count(n, m, levels)
+    check_budget(law, count, count * entry_bits(n, m, len(levels)))
     by_free = {}  # fitting count vectors by P, with the quanta left to the other levels
     for counts, free, energy in fitting_vectors(n, m, levels):
         by_free.setdefault(free, []).append((counts, energy))

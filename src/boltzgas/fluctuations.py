@@ -19,22 +19,19 @@ from .moments import (
     check_temperature,
     density_moment_limit,
 )
-from .system import MAX_OUTPUT_ROWS
+from .system import check_budget
 
 
 def _level_probabilities(n_particles, temperature, energy_cutoff, rank: int) -> tuple:
     """Checked (N, (p_0, ..., p_M)) of the limit model for N particles at temperature T.
 
-    ``rank`` is 1 for a vector over the levels and 2 for a matrix; a cutoff
-    whose (M+1)**rank entries exceed ``MAX_OUTPUT_ROWS`` raises ValueError.
+    ``rank`` is 1 for a vector over the levels and 2 for a matrix, of
+    (M+1)**rank entries under the work budget of ``system.check_budget``.
     """
     n_particles = check_particle_count(n_particles)
     check_temperature(temperature)
     energy_cutoff = integral_value("energy_cutoff", energy_cutoff, 0)
-    if (energy_cutoff + 1) ** rank > MAX_OUTPUT_ROWS:
-        raise ValueError(
-            f"energy_cutoff {energy_cutoff} gives more than {MAX_OUTPUT_ROWS} entries"
-        )
+    check_budget(f"energy_cutoff {energy_cutoff}", (energy_cutoff + 1) ** rank)
     p = tuple(math.exp(v) for v in _log_level_probabilities(temperature, energy_cutoff + 1))
     return n_particles, p
 

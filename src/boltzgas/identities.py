@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .combinatorics import integral_value, json_text, power_of_sum_row, stirling_like_row
 from .distributions import joint_pdf_exact
-from .system import SystemParams
+from .system import SystemParams, check_budget
 
 
 class IdentityReport(NamedTuple):
@@ -216,10 +216,14 @@ def sum_of_powers_residual_slope(n: int):
 # joint-law normalization (full-lattice sum)
 
 def check_joint_normalization(n: int, m: int, levels) -> IdentityReport:
-    """Sum the exact joint law over its whole count lattice; must equal 1."""
+    """Sum the exact joint law over its whole count lattice; must equal 1.
+
+    A lattice of (N+1)^|levels| points is refused past the work budget before the first.
+    """
     params_obj = SystemParams(n, m)
     n, m = params_obj.n_particles, params_obj.energy_units
     levels = tuple(params_obj.check_level(j) for j in levels)
+    check_budget(f"joint normalization of N={n}, M={m}, levels {list(levels)}", (n + 1) ** len(levels))
     params = {"N": n, "M": m, "levels": list(levels)}
     total = Fraction(0)
     for counts in itertools.product(range(n + 1), repeat=len(levels)):

@@ -3,8 +3,8 @@
 Exact quantities are reduced rationals valid for any (N, M). The m-th moment
 swaps the sums in sum_k k^m P(n_j = k): the weights A_q of
 ``power_of_sum_coefficient`` meet the forward differences of the powers
-0^m, 1^m, ..., min(N, m)^m, and a differencing past MAX_SHIFT_WORDS word
-operations or powers past MAX_TABLE_BYTES are refused first. The ``*_limit``
+0^m, 1^m, ..., min(N, m)^m, refused first past the work budget of
+``system.check_budget`` (README, "Limits"). The ``*_limit``
 functions evaluate the large-system forms, which depend on the specific energy
 T = M/N alone. The domain checks and the level probability p_j of that model
 live here only; ``distributions`` and ``fluctuations`` use them too.
@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .combinatorics import power_of_sum_coefficient, weak_compositions
-from .system import MAX_SHIFT_WORDS, MAX_TABLE_BYTES, SystemParams, integral_value, microstate_count
+from .system import SystemParams, check_budget, integral_value, microstate_count
 
 BOLTZMANN_CONSTANT = 1.380649e-23  # J/K, exact SI value
 
@@ -45,9 +45,8 @@ def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
     0^m, 1^m, 2^m, ... at 0; at m >= 1 the q = 0 term is 0^m = 0. The
     q = N term is nonzero only when N*j == M. The powers i^m, i = 0..min(N, m),
     are differenced in place with subtractions only: about min(N, m)^2 / 2
-    subtractions of integers of m log2(min(N, m) + 1) bits. Before any power is
-    built, that work is refused past MAX_SHIFT_WORDS word operations and the
-    powers past MAX_TABLE_BYTES.
+    subtractions of integers of m log2(min(N, m) + 1) bits, refused past the
+    work budget before any power is built.
     """
     level = params.check_level(level)
     order = integral_value("order", order, 0)
@@ -56,13 +55,8 @@ def exact_moment(params: SystemParams, level: int, order: int) -> Fraction:
     n, m_units, j = params.n_particles, params.energy_units, level
     top = min(n, order)
     bits = order * math.log2(top + 1)
-    words, size = top * top / 2 * bits / 64, (top + 1) * bits / 8
-    if words > MAX_SHIFT_WORDS or size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"moment of N={n}, M={m_units}, level {j}, order {order}: a differencing of about "
-            f"{words:.3g} word operations on {size:.3g} bytes of powers, over "
-            f"{MAX_SHIFT_WORDS} words or {MAX_TABLE_BYTES} bytes"
-        )
+    what = f"moment of N={n}, M={m_units}, level {j}, order {order}"
+    check_budget(what, top + 1, (top + 1) * bits, top * top / 2 * bits / 64)
     differences = [i**order for i in range(top + 1)]
     for q in range(1, top + 1):
         for i in range(top, q - 1, -1):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .combinatorics import integral_value
 from .moments import exact_moment
-from .system import MAX_OUTPUT_ROWS, OccupationVector, SystemParams, _Value, store_integral_fields
+from .system import OccupationVector, SystemParams, _Value, check_budget, store_integral_fields
 
 CHUNK_SIZE = 1 << 14
 # Rows held in memory at once. A block peaks while its float64 keys and their
@@ -150,8 +150,8 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
     Histograms are kept for levels 0..min(histogram_cutoff, M), cutoff 12 by
     default. Deterministic: a fixed config always returns the same object.
     Raises ValueError before the first draw when sample_count * N^2 reaches
-    2^63, when one row of M+N-1 keys passes BLOCK_BYTES, or past
-    MAX_OUTPUT_ROWS histogram cells (cutoff + 1)(N + 1).
+    2^63, when one row of M+N-1 keys passes BLOCK_BYTES, or past the work
+    budget's rows in histogram cells (cutoff + 1)(N + 1).
     """
     params = config.params
     n, m = params.n_particles, params.energy_units
@@ -166,9 +166,9 @@ def empirical_stats(config: SamplerConfig, histogram_cutoff: Optional[int] = Non
         histogram_cutoff = 12
     histogram_cutoff = min(integral_value("histogram_cutoff", histogram_cutoff, 0), m)
     slots, cells = max(m + n - 1, 1), (histogram_cutoff + 1) * (n + 1)
-    if slots > BLOCK_BYTES // 24 or cells > MAX_OUTPUT_ROWS:
-        raise ValueError(f"N={n}, M={m}: needs a row of {slots} keys (at most {BLOCK_BYTES // 24}) "
-                         f"and {cells} histogram cells (at most {MAX_OUTPUT_ROWS})")
+    if slots > BLOCK_BYTES // 24:
+        raise ValueError(f"N={n}, M={m}: needs a row of {slots} keys, at most {BLOCK_BYTES // 24}")
+    check_budget(f"{cells} histogram cells of N={n}, M={m}", cells)
     sums = np.zeros(m + 1, dtype=np.int64)
     square_sums = np.zeros(m + 1, dtype=np.int64)
     histograms = np.zeros((histogram_cutoff + 1, n + 1), dtype=np.int64)

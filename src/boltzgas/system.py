@@ -7,7 +7,8 @@ likely, and there are C(M+N-1, N-1) of them. The "temperature" of a system is
 the specific energy M/N. The level-range check, the level selections of the
 joint laws and the law type ``DistributionTable`` are defined here, once, for
 the exact laws, their limits and the oracle alike, and so are the one walk and
-count of the count vectors that fit a selection, and the exact tables' size check.
+count of the count vectors that fit a selection, and the one work budget that
+every exact path checks before it starts (README, "Limits").
 """
 from __future__ import annotations
 
@@ -20,19 +21,12 @@ from .combinatorics import _binomial, integral_value
 
 _LIMIT_SUM_TOLERANCE = 1e-12
 
-# The most rows a CLI table or grid, or the most entries a mean vector or a
-# covariance matrix, may have. Larger requests fail before anything is built.
+# The one work budget, read by ``check_budget`` alone (README, "Limits"): the
+# most entries or output rows, bytes of integers and 64-bit word operations a
+# computation may estimate before it starts. 2^30 words of shift took about
+# 1.7 s on a shared 2-core Xeon with Python 3.11.
 MAX_OUTPUT_ROWS = 1_000_000
-
-# The most bytes of integers an exact law's table, a moment's powers or a CLI
-# moments table may hold, estimated from a bound on their bits before any is built.
 MAX_TABLE_BYTES = 1 << 28
-
-# The most 64-bit word operations the Taylor shift of a 1-D exact law, or the
-# differencing of a moment's powers, may take, estimated before any entry is
-# built: (top + 1)(s + 1) subtractions of integers of the table's estimated bits
-# over the support s of the law's level. 2^30 words took about 1.7 s on a
-# shared 2-core Xeon with Python 3.11 ((N, M) = (4000, 8), level 0).
 MAX_SHIFT_WORDS = 1 << 30
 
 
@@ -212,23 +206,32 @@ def fitting_vector_count(n: int, m: int, levels: tuple) -> int:
     return count
 
 
-def _check_table_size(law: str, n: int, m: int, arity: int, entries: int) -> float:
-    """Refuse, before it is built, a table past MAX_OUTPUT_ROWS entries or MAX_TABLE_BYTES.
+def entry_bits(n: int, m: int, arity: int) -> float:
+    """Estimated bits of one entry of an exact law over ``arity`` levels, from ``math.log2`` alone.
 
-    An entry of the N+1 weights of one level or of a joint table over
-    ``arity`` levels (the closed form's, or the oracle's, whose entries are at
-    most the closed form's) is a multinomial coefficient, below (arity + 1)^N,
-    times a binomial of at most C(M+N-1, k) < (e (M+N) / k)^k, k = min(N-1, M).
-    Its bits are estimated from that bound with ``math.log2``, so no binomial
-    is computed. ``law`` names the table in the ValueError. Returns the bits of an entry.
+    An entry of the N+1 weights of one level or of a joint table (the closed
+    form's, or the oracle's, whose entries are at most the closed form's) is a
+    multinomial coefficient, below (arity + 1)^N, times a binomial of at most
+    C(M+N-1, k) < (e (M+N) / k)^k, k = min(N-1, M).
     """
-    if entries > MAX_OUTPUT_ROWS:
-        raise ValueError(f"{law}: over {MAX_OUTPUT_ROWS} entries")
     k = min(n - 1, m)
-    bits = n * math.log2(arity + 1) + k * (math.log2(m + n) - math.log2(max(k, 1)) + math.log2(math.e))
-    if entries * bits > 8 * MAX_TABLE_BYTES:
-        raise ValueError(f"{law}: about {entries * bits / 8:.3g} bytes of integers, over {MAX_TABLE_BYTES}")
-    return bits
+    return n * math.log2(arity + 1) + k * (math.log2(m + n) - math.log2(max(k, 1)) + math.log2(math.e))
+
+
+def check_budget(what: str, rows: int, bits: float = 0, words: float = 0) -> None:
+    """Refuse work past the one budget of the package before any of it is done (README, "Limits").
+
+    ``rows`` entries or output rows against MAX_OUTPUT_ROWS, ``bits`` of
+    integers in all against 8 MAX_TABLE_BYTES, and ``words`` 64-bit word
+    operations against MAX_SHIFT_WORDS, each a caller's estimate; the
+    ValueError names ``what``.
+    """
+    if rows > MAX_OUTPUT_ROWS:
+        raise ValueError(f"{what}: over {MAX_OUTPUT_ROWS} entries")
+    if bits > 8 * MAX_TABLE_BYTES:
+        raise ValueError(f"{what}: about {bits / 8:.3g} bytes of integers, over {MAX_TABLE_BYTES}")
+    if words > MAX_SHIFT_WORDS:
+        raise ValueError(f"{what}: about {words:.3g} word operations, over {MAX_SHIFT_WORDS}")
 
 
 class DistributionTable(_Value):

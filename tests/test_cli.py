@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boltzgas import cli, identities
+from boltzgas import cli, identities, system
 from boltzgas.cli import main
 from boltzgas.distributions import DistributionTable
 from boltzgas.identities import IdentityReport
@@ -523,8 +523,8 @@ class TestExitCodes:
 
 
 class TestRowCaps:
-    """moments and jointpdf refuse a table past MAX_OUTPUT_ROWS before computing a row,
-    and moments one past MAX_TABLE_BYTES of integers."""
+    """moments and jointpdf refuse a table past the budget's rows before computing a row,
+    and moments one past its bytes of integers."""
 
     CASES = [
         ("moments --n 2 --m 100", 505),  # 101 levels x 5 orders
@@ -537,16 +537,16 @@ class TestRowCaps:
 
     @pytest.mark.parametrize("argv, rows", CASES)
     def test_one_row_past_the_cap_is_refused(self, capsys, monkeypatch, argv, rows):
-        monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", rows - 1, raising=False)
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", rows - 1)
         monkeypatch.setattr(cli, "exact_moment", self.fail)
         monkeypatch.setattr(cli, "joint_pdf_exact", self.fail)
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == ""
-        assert err.startswith("error:") and f"exceed {rows - 1}" in err
+        assert err.startswith("error:") and err.endswith(f": over {rows - 1} entries\n")
 
     @pytest.mark.parametrize("argv, rows", CASES)
     def test_a_table_at_the_cap_is_written(self, capsys, monkeypatch, argv, rows):
-        monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", rows, raising=False)
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", rows)
         code, out, _ = run(capsys, *argv.split())
         assert code == 0 and len(out.splitlines()) == 1 + rows
 
@@ -555,23 +555,25 @@ class TestRowCaps:
     MOMENTS_BYTES = 923
 
     def test_moments_one_byte_past_their_budget_are_refused(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_TABLE_BYTES", self.MOMENTS_BYTES - 1)
+        monkeypatch.setattr(system, "MAX_TABLE_BYTES", self.MOMENTS_BYTES - 1)
         monkeypatch.setattr(cli, "exact_moment", self.fail)
         code, out, err = run(capsys, *self.MOMENTS.split())
         assert code == 1 and out == ""
-        assert err == f"error: the moments table would hold about 922 bytes of integers, over {self.MOMENTS_BYTES - 1}\n"
+        assert err == f"error: the moments table: about 922 bytes of integers, over {self.MOMENTS_BYTES - 1}\n"
 
     def test_moments_at_their_budget_are_written(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_TABLE_BYTES", self.MOMENTS_BYTES)
+        monkeypatch.setattr(system, "MAX_TABLE_BYTES", self.MOMENTS_BYTES)
         code, out, _ = run(capsys, *self.MOMENTS.split())
         assert code == 0 and len(out.splitlines()) == 1 + 3 * 41
 
     def test_single_point_is_not_capped(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", 1, raising=False)
-        code, out, _ = run(
-            capsys, "jointpdf", "--n", "9", "--m", "2", "--levels", "0,1,2", "--counts", "7,2,0"
-        )
+        # a budget of the joint table's 34 entries admits a point but not the 1000-point lattice
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 34)
+        argv = ["jointpdf", "--n", "9", "--m", "2", "--levels", "0,1,2"]
+        code, out, _ = run(capsys, *argv, "--counts", "7,2,0")
         assert code == 0 and len(out.splitlines()) == 2
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.endswith(": over 34 entries\n")
 
 
 # Each bounded flag once just outside its bound and once at it: (argv with {} for

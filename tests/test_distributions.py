@@ -622,20 +622,23 @@ class TestJointTermTable:
 
     @staticmethod
     def _assert_bound_is_the_length(monkeypatch, n, m, levels):
-        """A bound of exactly the closed form's length admits both tables, and one less refuses them."""
+        """A row budget of exactly a table's need admits it, and one less refuses it.
+
+        The closed form needs its length; the oracle, which checks its (N+1)(M+1)
+        cells first, the larger of the two.
+        """
         tables = (distributions._joint_term_table, enumeration._joint_weight_table)
         for table in tables:
             table.cache_clear()
-        size = len(distributions._joint_term_table(n, m, levels))
-        expected = enumeration._joint_weight_table(n, m, levels)
-        for table in tables:
+        built = [table(n, m, levels) for table in tables]
+        size = len(built[0])
+        for table, need, expected in zip(tables, (size, max(size, (n + 1) * (m + 1))), built):
             table.cache_clear()
-            monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", size - 1)
-            with pytest.raises(ValueError, match=f"N={n}, M={m}, .*: over {size - 1} entries"):
+            monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", need - 1)
+            with pytest.raises(ValueError, match=f"N={n}, M={m}, .*: over {need - 1} entries"):
                 table(n, m, levels)
-            monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", size)
-        assert len(distributions._joint_term_table(n, m, levels)) == size
-        assert enumeration._joint_weight_table(n, m, levels) == expected
+            monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", need)
+            assert table(n, m, levels) == expected
         for table in tables:
             table.cache_clear()
 
@@ -667,7 +670,7 @@ class TestJointTermTable:
 
 
 class TestTableSizeBound:
-    """An exact law refuses a table past MAX_OUTPUT_ROWS entries or MAX_TABLE_BYTES of integers."""
+    """An exact law refuses a table past the budget's rows or bytes of integers."""
 
     def test_refuses_before_any_binomial(self, monkeypatch):
         def no_build(*args):
@@ -680,7 +683,7 @@ class TestTableSizeBound:
             # about 10**5 entries of 1.5e6 bits
             (lambda: occupation_pdf_window(SystemParams(10**5, 10**9), 1, 0, 10), "bytes of integers"),
             (lambda: joint_pdf_exact(SystemParams(10**6, 10**6), (0,), (1,)), "bytes of integers"),
-            # within MAX_TABLE_BYTES, but shifts past MAX_SHIFT_WORDS: about 1.5e12 and 1.2e10 words
+            # within the budget's bytes, but shifts past its words: about 1.5e12 and 1.2e10 words
             (lambda: occupation_pdf_exact(SystemParams(46000, 8), 0), "N=46000, M=8, level 0: .* word"),
             (lambda: occupation_pdf_exact(SystemParams(5000, 50000), 1), "word operations"),
         ]
@@ -716,10 +719,10 @@ class TestTableSizeBound:
 
 
 class TestShiftWorkBound:
-    """A 1-D law refuses a shift past MAX_SHIFT_WORDS estimated word operations.
+    """A 1-D law refuses a shift past the budget's estimated word operations.
 
     The shift runs over the support s = min(N, M // j) (N at level 0), so the
-    estimate of the full law is (N + 1)(s + 1) subtractions of the entry bits.
+    estimate of the full law is (s + 1)^2 subtractions of the entry bits.
     """
 
     @pytest.mark.parametrize(
@@ -728,15 +731,15 @@ class TestShiftWorkBound:
     )
     def test_a_budget_one_word_short_refuses_the_law(self, monkeypatch, n, m, level):
         params = SystemParams(n, m)
-        bits = distributions._check_table_size("law", n, m, 1, n + 1)
         support = min(n, m // level) if level else n
-        words = math.ceil((n + 1) * (support + 1) * bits / 64)
-        monkeypatch.setattr(distributions, "MAX_SHIFT_WORDS", words - 1)
+        bits = (support + 1) * system.entry_bits(n, m, 1)
+        words = math.ceil((support + 1) * bits / 64)
+        monkeypatch.setattr(system, "MAX_SHIFT_WORDS", words - 1)
         with pytest.raises(ValueError, match=r"law .* word operations"):
             occupation_pdf_exact(params, level)
-        # a window to a lower count shifts less
-        assert occupation_pdf_window(params, level, 0, n - 1)[0] == list(range(n))
-        monkeypatch.setattr(distributions, "MAX_SHIFT_WORDS", words)
+        # a window below the support's top count shifts less
+        assert occupation_pdf_window(params, level, 0, support - 1)[0] == list(range(support))
+        monkeypatch.setattr(system, "MAX_SHIFT_WORDS", words)
         assert occupation_pdf_exact(params, level) == oracle_pdf(params, level)
 
     def test_answers_the_full_law_the_cli_is_run_at(self):
@@ -744,12 +747,27 @@ class TestShiftWorkBound:
         assert len(table.probabilities) == 1025
 
     def test_a_high_level_is_bounded_by_its_support(self):
-        # level 0 of (46000, 8) shifts over 46001 weights and is refused; level 1
-        # over its 9 nonzero weights
-        params = SystemParams(46000, 8)
-        with pytest.raises(ValueError, match="word operations"):
-            occupation_pdf_exact(params, 0)
-        assert occupation_pdf_exact(params, 1) == oracle_pdf(params, 1)
+        # level 0 of (46000, 8) shifts over 46001 weights and is refused, and level 0 of
+        # (10**6, 5) has over a million entries; level 1 holds and shifts its 9 nonzero
+        # weights alone, also at N = 50000, where all N+1 would pass the budget's bytes
+        refusals = [(46000, 8, "N=46000, M=8, level 0: .* word operations"), (10**6, 5, "over 1000000 entries")]
+        for n, m, match in refusals:
+            with pytest.raises(ValueError, match=match):
+                occupation_pdf_exact(SystemParams(n, m), 0)
+        for n in (46000, 50000):
+            params = SystemParams(n, 8)
+            assert occupation_pdf_exact(params, 1) == oracle_pdf(params, 1)
+
+    @pytest.mark.parametrize("n, m, level", [(8, 10, 1), (40, 20, 3), (100, 30, 10)])
+    def test_a_budget_one_byte_short_of_the_support_refuses_the_law(self, monkeypatch, n, m, level):
+        params = SystemParams(n, m)
+        support = min(n, m // level)
+        need = math.ceil((support + 1) * system.entry_bits(n, m, 1) / 8)
+        monkeypatch.setattr(system, "MAX_TABLE_BYTES", need - 1)
+        with pytest.raises(ValueError, match=r"law .* bytes of integers"):
+            occupation_pdf_exact(params, level)
+        monkeypatch.setattr(system, "MAX_TABLE_BYTES", need)
+        assert occupation_pdf_exact(params, level) == oracle_pdf(params, level)
 
 
 class TestJointPdfExact:

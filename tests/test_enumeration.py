@@ -86,7 +86,7 @@ class _NoEnvironment(dict):
 
 
 class TestWalkBound:
-    """The walk refuses more than MAX_OUTPUT_ROWS cells or macrostates, and reads no knob."""
+    """The walk refuses cells or macrostates past the budget's rows, and reads no knob."""
 
     @staticmethod
     def fail(*args, **kwargs):
@@ -122,10 +122,10 @@ class TestWalkBound:
     def test_admits_a_walk_at_the_bound(self, monkeypatch):
         # 13 * 17 = 221 cells, under the 224 macrostates
         params = SystemParams(12, 16)
-        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 223)
-        with pytest.raises(ValueError, match=re.escape("N=12, M=16")):
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 223)
+        with pytest.raises(ValueError, match=re.escape("N=12, M=16: over 223 entries")):
             next(enumerate_macrostates(params))
-        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 224)
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 224)
         assert len(list(enumerate_macrostates(params))) == 224
 
     def test_depth_does_not_grow_with_the_levels(self):
@@ -290,7 +290,6 @@ class TestJointWeightTable:
             _joint_weight_table(10**9, 10**9, (0,))
         # 4 * 11 cells fit under 58, the 59 fitting count vectors of 3 particles on 10 levels do not
         _joint_weight_table.cache_clear()
-        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 58)
         monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 58)
         with pytest.raises(ValueError, match=re.escape("N=3, M=10, levels [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]")):
             _joint_weight_table(3, 10, tuple(range(10)))
@@ -311,10 +310,10 @@ class TestJointWeightTable:
 
     def test_guard_admits_a_table_at_the_bound(self, monkeypatch):
         _joint_weight_table.cache_clear()
-        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 5 * 7 - 1)
-        with pytest.raises(ValueError, match=re.escape("N=4, M=6, levels [2]")):
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 5 * 7 - 1)
+        with pytest.raises(ValueError, match=re.escape("N=4, M=6, levels [2]: over 34 entries")):
             oracle_pdf(SystemParams(4, 6), 2)
-        monkeypatch.setattr(enumeration, "MAX_OUTPUT_ROWS", 5 * 7)
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 5 * 7)
         assert sum(oracle_pdf(SystemParams(4, 6), 2).probabilities) == 1
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boltzgas import fluctuations
+from boltzgas import fluctuations, system
 from boltzgas.fluctuations import (
     covariance_matrix,
     mean_vector,
@@ -148,7 +148,7 @@ class TestCovarianceMatrix:
         assert peak < 2**16
 
     def test_size_cap_counts_entries(self, monkeypatch):
-        monkeypatch.setattr(fluctuations, "MAX_OUTPUT_ROWS", 16)
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 16)
         assert len(covariance_matrix(10, 1.0, 3)) == 4
         assert len(mean_vector(10, 1.0, 15)) == 16
         with pytest.raises(ValueError, match="energy_cutoff"):

@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import boltzgas.identities as identities
+from boltzgas import system
 from boltzgas.identities import (
     IDENTITY_FAMILIES,
     SIMPLEX_RATIOS,
@@ -156,6 +159,28 @@ class TestJointNormalization:
         report = check_joint_normalization(2, 2, (0,))
         assert report.verdict == "mismatch" and report.residual == Fraction(1, 2)
         assert report.params == {"N": 2, "M": 2, "levels": [0]}
+
+    @staticmethod
+    def fail(*args):
+        raise AssertionError("summed a point of a refused lattice")
+
+    def test_refuses_a_lattice_past_the_budget_before_any_point(self, monkeypatch):
+        # 201**5, about 3.3e11 points
+        monkeypatch.setattr(identities, "joint_pdf_exact", self.fail)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape("N=200, M=10, levels [0, 1, 2, 3, 4]: over 1000000 entries")):
+            check_joint_normalization(200, 10, (0, 1, 2, 3, 4))
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_budget_one_point_short_refuses_the_lattice(self, monkeypatch):
+        # 4 * 4 points
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 15)
+        monkeypatch.setattr(identities, "joint_pdf_exact", self.fail)
+        with pytest.raises(ValueError, match="over 15 entries"):
+            check_joint_normalization(3, 4, (0, 2))
+        monkeypatch.undo()
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 16)
+        assert check_joint_normalization(3, 4, (0, 2)).verdict == "exact-equal"
 
 
 class TestReports:

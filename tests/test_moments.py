@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boltzgas import moments
+from boltzgas import moments, system
 
 from boltzgas.distributions import (
     joint_pdf_multinomial_limit,
@@ -148,12 +148,15 @@ class TestExactMoment:
         top = min(n, order)
         bits = order * math.log2(top + 1)
         expected = oracle_moment(params, level, order)
-        needs = {"MAX_SHIFT_WORDS": top * top / 2 * bits / 64, "MAX_TABLE_BYTES": (top + 1) * bits / 8}
-        for name, need in needs.items():
-            monkeypatch.setattr(moments, name, math.ceil(need) - 1)
-            with pytest.raises(ValueError, match="word operations .* bytes of powers"):
+        needs = {
+            "MAX_SHIFT_WORDS": (top * top / 2 * bits / 64, "word operations"),
+            "MAX_TABLE_BYTES": ((top + 1) * bits / 8, "bytes of integers"),
+        }
+        for name, (need, unit) in needs.items():
+            monkeypatch.setattr(system, name, math.ceil(need) - 1)
+            with pytest.raises(ValueError, match=f"order {order}: about .* {unit}, over {math.ceil(need) - 1}$"):
                 exact_moment(params, level, order)
-            monkeypatch.setattr(moments, name, math.ceil(need))
+            monkeypatch.setattr(system, name, math.ceil(need))
             assert exact_moment(params, level, order) == expected
 
 

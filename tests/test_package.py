@@ -120,6 +120,18 @@ def test_law_type_lives_with_the_domain():
     assert not hasattr(boltzgas, "CovarianceMatrix")
 
 
+def test_work_budget_lives_in_system_alone():
+    # Every exact path checks its estimate with system.check_budget; no module holds a copy of its byte
+    # or word constants that a test would have to patch apart.
+    holders = {
+        (info.name, name)
+        for info in pkgutil.iter_modules(boltzgas.__path__)
+        for name in ("MAX_TABLE_BYTES", "MAX_SHIFT_WORDS")
+        if name in vars(importlib.import_module(f"boltzgas.{info.name}"))
+    }
+    assert holders == {("system", "MAX_TABLE_BYTES"), ("system", "MAX_SHIFT_WORDS")}
+
+
 def test_every_cache_is_bounded():
     caches = {f"{module}.{name}": cache for module, name, cache in _functools_caches()}
     assert caches
