@@ -23,6 +23,7 @@ from .distributions import (
     LimitValidityWarning,
     NormalApproximation,
     joint_pdf_exact,
+    joint_pdf_lattice,
     joint_pdf_multinomial_limit,
     macrostate_probability_exact,
     macrostate_probability_largeN,

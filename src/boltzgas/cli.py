@@ -8,7 +8,9 @@ the rows of a failed check are always written before it exits 2.
 argparse checks every flag: a check on one flag is that flag's ``type``, so a
 bad value fails as one line "error: argument --FLAG: ..." before any command
 runs. A ``cmd_*`` checks only flag combinations (table sizes, through
-``system.check_budget``; --counts length, lattice arity, default T = M/N, N*T overflow).
+``system.check_budget``; --counts length, default T = M/N, N*T overflow).
+``jointpdf`` without --counts reads its whole count lattice from
+``distributions.joint_pdf_lattice``, whose budget bounds the lattice.
 ``identities --name`` takes a family of the battery, checked in its type, and
 runs only that family.
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import math
 import os
 import sys
@@ -44,6 +45,7 @@ from functools import partial
 from .combinatorics import json_default, json_text
 from .distributions import (
     joint_pdf_exact,
+    joint_pdf_lattice,
     occupation_pdf_binomial_limit,
     occupation_pdf_exact,
 )
@@ -258,21 +260,17 @@ def cmd_pdf(args) -> tuple:
 
 def cmd_jointpdf(args) -> tuple:
     params = SystemParams(args.n, args.m)
-    arity = len(args.levels)
     header = [f"count_level_{j}" for j in args.levels] + ["exact", "value"]
     if args.counts:
-        if len(args.counts) != arity:
+        if len(args.counts) != len(args.levels):
             raise ValueError("--counts must match the number of levels")
-        lattice = [args.counts]
+        lattice, values = [args.counts], [joint_pdf_exact(params, args.levels, args.counts)]
     else:
-        if arity > 3:
-            raise ValueError("full lattice output is limited to 3 levels; pass --counts")
-        check_budget("the full lattice without --counts", (params.n_particles + 1) ** arity)
-        lattice = itertools.product(range(params.n_particles + 1), repeat=arity)
+        lattice, numerators, total = joint_pdf_lattice(params, args.levels)
+        values = [Fraction(v, total) for v in numerators]
     rows = []
     failed = False
-    for counts in lattice:
-        value = joint_pdf_exact(params, args.levels, counts)
+    for counts, value in zip(lattice, values):
         if args.check_oracle and value != oracle_joint_pdf(params, args.levels, counts):
             failed = True
         rows.append(list(counts) + [value, float(value)])

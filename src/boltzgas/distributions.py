@@ -5,13 +5,16 @@ binomial coefficients, evaluated in integer arithmetic and normalized once at
 the end, so cancellation is never an issue. A 1-D law is integer numerators
 over C(M+N-1, N-1), read through one entry point, ``occupation_pdf_window``;
 the joint law inverts a table of binomial moments, one entry per count vector
-of ``system.fitting_vectors``. Each is refused before it is built past the
+of ``system.fitting_vectors``, and its whole count lattice is integer
+numerators over the same denominator, read through ``joint_pdf_lattice``
+alone. Each is refused before it is built past the
 work budget of ``system.check_budget`` (README, "Limits"). The limit laws
 (binomial, normal, energy-conditioned normal, multinomial) depend on the
 specific energy T alone and are evaluated in log space to stay finite at large N.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -211,7 +214,7 @@ def occupation_pdf_normal_limit(n_particles: int, temperature, level: int) -> No
     return NormalApproximation(mean=n_particles * p, variance=n_particles * p * (1.0 - p))
 
 
-@lru_cache(maxsize=4)  # callers read one table many times in a row; a table may hold a million entries
+@lru_cache(maxsize=1)  # every caller reads one table at a time; a table may hold a million entries
 def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     """Nonzero binomial moments B[r] of the occupations at ``levels``, as (r, B[r]) pairs.
 
@@ -236,18 +239,15 @@ def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     return tuple(terms)
 
 
-def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
-    """Exact probability that the occupation at levels[s] equals counts[s] for all s.
+def _joint_numerator(table: tuple, counts: tuple) -> int:
+    """Numerator over C(M+N-1, N-1) of the joint law at ``counts``, given in the table's level order.
 
-    Inverts the binomial moments B[r] of ``_joint_term_table``: the numerator
-    is sum_r (-1)^(|r| - |c|) prod_s C(r_s, c_s) B[r] over C(M+N-1, N-1).
-    Impossible joint events return 0.
+    Inverts the binomial moments B[r] of the table: the numerator is
+    sum_r (-1)^(|r| - |c|) prod_s C(r_s, c_s) B[r], a read of every entry.
     """
-    levels, counts = normalize_selection(params, levels, counts)
-    n, m = params.n_particles, params.energy_units
     count_sum = sum(counts)
     numerator = 0
-    for comp, weight in _joint_term_table(n, m, levels):
+    for comp, weight in table:
         factor = 1
         for mi, ci in zip(comp, counts):
             if ci > mi:
@@ -259,7 +259,43 @@ def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
         if (sum(comp) - count_sum) % 2:
             factor = -factor
         numerator += weight * factor
-    return Fraction(numerator, microstate_count(params))
+    return numerator
+
+
+def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
+    """Exact probability that the occupation at levels[s] equals counts[s] for all s.
+
+    One inversion of the binomial moments of ``_joint_term_table``, over
+    C(M+N-1, N-1). Impossible joint events return 0.
+    """
+    levels, counts = normalize_selection(params, levels, counts)
+    table = _joint_term_table(params.n_particles, params.energy_units, levels)
+    return Fraction(_joint_numerator(table, counts), microstate_count(params))
+
+
+def joint_pdf_lattice(params: SystemParams, levels) -> tuple:
+    """(points, numerators, denominator): the exact joint law at every point of its count lattice.
+
+    The points run over 0..N at each of ``levels``, in ``itertools.product``
+    order over the levels as given, and the law at points[i] is
+    numerators[i] / denominator, over C(M+N-1, N-1). The lattice reads
+    ``_joint_term_table`` once and inverts it at each point, so it costs
+    (N+1)^k points times the table's entries: refused before the first point
+    past (N+1)^k rows, or past that many reads of the ``fitting_vector_count``
+    entries at max(1, ``entry_bits`` / 64) words each (README, "Limits").
+    """
+    levels = tuple(levels)
+    ordered, order = normalize_selection(params, levels, range(len(levels)))
+    n, m = params.n_particles, params.energy_units
+    law = f"joint lattice of N={n}, M={m}, levels {list(levels)}"
+    points = (n + 1) ** len(levels)
+    check_budget(law, points)
+    words = max(1, entry_bits(n, m, len(levels)) / 64)
+    check_budget(law, points, 0, points * fitting_vector_count(n, m, ordered) * words)
+    table = _joint_term_table(n, m, ordered)
+    lattice = list(itertools.product(range(n + 1), repeat=len(levels)))
+    numerators = [_joint_numerator(table, tuple(point[i] for i in order)) for point in lattice]
+    return lattice, numerators, microstate_count(params)
 
 
 def multinomial_trial_probabilities(temperature, arity: int) -> list:

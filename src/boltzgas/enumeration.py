@@ -80,7 +80,7 @@ def enumerate_macrostates(params: SystemParams) -> Iterator[WeightedMacrostate]:
     yield from descend(m, n, m, 1)
 
 
-@lru_cache(maxsize=4)  # callers read one table many times in a row; a table may hold a million entries
+@lru_cache(maxsize=1)  # every caller reads one table at a time; a table may hold a million entries
 def _joint_weight_table(n_particles: int, energy_units: int, levels: tuple) -> dict:
     """Microstates per fitting count vector c at ``levels``: N!/(prod c_s! P!) f(P, M - c.levels).
 

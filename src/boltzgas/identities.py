@@ -3,7 +3,9 @@
 Identities the production formulas rely on (the bivariate power expansion, the
 log-derivative expansion, the nested geometric sum, joint normalization) are
 asserted exactly; the log-derivative expansion is compared as two integer
-exponential polynomials. The power-sum expansion, whose claimed coefficients
+exponential polynomials, and joint normalization sums the integer numerators
+of ``distributions.joint_pdf_lattice``, which alone walks and bounds the
+count lattice. The power-sum expansion, whose claimed coefficients
 conflict with the classical ones, is measured and reported, never asserted.
 """
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import integral_value, json_text, power_of_sum_row, stirling_like_row
-from .distributions import joint_pdf_exact
-from .system import SystemParams, check_budget
+from .distributions import joint_pdf_lattice
+from .system import SystemParams
 
 
 class IdentityReport(NamedTuple):
@@ -218,23 +220,20 @@ def sum_of_powers_residual_slope(n: int):
 def check_joint_normalization(n: int, m: int, levels) -> IdentityReport:
     """Sum the exact joint law over its whole count lattice; must equal 1.
 
-    A lattice of (N+1)^|levels| points is refused past the work budget before the first.
+    The lattice is ``joint_pdf_lattice``'s, refused past its work budget before the first point.
     """
     params_obj = SystemParams(n, m)
-    n, m = params_obj.n_particles, params_obj.energy_units
-    levels = tuple(params_obj.check_level(j) for j in levels)
-    check_budget(f"joint normalization of N={n}, M={m}, levels {list(levels)}", (n + 1) ** len(levels))
-    params = {"N": n, "M": m, "levels": list(levels)}
-    total = Fraction(0)
-    for counts in itertools.product(range(n + 1), repeat=len(levels)):
-        total += joint_pdf_exact(params_obj, levels, counts)
-    if total == 1:
+    levels = [params_obj.check_level(j) for j in levels]
+    params = {"N": params_obj.n_particles, "M": params_obj.energy_units, "levels": levels}
+    _, numerators, total = joint_pdf_lattice(params_obj, levels)
+    mass = sum(numerators)
+    if mass == total:
         return IdentityReport(name="joint-normalization", params=params, verdict="exact-equal")
     return IdentityReport(
         name="joint-normalization",
         params=params,
         verdict="mismatch",
-        residual=total - 1,
+        residual=Fraction(mass - total, total),
     )
 
 

@@ -312,7 +312,8 @@ class DistributionTable(_Value):
         return tuple(range(len(self._weights)))
 
     def probability(self, count):
-        """P(count); 0 outside 0..len-1."""
+        """P(count); 0 outside 0..len-1. ``count`` is an integer (see ``integral_value``)."""
+        count = integral_value("count", count)
         return self._value(self._weights[count] if 0 <= count < len(self._weights) else 0)
 
     def as_floats(self) -> list:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boltzgas import cli, identities, system
+from boltzgas import cli, distributions, identities, system
 from boltzgas.cli import main
 from boltzgas.distributions import DistributionTable
 from boltzgas.identities import IdentityReport
@@ -214,12 +214,24 @@ class TestJointPdf:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 16
 
-    def test_lattice_arity_guard(self, capsys):
-        code, _, err = run(
+    def test_a_small_four_level_lattice_is_written(self, capsys):
+        code, out, _ = run(
             capsys, "jointpdf", "--n", "2", "--m", "4", "--levels", "0,1,2,3"
         )
-        assert code == 1
-        assert "counts" in err
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 81
+
+    def test_a_four_level_lattice_past_the_budget_is_refused(self, capsys, monkeypatch):
+        # 31**4 points x 16,906 entries, about 3.5e10 word reads
+        monkeypatch.setattr(distributions, "_joint_numerator", TestRowCaps.fail)
+        code, out, err = run(
+            capsys, "jointpdf", "--n", "30", "--m", "30", "--levels", "0,1,2,3"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: joint lattice of N=30, M=30, levels [0, 1, 2, 3]: "
+            "about 3.46e+10 word operations, over 1073741824\n"
+        )
 
     def test_counts_of_the_wrong_length(self, capsys):
         code, out, err = run(
@@ -523,8 +535,8 @@ class TestExitCodes:
 
 
 class TestRowCaps:
-    """moments and jointpdf refuse a table past the budget's rows before computing a row,
-    and moments one past its bytes of integers."""
+    """moments and jointpdf (through ``joint_pdf_lattice``) refuse a table past the budget's
+    rows before computing a row, and moments one past its bytes of integers."""
 
     CASES = [
         ("moments --n 2 --m 100", 505),  # 101 levels x 5 orders
@@ -539,7 +551,7 @@ class TestRowCaps:
     def test_one_row_past_the_cap_is_refused(self, capsys, monkeypatch, argv, rows):
         monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", rows - 1)
         monkeypatch.setattr(cli, "exact_moment", self.fail)
-        monkeypatch.setattr(cli, "joint_pdf_exact", self.fail)
+        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.endswith(f": over {rows - 1} entries\n")

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -16,6 +17,7 @@ from boltzgas.distributions import (
     DistributionTable,
     LimitValidityWarning,
     joint_pdf_exact,
+    joint_pdf_lattice,
     joint_pdf_multinomial_limit,
     macrostate_probability_exact,
     macrostate_probability_largeN,
@@ -665,8 +667,16 @@ class TestJointTermTable:
             distributions._joint_term_table.cache_clear()
             enumeration._joint_weight_table.cache_clear()
 
-    def test_cache_holds_four_tables(self):
-        assert distributions._joint_term_table.cache_parameters()["maxsize"] == 4
+    def test_a_second_table_evicts_the_first(self):
+        # both joint caches hold one table: every caller reads one at a time
+        for table in (distributions._joint_term_table, enumeration._joint_weight_table):
+            table.cache_clear()
+            first = table(6, 8, (0, 1, 2))
+            table(6, 8, (0, 1, 3))
+            assert table.cache_info().currsize == 1
+            assert table(6, 8, (0, 1, 2)) == first
+            assert table.cache_info().misses == 3
+            table.cache_clear()
 
 
 class TestTableSizeBound:
@@ -859,6 +869,90 @@ class TestJointPdfExact:
                 marginals[axis][count] += value
         for level, marginal in zip(levels, marginals):
             assert tuple(marginal) == occupation_pdf_exact(params, level).probabilities
+
+
+class TestJointPdfLattice:
+    """The whole count lattice of the joint law, read from one table and refused before its first point."""
+
+    @staticmethod
+    def fail(*args):
+        raise AssertionError("inverted the table at a point of a refused lattice")
+
+    @pytest.mark.parametrize(
+        "n, m, levels", list(JOINT_NORMALIZATION_POINTS) + [(12, 16, (0, 1, 2)), (3, 4, (0, 1, 2, 3))]
+    )
+    def test_every_point_is_the_per_point_law_and_the_oracle(self, n, m, levels):
+        params = SystemParams(n, m)
+        points, numerators, total = joint_pdf_lattice(params, levels)
+        assert points == list(itertools.product(range(n + 1), repeat=len(levels)))
+        assert total == system.microstate_count(params) and sum(numerators) == total
+        for counts, numerator in zip(points, numerators):
+            value = Fraction(numerator, total)
+            assert value == joint_pdf_exact(params, levels, counts) == oracle_joint_pdf(params, levels, counts)
+
+    def test_reads_the_table_once(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(distributions, "_joint_term_table", lambda *key: reads.append(key) or ())
+        joint_pdf_lattice(SystemParams(3, 4), (2, 0))
+        assert reads == [(3, 4, (0, 2))]
+
+    def test_levels_out_of_order_follow_the_levels_as_given(self):
+        # the rows `jointpdf --levels 2,0` prints: the first count is at level 2
+        params = SystemParams(3, 4)
+        points, numerators, total = joint_pdf_lattice(params, (2, 0))
+        assert points == list(itertools.product(range(4), repeat=2))
+        assert [Fraction(v, total) for v in numerators] == [
+            joint_pdf_exact(params, (0, 2), (c0, c2)) for c2, c0 in points
+        ]
+        # two particles at level 2 hold the 4 quanta and one sits at level 0, so 3 of the 15 microstates
+        assert Fraction(numerators[points.index((2, 1))], total) == Fraction(1, 5)
+        assert numerators[points.index((1, 2))] == 0
+
+    @pytest.mark.parametrize(
+        "n, m, levels, match",
+        [
+            (99, 200, (0, 1, 2), "N=99, M=200, levels [0, 1, 2]: about 1.29e+12 word operations"),
+            (40, 60, (0, 1, 2), "N=40, M=60, levels [0, 1, 2]: about 2.27e+09 word operations"),
+            (30, 30, (0, 1, 2, 3), "N=30, M=30, levels [0, 1, 2, 3]: about 3.46e+10 word operations"),
+            (200, 10, (0, 1, 2, 3, 4), "N=200, M=10, levels [0, 1, 2, 3, 4]: over 1000000 entries"),
+        ],
+    )
+    def test_refuses_a_lattice_past_the_budget_before_any_point(self, monkeypatch, n, m, levels, match):
+        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(f"joint lattice of {match}")):
+            joint_pdf_lattice(SystemParams(n, m), levels)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_budget_one_row_short_refuses_the_lattice(self, monkeypatch):
+        # 4 * 4 points; the table holds fewer entries
+        params = SystemParams(3, 4)
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 15)
+        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
+        with pytest.raises(ValueError, match=re.escape("N=3, M=4, levels [0, 2]: over 15 entries")):
+            joint_pdf_lattice(params, (0, 2))
+        monkeypatch.undo()
+        monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 16)
+        assert len(joint_pdf_lattice(params, (0, 2))[0]) == 16
+
+    def test_a_budget_one_word_short_refuses_the_lattice(self, monkeypatch):
+        # entries of fewer than 64 bits are one word each: 2197 points x 349 entries
+        params, levels = SystemParams(12, 16), (0, 1, 2)
+        assert system.entry_bits(12, 16, 3) < 64
+        words = 13**3 * system.fitting_vector_count(12, 16, levels)
+        assert words == 766_753
+        monkeypatch.setattr(system, "MAX_SHIFT_WORDS", words - 1)
+        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
+        with pytest.raises(ValueError, match=r"joint lattice of N=12, M=16, .* word operations"):
+            joint_pdf_lattice(params, levels)
+        monkeypatch.undo()
+        monkeypatch.setattr(system, "MAX_SHIFT_WORDS", words)
+        assert len(joint_pdf_lattice(params, levels)[0]) == 13**3
+
+    @pytest.mark.parametrize("levels", [(), (0, 0), (0, 5)])
+    def test_rejects_the_levels_joint_pdf_exact_rejects(self, levels):
+        with pytest.raises(ValueError):
+            joint_pdf_lattice(SystemParams(3, 4), levels)
 
 
 class TestMultinomialLimit:

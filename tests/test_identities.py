@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import boltzgas.identities as identities
-from boltzgas import system
+from boltzgas import distributions, system
 from boltzgas.identities import (
     IDENTITY_FAMILIES,
     SIMPLEX_RATIOS,
@@ -155,7 +155,8 @@ class TestJointNormalization:
             check_joint_normalization(3, 4, (0, 1.0))
 
     def test_mismatch_reports_the_residual(self, monkeypatch):
-        monkeypatch.setattr(identities, "joint_pdf_exact", lambda *args: Fraction(1, 2))
+        # three numerators of 1 over 2: the lattice sums to 3/2
+        monkeypatch.setattr(identities, "joint_pdf_lattice", lambda *args: ([(0,), (1,), (2,)], [1, 1, 1], 2))
         report = check_joint_normalization(2, 2, (0,))
         assert report.verdict == "mismatch" and report.residual == Fraction(1, 2)
         assert report.params == {"N": 2, "M": 2, "levels": [0]}
@@ -164,18 +165,26 @@ class TestJointNormalization:
     def fail(*args):
         raise AssertionError("summed a point of a refused lattice")
 
-    def test_refuses_a_lattice_past_the_budget_before_any_point(self, monkeypatch):
-        # 201**5, about 3.3e11 points
-        monkeypatch.setattr(identities, "joint_pdf_exact", self.fail)
+    @pytest.mark.parametrize(
+        "n, m, levels, match",
+        [
+            # 201**5, about 3.3e11 points
+            (200, 10, (0, 1, 2, 3, 4), "N=200, M=10, levels [0, 1, 2, 3, 4]: over 1000000 entries"),
+            # 10**6 points x 126,275 entries, about 8.7e11 word reads
+            (99, 99, (0, 1, 2), "N=99, M=99, levels [0, 1, 2]: about 8.66e+11 word operations"),
+        ],
+    )
+    def test_refuses_a_lattice_past_the_budget_before_any_point(self, monkeypatch, n, m, levels, match):
+        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=re.escape("N=200, M=10, levels [0, 1, 2, 3, 4]: over 1000000 entries")):
-            check_joint_normalization(200, 10, (0, 1, 2, 3, 4))
+        with pytest.raises(ValueError, match=re.escape(f"joint lattice of {match}")):
+            check_joint_normalization(n, m, levels)
         assert time.perf_counter() - start < 1.0
 
     def test_a_budget_one_point_short_refuses_the_lattice(self, monkeypatch):
         # 4 * 4 points
         monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 15)
-        monkeypatch.setattr(identities, "joint_pdf_exact", self.fail)
+        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
         with pytest.raises(ValueError, match="over 15 entries"):
             check_joint_normalization(3, 4, (0, 2))
         monkeypatch.undo()

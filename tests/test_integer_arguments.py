@@ -28,6 +28,7 @@ from boltzgas import (
     exact_moment,
     figure_data,
     joint_pdf_exact,
+    joint_pdf_lattice,
     joint_pdf_multinomial_limit,
     macrostate_probability_largeN,
     max_variance_point,
@@ -37,6 +38,7 @@ from boltzgas import (
     multinomial_weight,
     occupation_pdf_binomial_limit,
     occupation_pdf_conditioned_limit,
+    occupation_pdf_exact,
     occupation_pdf_normal_limit,
     occupation_pdf_window,
     oracle_joint_pdf,
@@ -93,7 +95,10 @@ POLICY = [
     ("occupation_pdf_normal_limit", lambda v: occupation_pdf_normal_limit(v, 2.0, 1), 4, "n_particles", 1),
     ("occupation_pdf_normal_limit", lambda v: occupation_pdf_normal_limit(4, 2.0, v), 1, "level", 0),
     ("joint_pdf_exact", lambda v: joint_pdf_exact(P, (0, 1), (v, 1)), 2, "count", None),
+    ("joint_pdf_lattice", lambda v: joint_pdf_lattice(P, (0, v)), 1, "level", 0),
     ("oracle_joint_pdf", lambda v: oracle_joint_pdf(P, (0, 1), (v, 1)), 2, "count", None),
+    ("DistributionTable.probability", lambda v: occupation_pdf_exact(P, 1).probability(v), 2, "count", None),
+    ("DistributionTable.probability", lambda v: occupation_pdf_binomial_limit(4, 2.0, 1).probability(v), 2, "count", None),
     ("multinomial_trial_probabilities", lambda v: multinomial_trial_probabilities(1.0, v), 2, "arity", 1),
     ("joint_pdf_multinomial_limit", lambda v: joint_pdf_multinomial_limit(v, 1.0, [1, 2]), 10, "n_particles", 1),
     ("joint_pdf_multinomial_limit", lambda v: joint_pdf_multinomial_limit(10, 1.0, [v, 2]), 1, "count", 0),
