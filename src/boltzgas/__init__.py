@@ -12,7 +12,6 @@ import importlib
 import types
 
 from .combinatorics import (
-    ExactRational,
     binomial,
     multinomial_weight,
     power_of_sum_coefficient,
@@ -27,7 +26,6 @@ from .distributions import (
     joint_pdf_multinomial_limit,
     macrostate_probability_exact,
     macrostate_probability_largeN,
-    multinomial_trial_probabilities,
     occupation_pdf_binomial_limit,
     occupation_pdf_conditioned_limit,
     occupation_pdf_exact,
@@ -42,13 +40,11 @@ from .enumeration import (
     oracle_pdf,
 )
 from .moments import (
-    BOLTZMANN_CONSTANT,
     conditioned_variance_limit,
     density_moment_factorized,
     density_moment_limit,
     exact_moment,
     max_variance_point,
-    physical_temperature,
     std_over_mean,
     variance_exact,
     variance_limit,

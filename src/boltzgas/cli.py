@@ -10,7 +10,8 @@ bad value fails as one line "error: argument --FLAG: ..." before any command
 runs. A ``cmd_*`` checks only flag combinations (table sizes, through
 ``system.check_budget``; --counts length, default T = M/N, N*T overflow).
 ``jointpdf`` without --counts reads its whole count lattice from
-``distributions.joint_pdf_lattice``, whose budget bounds the lattice.
+``distributions.joint_pdf_lattice``, one Taylor shift of the joint table,
+whose budget bounds the lattice.
 ``identities --name`` takes a family of the battery, checked in its type, and
 runs only that family.
 

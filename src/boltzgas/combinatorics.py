@@ -16,11 +16,6 @@ import numbers
 import operator
 from fractions import Fraction
 
-# Exact probabilities and moments reach callers as reduced arbitrary-precision
-# rationals; an exact law holds integer numerators over one denominator until
-# one is read.
-ExactRational = Fraction
-
 
 def json_default(value):
     """``default=`` hook for ``json.dumps``.

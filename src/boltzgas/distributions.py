@@ -5,12 +5,12 @@ binomial coefficients, evaluated in integer arithmetic and normalized once at
 the end, so cancellation is never an issue. A 1-D law is integer numerators
 over C(M+N-1, N-1), read through one entry point, ``occupation_pdf_window``;
 the joint law inverts a table of binomial moments, one entry per count vector
-of ``system.fitting_vectors``, and its whole count lattice is integer
-numerators over the same denominator, read through ``joint_pdf_lattice``
-alone. Each is refused before it is built past the
-work budget of ``system.check_budget`` (README, "Limits"). The limit laws
-(binomial, normal, energy-conditioned normal, multinomial) depend on the
-specific energy T alone and are evaluated in log space to stay finite at large N.
+of ``system.fitting_vectors``, and its whole count lattice, read through
+``joint_pdf_lattice`` alone, is the 1-D law's Taylor shift of that table.
+Each is refused before it is built past the work budget of
+``system.check_budget`` (README, "Limits"). The limit laws (binomial, normal,
+energy-conditioned normal, multinomial) depend on the specific energy T alone
+and are evaluated in log space to stay finite at large N.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
-from functools import lru_cache
 
 from .combinatorics import _binomial, integral_value, multinomial_weight, power_of_sum_row
 from .moments import (
@@ -40,6 +39,7 @@ from .system import (
     fitting_vectors,
     microstate_count,
     normalize_selection,
+    one_slot_cache,
 )
 
 
@@ -52,21 +52,26 @@ def _pdf_numerators(n: int, m: int, level: int, top: int) -> list:
 
     The weight row A_0..A_N, the z^M u^q coefficients at ``level``, comes from
     ``power_of_sum_row``: one binomial and two big-integer operations per entry.
-    The numerator of count k is sum_{q >= k} (-1)^(q-k) C(q, k) A_q: the y^k
-    coefficient of sum_q A_q (y - 1)^q. That Taylor shift by -1 runs in place
-    with integer subtractions only (Ruffini-Horner). Pass i touches entries
-    i..N-1 alone, so entry k is final once pass k ends and the passes stop at
-    ``top`` (0 <= top <= N). The weights past the support s = min(N, M // j)
-    (N at level 0) are 0 and stay 0, so both loops stop at s: about
-    (top + 1) s big-integer subtractions, s^2 / 2 for the full table, which is
-    where the time of an exact law goes.
+    The numerator of count k is sum_{q >= k} (-1)^(q-k) C(q, k) A_q, the y^k
+    coefficient of sum_q A_q (y - 1)^q: ``_taylor_shift`` over the support
+    s = min(N, M // j) (N at level 0), for 0 <= top <= N, where the time goes.
     """
     a = power_of_sum_row(m, level, n)
-    support = min(n, m // level) if level else n
+    _taylor_shift(a, min(n, m // level) if level else n, top)
+    return a[: top + 1]
+
+
+def _taylor_shift(a: list, support: int, top: int) -> None:
+    """The coefficients a of p(y) become those of p(y - 1) in place, through entry ``top`` (Ruffini-Horner).
+
+    The one transform kernel of the 1-D law and the joint lattice. ``a`` is 0
+    past ``support`` and holds at least support + 1 entries. Pass i touches
+    entries i..support-1 alone, so entry k is final once pass k ends: about
+    (top + 1) support integer subtractions, support (support + 1) / 2 for all.
+    """
     for i in range(min(top, support - 1) + 1):
         for j in range(support - 1, i - 1, -1):
             a[j] -= a[j + 1]
-    return a[: top + 1]
 
 
 def occupation_pdf_window(params: SystemParams, level: int, lo: int, hi: int) -> tuple:
@@ -214,7 +219,7 @@ def occupation_pdf_normal_limit(n_particles: int, temperature, level: int) -> No
     return NormalApproximation(mean=n_particles * p, variance=n_particles * p * (1.0 - p))
 
 
-@lru_cache(maxsize=1)  # every caller reads one table at a time; a table may hold a million entries
+@one_slot_cache  # every caller reads one table at a time; a table may hold a million entries
 def _joint_term_table(n: int, m: int, levels: tuple) -> tuple:
     """Nonzero binomial moments B[r] of the occupations at ``levels``, as (r, B[r]) pairs.
 
@@ -266,7 +271,8 @@ def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
     """Exact probability that the occupation at levels[s] equals counts[s] for all s.
 
     One inversion of the binomial moments of ``_joint_term_table``, over
-    C(M+N-1, N-1). Impossible joint events return 0.
+    C(M+N-1, N-1): a read of each entry, where a lattice's shift costs about
+    N per entry. Impossible joint events return 0.
     """
     levels, counts = normalize_selection(params, levels, counts)
     table = _joint_term_table(params.n_particles, params.energy_units, levels)
@@ -278,36 +284,37 @@ def joint_pdf_lattice(params: SystemParams, levels) -> tuple:
 
     The points run over 0..N at each of ``levels``, in ``itertools.product``
     order over the levels as given, and the law at points[i] is
-    numerators[i] / denominator, over C(M+N-1, N-1). The lattice reads
-    ``_joint_term_table`` once and inverts it at each point, so it costs
-    (N+1)^k points times the table's entries: refused before the first point
-    past (N+1)^k rows, or past that many reads of the ``fitting_vector_count``
-    entries at max(1, ``entry_bits`` / 64) words each (README, "Limits").
+    numerators[i] / denominator, over C(M+N-1, N-1). The binomial moments of
+    ``_joint_term_table`` fill the (N+1)^k box, and ``_taylor_shift`` runs on
+    each line of it that meets the table, axis by axis. A line of support s
+    costs s(s+1)/2 subtractions and the fitting count vectors are down-closed,
+    so the lattice is refused before its table is built past (N+1)^k rows, or
+    past k ``fitting_vector_count`` (N+1)/2 max(1, ``entry_bits`` / 64) words
+    (README, "Limits").
     """
     levels = tuple(levels)
     ordered, order = normalize_selection(params, levels, range(len(levels)))
-    n, m = params.n_particles, params.energy_units
+    n, m, k = params.n_particles, params.energy_units, len(levels)
     law = f"joint lattice of N={n}, M={m}, levels {list(levels)}"
-    points = (n + 1) ** len(levels)
+    points = (n + 1) ** k
     check_budget(law, points)
-    words = max(1, entry_bits(n, m, len(levels)) / 64)
-    check_budget(law, points, 0, points * fitting_vector_count(n, m, ordered) * words)
+    words = k * fitting_vector_count(n, m, ordered) * (n + 1) / 2 * max(1, entry_bits(n, m, k) / 64)
+    check_budget(law, points, 0, words)
     table = _joint_term_table(n, m, ordered)
-    lattice = list(itertools.product(range(n + 1), repeat=len(levels)))
-    numerators = [_joint_numerator(table, tuple(point[i] for i in order)) for point in lattice]
-    return lattice, numerators, microstate_count(params)
-
-
-def multinomial_trial_probabilities(temperature, arity: int) -> list:
-    """Trial probabilities of the large-system joint law on levels 0..arity-1.
-
-    Classes l = 1..arity are the selected levels (l-1 quanta each); class
-    arity+1 collects everything above. The probabilities sum to exactly 1.
-    """
-    arity = integral_value("arity", arity, 1)
-    probs = [density_moment_limit(temperature, l) for l in range(arity)]
-    probs.append((temperature / (temperature + 1)) ** arity)
-    return probs
+    strides = [(n + 1) ** (k - 1 - i) for i in order]  # of the sorted levels, in a box over the levels as given
+    cells = [(counts, sum(c * stride for c, stride in zip(counts, strides))) for counts, _ in table]
+    box = [0] * points
+    for (_, moment), (_, cell) in zip(table, cells):
+        box[cell] = moment
+    for axis, stride in enumerate(strides):
+        # the table is down-closed and in lexicographic order: a line's last count is its support
+        supports = {cell - counts[axis] * stride: counts[axis] for counts, cell in cells if counts[axis]}
+        for start, support in supports.items():
+            line = slice(start, start + support * stride + 1, stride)
+            values = box[line]
+            _taylor_shift(values, support, support)
+            box[line] = values
+    return list(itertools.product(range(n + 1), repeat=k)), box, microstate_count(params)
 
 
 def joint_pdf_multinomial_limit(n_particles: int, temperature, counts) -> float:

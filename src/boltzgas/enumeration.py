@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -30,6 +29,7 @@ from .system import (
     fitting_vectors,
     microstate_count,
     normalize_selection,
+    one_slot_cache,
 )
 
 WeightedMacrostate = namedtuple("WeightedMacrostate", "state multiplicity")
@@ -80,7 +80,7 @@ def enumerate_macrostates(params: SystemParams) -> Iterator[WeightedMacrostate]:
     yield from descend(m, n, m, 1)
 
 
-@lru_cache(maxsize=1)  # every caller reads one table at a time; a table may hold a million entries
+@one_slot_cache  # every caller reads one table at a time; a table may hold a million entries
 def _joint_weight_table(n_particles: int, energy_units: int, levels: tuple) -> dict:
     """Microstates per fitting count vector c at ``levels``: N!/(prod c_s! P!) f(P, M - c.levels).
 

@@ -4,7 +4,7 @@ Identities the production formulas rely on (the bivariate power expansion, the
 log-derivative expansion, the nested geometric sum, joint normalization) are
 asserted exactly; the log-derivative expansion is compared as two integer
 exponential polynomials, and joint normalization sums the integer numerators
-of ``distributions.joint_pdf_lattice``, which alone walks and bounds the
+of ``distributions.joint_pdf_lattice``, which alone shifts and bounds the
 count lattice. The power-sum expansion, whose claimed coefficients
 conflict with the classical ones, is measured and reported, never asserted.
 """
@@ -220,7 +220,7 @@ def sum_of_powers_residual_slope(n: int):
 def check_joint_normalization(n: int, m: int, levels) -> IdentityReport:
     """Sum the exact joint law over its whole count lattice; must equal 1.
 
-    The lattice is ``joint_pdf_lattice``'s, refused past its work budget before the first point.
+    The lattice is ``joint_pdf_lattice``'s, refused past its work budget before its table is built.
     """
     params_obj = SystemParams(n, m)
     levels = [params_obj.check_level(j) for j in levels]

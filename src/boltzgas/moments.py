@@ -17,8 +17,6 @@ from fractions import Fraction
 from .combinatorics import power_of_sum_coefficient, weak_compositions
 from .system import SystemParams, check_budget, integral_value, microstate_count
 
-BOLTZMANN_CONSTANT = 1.380649e-23  # J/K, exact SI value
-
 
 def check_particle_count(n_particles) -> int:
     """The particle count of a large-system model as a Python int, N >= 1."""
@@ -183,15 +181,3 @@ def max_variance_point(n_particles: int, level: int) -> tuple:
     n_particles = check_particle_count(n_particles)
     x_max = density_moment_limit(level, level)
     return (float(level), x_max, x_max * (1.0 - x_max) / n_particles)
-
-
-def physical_temperature(params: SystemParams, epsilon_joules: float) -> float:
-    """Absolute temperature in kelvin for a given level spacing in joules.
-
-    Uses the ideal-gas relation E = (3/2) N k_B T_abs = M * epsilon, i.e.
-    T_abs = (2 epsilon / 3 k_B) * (M/N).
-    """
-    # written so that a NaN spacing fails too
-    if not 0 < epsilon_joules < math.inf:
-        raise ValueError(f"level spacing must be positive and finite, got {epsilon_joules}")
-    return (2.0 * epsilon_joules / (3.0 * BOLTZMANN_CONSTANT)) * float(params.temperature)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, update_wrapper
 from itertools import zip_longest
 
 from .combinatorics import _binomial, integral_value
@@ -216,6 +216,20 @@ def entry_bits(n: int, m: int, arity: int) -> float:
     """
     k = min(n - 1, m)
     return n * math.log2(arity + 1) + k * (math.log2(m + n) - math.log2(max(k, 1)) + math.log2(math.e))
+
+
+def one_slot_cache(build):
+    """``build`` behind a cache of one result, emptied before a build under a new key and by ``cache_clear``."""
+    slot = {}
+
+    def cached(*key):
+        if key not in slot:
+            slot.clear()
+            slot[key] = build(*key)
+        return slot[key]
+
+    cached.cache_clear = slot.clear
+    return update_wrapper(cached, build)
 
 
 def check_budget(what: str, rows: int, bits: float = 0, words: float = 0) -> None:

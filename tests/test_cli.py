@@ -222,16 +222,21 @@ class TestJointPdf:
         assert len(out.splitlines()) == 1 + 81
 
     def test_a_four_level_lattice_past_the_budget_is_refused(self, capsys, monkeypatch):
-        # 31**4 points x 16,906 entries, about 3.5e10 word reads
-        monkeypatch.setattr(distributions, "_joint_numerator", TestRowCaps.fail)
+        # 4 axes x 40,920 entries x 31 / 2 subtractions of entries of about 28,871 bits, 1.1e9 words
+        monkeypatch.setattr(distributions, "_joint_term_table", TestRowCaps.fail)
         code, out, err = run(
-            capsys, "jointpdf", "--n", "30", "--m", "30", "--levels", "0,1,2,3"
+            capsys, "jointpdf", "--n", "30", "--m", str(10**300), "--levels", "0,1,2,3"
         )
         assert code == 1 and out == ""
         assert err == (
-            "error: joint lattice of N=30, M=30, levels [0, 1, 2, 3]: "
-            "about 3.46e+10 word operations, over 1073741824\n"
+            f"error: joint lattice of N=30, M={10**300}, levels [0, 1, 2, 3]: "
+            "about 1.14e+09 word operations, over 1073741824\n"
         )
+
+    def test_a_mid_size_lattice_is_written(self, capsys):
+        # 36**3 rows from about 10**6 words of shift, in well under a second
+        code, out, _ = run(capsys, "jointpdf", "--n", "35", "--m", "50", "--levels", "0,1,2")
+        assert code == 0 and len(out.splitlines()) == 1 + 36**3
 
     def test_counts_of_the_wrong_length(self, capsys):
         code, out, err = run(
@@ -551,7 +556,7 @@ class TestRowCaps:
     def test_one_row_past_the_cap_is_refused(self, capsys, monkeypatch, argv, rows):
         monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", rows - 1)
         monkeypatch.setattr(cli, "exact_moment", self.fail)
-        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
+        monkeypatch.setattr(distributions, "_joint_term_table", self.fail)
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.endswith(f": over {rows - 1} entries\n")

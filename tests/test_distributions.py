@@ -21,7 +21,6 @@ from boltzgas.distributions import (
     joint_pdf_multinomial_limit,
     macrostate_probability_exact,
     macrostate_probability_largeN,
-    multinomial_trial_probabilities,
     occupation_pdf_binomial_limit,
     occupation_pdf_conditioned_limit,
     occupation_pdf_exact,
@@ -33,6 +32,7 @@ from boltzgas.figures import figure_data
 from boltzgas.identities import JOINT_NORMALIZATION_POINTS
 from boltzgas.moments import (
     conditioned_variance_limit,
+    density_moment_limit,
     exact_moment,
     variance_exact,
     variance_limit,
@@ -667,15 +667,17 @@ class TestJointTermTable:
             distributions._joint_term_table.cache_clear()
             enumeration._joint_weight_table.cache_clear()
 
-    def test_a_second_table_evicts_the_first(self):
-        # both joint caches hold one table: every caller reads one at a time
-        for table in (distributions._joint_term_table, enumeration._joint_weight_table):
+    def test_a_second_table_evicts_the_first(self, monkeypatch):
+        # both joint caches hold one table: every caller reads one at a time; a build counts its entries once
+        for module, name in ((distributions, "_joint_term_table"), (enumeration, "_joint_weight_table")):
+            table, builds, count = getattr(module, name), [], module.fitting_vector_count
+            monkeypatch.setattr(module, "fitting_vector_count", lambda *key: builds.append(key) or count(*key))
             table.cache_clear()
             first = table(6, 8, (0, 1, 2))
+            assert table(6, 8, (0, 1, 2)) is first and len(builds) == 1
             table(6, 8, (0, 1, 3))
-            assert table.cache_info().currsize == 1
             assert table(6, 8, (0, 1, 2)) == first
-            assert table.cache_info().misses == 3
+            assert builds == [(6, 8, (0, 1, 2)), (6, 8, (0, 1, 3)), (6, 8, (0, 1, 2))]
             table.cache_clear()
 
 
@@ -872,11 +874,11 @@ class TestJointPdfExact:
 
 
 class TestJointPdfLattice:
-    """The whole count lattice of the joint law, read from one table and refused before its first point."""
+    """The whole count lattice of the joint law: one shifted table, refused before the table is built."""
 
     @staticmethod
     def fail(*args):
-        raise AssertionError("inverted the table at a point of a refused lattice")
+        raise AssertionError("built the table of a refused lattice")
 
     @pytest.mark.parametrize(
         "n, m, levels", list(JOINT_NORMALIZATION_POINTS) + [(12, 16, (0, 1, 2)), (3, 4, (0, 1, 2, 3))]
@@ -889,6 +891,28 @@ class TestJointPdfLattice:
         for counts, numerator in zip(points, numerators):
             value = Fraction(numerator, total)
             assert value == joint_pdf_exact(params, levels, counts) == oracle_joint_pdf(params, levels, counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_level_order_is_the_per_point_law_and_the_oracle(self, data):
+        n = data.draw(st.integers(1, 5), label="N")
+        m = data.draw(st.integers(0, 7), label="M")
+        levels = data.draw(st.lists(st.integers(0, m), min_size=1, max_size=4, unique=True), label="levels")
+        params = SystemParams(n, m)
+        points, numerators, total = joint_pdf_lattice(params, levels)
+        assert sum(numerators) == total == system.microstate_count(params)
+        for counts, numerator in zip(points, numerators):
+            value = Fraction(numerator, total)
+            assert value == joint_pdf_exact(params, levels, counts) == oracle_joint_pdf(params, levels, counts)
+
+    # 10**4 to 10**6 points from tables of 7,260 to 16,906 entries, each shifted in well under a second
+    @pytest.mark.parametrize("n, m, levels", [(40, 60, (0, 1, 2)), (120, 180, (0, 1)), (30, 30, (0, 1, 2, 3))])
+    def test_a_mid_size_lattice_is_the_oracle(self, n, m, levels):
+        points, numerators, total = joint_pdf_lattice(SystemParams(n, m), levels)
+        assert sum(numerators) == total
+        weights = enumeration._joint_weight_table(n, m, levels)
+        enumeration._joint_weight_table.cache_clear()
+        assert {point: v for point, v in zip(points, numerators) if v} == weights
 
     def test_reads_the_table_once(self, monkeypatch):
         reads = []
@@ -911,14 +935,17 @@ class TestJointPdfLattice:
     @pytest.mark.parametrize(
         "n, m, levels, match",
         [
-            (99, 200, (0, 1, 2), "N=99, M=200, levels [0, 1, 2]: about 1.29e+12 word operations"),
-            (40, 60, (0, 1, 2), "N=40, M=60, levels [0, 1, 2]: about 2.27e+09 word operations"),
-            (30, 30, (0, 1, 2, 3), "N=30, M=30, levels [0, 1, 2, 3]: about 3.46e+10 word operations"),
+            (999, 999, (0, 1), "N=999, M=999, levels [0, 1]: about 3.14e+10 word operations"),
+            (500, 5000, (0, 1), "N=500, M=5000, levels [0, 1]: about 3.18e+09 word operations"),
+            pytest.param(
+                30, 10**300, (0, 1, 2, 3), f"N=30, M={10**300}, levels [0, 1, 2, 3]: about 1.14e+09 word operations",
+                id="30-10**300-levels2",
+            ),
             (200, 10, (0, 1, 2, 3, 4), "N=200, M=10, levels [0, 1, 2, 3, 4]: over 1000000 entries"),
         ],
     )
     def test_refuses_a_lattice_past_the_budget_before_any_point(self, monkeypatch, n, m, levels, match):
-        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
+        monkeypatch.setattr(distributions, "_joint_term_table", self.fail)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=re.escape(f"joint lattice of {match}")):
             joint_pdf_lattice(SystemParams(n, m), levels)
@@ -928,7 +955,7 @@ class TestJointPdfLattice:
         # 4 * 4 points; the table holds fewer entries
         params = SystemParams(3, 4)
         monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 15)
-        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
+        monkeypatch.setattr(distributions, "_joint_term_table", self.fail)
         with pytest.raises(ValueError, match=re.escape("N=3, M=4, levels [0, 2]: over 15 entries")):
             joint_pdf_lattice(params, (0, 2))
         monkeypatch.undo()
@@ -936,18 +963,18 @@ class TestJointPdfLattice:
         assert len(joint_pdf_lattice(params, (0, 2))[0]) == 16
 
     def test_a_budget_one_word_short_refuses_the_lattice(self, monkeypatch):
-        # entries of fewer than 64 bits are one word each: 2197 points x 349 entries
-        params, levels = SystemParams(12, 16), (0, 1, 2)
-        assert system.entry_bits(12, 16, 3) < 64
-        words = 13**3 * system.fitting_vector_count(12, 16, levels)
-        assert words == 766_753
+        # entries of fewer than 64 bits are one word each: 3 axes x 353 entries x 14 / 2 subtractions
+        params, levels = SystemParams(13, 17), (0, 1, 3)
+        assert system.entry_bits(13, 17, 3) < 64
+        words = 3 * system.fitting_vector_count(13, 17, levels) * 14 // 2
+        assert words == 7413
         monkeypatch.setattr(system, "MAX_SHIFT_WORDS", words - 1)
-        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
-        with pytest.raises(ValueError, match=r"joint lattice of N=12, M=16, .* word operations"):
+        monkeypatch.setattr(distributions, "_joint_term_table", self.fail)
+        with pytest.raises(ValueError, match=r"joint lattice of N=13, M=17, .* 7.41e\+03 word operations, over 7412"):
             joint_pdf_lattice(params, levels)
         monkeypatch.undo()
         monkeypatch.setattr(system, "MAX_SHIFT_WORDS", words)
-        assert len(joint_pdf_lattice(params, levels)[0]) == 13**3
+        assert len(joint_pdf_lattice(params, levels)[0]) == 14**3
 
     @pytest.mark.parametrize("levels", [(), (0, 0), (0, 5)])
     def test_rejects_the_levels_joint_pdf_exact_rejects(self, levels):
@@ -955,19 +982,50 @@ class TestJointPdfLattice:
             joint_pdf_lattice(SystemParams(3, 4), levels)
 
 
+class TestTaylorShift:
+    """The one transform kernel, shared by the 1-D law and the joint lattice."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.data())
+    def test_is_the_alternating_binomial_sum(self, coefficients, data):
+        # entry k becomes sum_{q >= k} (-1)^(q-k) C(q, k) a_q, up to ``top``; the support bounds the nonzero a_q
+        support = max((q for q, a in enumerate(coefficients) if a), default=0)
+        top = data.draw(st.integers(0, len(coefficients) - 1), label="top")
+        shifted = list(coefficients)
+        distributions._taylor_shift(shifted, support, top)
+        expected = [
+            sum((-1) ** (q - k) * binomial(q, k) * a for q, a in enumerate(coefficients) if q >= k)
+            for k in range(len(coefficients))
+        ]
+        assert shifted[: top + 1] == expected[: top + 1]
+
+    @pytest.mark.parametrize("n, m, levels", [(4, 6, (0, 1)), (12, 16, (0, 1, 2)), (6, 8, (3, 0, 1))])
+    def test_the_one_dimensional_law_and_the_lattice_share_it(self, monkeypatch, n, m, levels):
+        shift, supports = distributions._taylor_shift, []
+
+        def counting(a, support, top):
+            supports.append(support)
+            shift(a, support, top)
+
+        monkeypatch.setattr(distributions, "_taylor_shift", counting)
+        occupation_pdf_exact(SystemParams(4, 6), 1)
+        assert supports == [4]
+        supports.clear()
+        # lines of support s >= 1 alone, within the k (N+1)/2 subtractions per table entry that the budget charges
+        joint_pdf_lattice(SystemParams(n, m), levels)
+        assert supports and min(supports) >= 1
+        charged = len(levels) * system.fitting_vector_count(n, m, tuple(sorted(levels))) * (n + 1) / 2
+        assert sum(s * (s + 1) // 2 for s in supports) <= charged
+
+
+def trial_probabilities(temperature, arity: int) -> list:
+    """The multinomial limit's classes: p_l = T^l/(T+1)^(l+1) at levels 0..arity-1, then (T/(T+1))^arity above."""
+    return [density_moment_limit(temperature, l) for l in range(arity)] + [
+        (temperature / (temperature + 1)) ** arity
+    ]
+
+
 class TestMultinomialLimit:
-    def test_trial_probabilities(self):
-        probs = multinomial_trial_probabilities(1.0, 2)
-        assert probs == pytest.approx([0.5, 0.25, 0.25], rel=1e-12)
-        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-
-    def test_trial_probabilities_sum_to_one(self):
-        for t in (0.25, 1.0, 7.5):
-            for arity in (1, 3, 8):
-                assert sum(multinomial_trial_probabilities(t, arity)) == pytest.approx(
-                    1.0, abs=1e-12
-                )
-
     @pytest.mark.parametrize("counts", [(1.5, 0), (True, 2), (np.float64(1.0),)])
     def test_rejects_non_integer_counts(self, counts):
         with pytest.raises(TypeError, match="count must be an integer"):
@@ -989,7 +1047,8 @@ class TestMultinomialLimit:
     def test_matches_direct_enumeration(self):
         # all length-N class sequences, classes weighted by the trial probabilities
         n, t, counts = 8, 1.0, (4, 2)
-        probs = multinomial_trial_probabilities(t, len(counts))
+        probs = trial_probabilities(t, len(counts))
+        assert probs == pytest.approx([0.5, 0.25, 0.25], rel=1e-12)
         total = 0.0
         for sequence in itertools.product(range(len(probs)), repeat=n):
             observed = [sequence.count(c) for c in range(len(counts))]

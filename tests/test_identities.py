@@ -163,19 +163,19 @@ class TestJointNormalization:
 
     @staticmethod
     def fail(*args):
-        raise AssertionError("summed a point of a refused lattice")
+        raise AssertionError("built the table of a refused lattice")
 
     @pytest.mark.parametrize(
         "n, m, levels, match",
         [
             # 201**5, about 3.3e11 points
             (200, 10, (0, 1, 2, 3, 4), "N=200, M=10, levels [0, 1, 2, 3, 4]: over 1000000 entries"),
-            # 10**6 points x 126,275 entries, about 8.7e11 word reads
-            (99, 99, (0, 1, 2), "N=99, M=99, levels [0, 1, 2]: about 8.66e+11 word operations"),
+            # 2 axes x 499,501 entries x 1000 / 2 subtractions of 63 words, about 3.1e10
+            (999, 999, (0, 1), "N=999, M=999, levels [0, 1]: about 3.14e+10 word operations"),
         ],
     )
     def test_refuses_a_lattice_past_the_budget_before_any_point(self, monkeypatch, n, m, levels, match):
-        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
+        monkeypatch.setattr(distributions, "_joint_term_table", self.fail)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=re.escape(f"joint lattice of {match}")):
             check_joint_normalization(n, m, levels)
@@ -184,7 +184,7 @@ class TestJointNormalization:
     def test_a_budget_one_point_short_refuses_the_lattice(self, monkeypatch):
         # 4 * 4 points
         monkeypatch.setattr(system, "MAX_OUTPUT_ROWS", 15)
-        monkeypatch.setattr(distributions, "_joint_numerator", self.fail)
+        monkeypatch.setattr(distributions, "_joint_term_table", self.fail)
         with pytest.raises(ValueError, match="over 15 entries"):
             check_joint_normalization(3, 4, (0, 2))
         monkeypatch.undo()

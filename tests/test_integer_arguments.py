@@ -34,7 +34,6 @@ from boltzgas import (
     max_variance_point,
     mean_vector,
     measure_sum_of_powers_residual,
-    multinomial_trial_probabilities,
     multinomial_weight,
     occupation_pdf_binomial_limit,
     occupation_pdf_conditioned_limit,
@@ -99,7 +98,6 @@ POLICY = [
     ("oracle_joint_pdf", lambda v: oracle_joint_pdf(P, (0, 1), (v, 1)), 2, "count", None),
     ("DistributionTable.probability", lambda v: occupation_pdf_exact(P, 1).probability(v), 2, "count", None),
     ("DistributionTable.probability", lambda v: occupation_pdf_binomial_limit(4, 2.0, 1).probability(v), 2, "count", None),
-    ("multinomial_trial_probabilities", lambda v: multinomial_trial_probabilities(1.0, v), 2, "arity", 1),
     ("joint_pdf_multinomial_limit", lambda v: joint_pdf_multinomial_limit(v, 1.0, [1, 2]), 10, "n_particles", 1),
     ("joint_pdf_multinomial_limit", lambda v: joint_pdf_multinomial_limit(10, 1.0, [v, 2]), 1, "count", 0),
     ("macrostate_probability_largeN", lambda v: macrostate_probability_largeN(v, 1.0, (1, 0, 1)), 2, "n_particles", 1),

@@ -13,7 +13,6 @@ from boltzgas import moments, system
 from boltzgas.distributions import (
     joint_pdf_multinomial_limit,
     macrostate_probability_largeN,
-    multinomial_trial_probabilities,
     occupation_pdf_binomial_limit,
     occupation_pdf_conditioned_limit,
     occupation_pdf_normal_limit,
@@ -26,13 +25,11 @@ from boltzgas.fluctuations import (
     total_fluctuation_ratio,
 )
 from boltzgas.moments import (
-    BOLTZMANN_CONSTANT,
     conditioned_variance_limit,
     density_moment_factorized,
     density_moment_limit,
     exact_moment,
     max_variance_point,
-    physical_temperature,
     std_over_mean,
     variance_exact,
     variance_limit,
@@ -334,25 +331,6 @@ class TestMaxVariancePoint:
             max_variance_point(10, 0)
 
 
-class TestPhysicalTemperature:
-    def test_infrared_quantum_example(self):
-        params = SystemParams(1, 1000)
-        kelvin = physical_temperature(params, 1.6e-20)
-        assert kelvin == pytest.approx(7.7e5, rel=0.02)
-
-    def test_zero_energy(self):
-        assert physical_temperature(SystemParams(5, 0), 1e-20) == 0.0
-
-    def test_constants_cancel(self):
-        params = SystemParams(3, 3)
-        assert physical_temperature(params, 1.5 * BOLTZMANN_CONSTANT) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("spacing", [0.0, -1e-20, math.nan, math.inf])
-    def test_rejects_bad_spacing(self, spacing):
-        with pytest.raises(ValueError, match="level spacing must be positive and finite"):
-            physical_temperature(SystemParams(1, 1), spacing)
-
-
 # Every public entry point of the large-system model, as a function of T.
 LARGE_N_ENTRY_POINTS = {
     "density_moment_limit": lambda t: density_moment_limit(t, 1),
@@ -362,7 +340,6 @@ LARGE_N_ENTRY_POINTS = {
     "occupation_pdf_binomial_limit": lambda t: occupation_pdf_binomial_limit(10, t, 1),
     "occupation_pdf_conditioned_limit": lambda t: occupation_pdf_conditioned_limit(10, t, 1),
     "occupation_pdf_normal_limit": lambda t: occupation_pdf_normal_limit(10, t, 1),
-    "multinomial_trial_probabilities": lambda t: multinomial_trial_probabilities(t, 2),
     "joint_pdf_multinomial_limit": lambda t: joint_pdf_multinomial_limit(10, t, [1, 2]),
     "macrostate_probability_largeN": lambda t: macrostate_probability_largeN(10, t, [10]),
     "mean_vector": lambda t: mean_vector(10, t, 3),
@@ -388,7 +365,6 @@ def test_large_n_entry_points_reject_temperature_outside_domain(call, temperatur
         "variance_limit",
         "std_over_mean",
         "pearson_correlation",
-        "multinomial_trial_probabilities",
         "occupation_pdf_binomial_limit",
         "occupation_pdf_conditioned_limit",
         "occupation_pdf_normal_limit",

@@ -1,9 +1,10 @@
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from boltzgas.system import OccupationVector, SystemParams, as_occupation, normalize_selection
+from boltzgas.system import OccupationVector, SystemParams, as_occupation, normalize_selection, one_slot_cache
 
 
 class TestSystemParams:
@@ -114,3 +115,51 @@ class TestNormalizeSelectionTypes:
         )
         assert levels == (1, 3) and counts == (2, 0)
         assert all(type(v) is int for v in levels + counts)
+
+
+class TestOneSlotCache:
+    class Table:
+        """A result that a weak reference can watch."""
+
+        def __init__(self, key):
+            self.key = key
+
+    def test_releases_the_last_result_before_the_next_build(self):
+        refs, alive = [], []  # at each build, whether a result built before it is still alive
+
+        def build(*key):
+            alive.append(any(ref() is not None for ref in refs))
+            table = self.Table(key)
+            refs.append(weakref.ref(table))
+            return table
+
+        cached = one_slot_cache(build)
+        cached(1, 2)
+        cached(1, 3)
+        assert alive == [False, False] and refs[-1]() is not None
+        cached.cache_clear()
+        assert refs[-1]() is None
+
+    def test_a_repeated_key_is_not_rebuilt(self):
+        builds = []
+        cached = one_slot_cache(lambda *key: builds.append(key) or key)
+        assert cached(1, 2) == cached(1, 2) == (1, 2) and builds == [(1, 2)]
+        cached(1, 3)
+        cached(1, 2)
+        assert builds == [(1, 2), (1, 3), (1, 2)]
+        assert cached.__name__ == "<lambda>"
+
+    def test_a_failed_build_leaves_the_slot_empty(self):
+        builds = []
+
+        def build(key):
+            builds.append(key)
+            if key < 0:
+                raise ValueError("refused")
+            return key
+
+        cached = one_slot_cache(build)
+        cached(1)
+        with pytest.raises(ValueError, match="refused"):
+            cached(-1)
+        assert cached(1) == 1 and builds == [1, -1, 1]
