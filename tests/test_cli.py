@@ -233,6 +233,16 @@ class TestJointPdf:
             "about 1.14e+09 word operations, over 1073741824\n"
         )
 
+    def test_a_lattice_of_many_long_entries_is_refused(self, capsys, monkeypatch):
+        # 2 axes x 499,501 entries x 1000 / 2 subtractions of 63 words, about 3.1e10
+        monkeypatch.setattr(distributions, "_joint_term_table", TestRowCaps.fail)
+        code, out, err = run(capsys, "jointpdf", "--n", "999", "--m", "999", "--levels", "0,1")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: joint lattice of N=999, M=999, levels [0, 1]: "
+            "about 3.14e+10 word operations, over 1073741824\n"
+        )
+
     def test_a_mid_size_lattice_is_written(self, capsys):
         # 36**3 rows from about 10**6 words of shift, in well under a second
         code, out, _ = run(capsys, "jointpdf", "--n", "35", "--m", "50", "--levels", "0,1,2")

@@ -881,9 +881,12 @@ class TestJointPdfLattice:
         raise AssertionError("built the table of a refused lattice")
 
     @pytest.mark.parametrize(
-        "n, m, levels", list(JOINT_NORMALIZATION_POINTS) + [(12, 16, (0, 1, 2)), (3, 4, (0, 1, 2, 3))]
+        "n, m, levels",
+        list(JOINT_NORMALIZATION_POINTS)
+        + [(12, 16, (0, 1, 2)), (3, 4, (0, 1, 2, 3)), (3, 4, (2, 0)), (2, 4, (3, 1, 2, 0))],
     )
     def test_every_point_is_the_per_point_law_and_the_oracle(self, n, m, levels):
+        # the last two give their levels out of order: points follow the levels as given
         params = SystemParams(n, m)
         points, numerators, total = joint_pdf_lattice(params, levels)
         assert points == list(itertools.product(range(n + 1), repeat=len(levels)))
@@ -999,7 +1002,7 @@ class TestTaylorShift:
         ]
         assert shifted[: top + 1] == expected[: top + 1]
 
-    @pytest.mark.parametrize("n, m, levels", [(4, 6, (0, 1)), (12, 16, (0, 1, 2)), (6, 8, (3, 0, 1))])
+    @pytest.mark.parametrize("n, m, levels", [(4, 6, (0, 1)), (12, 16, (0, 1, 2)), (6, 8, (3, 0, 1)), (3, 4, (0, 1, 2, 3))])
     def test_the_one_dimensional_law_and_the_lattice_share_it(self, monkeypatch, n, m, levels):
         shift, supports = distributions._taylor_shift, []
 
@@ -1026,6 +1029,16 @@ def trial_probabilities(temperature, arity: int) -> list:
 
 
 class TestMultinomialLimit:
+    def test_trial_probabilities(self):
+        probs = trial_probabilities(1.0, 2)
+        assert probs == pytest.approx([0.5, 0.25, 0.25], rel=1e-12)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_trial_probabilities_sum_to_one(self):
+        for t in (0.25, 1.0, 7.5):
+            for arity in (1, 3, 8):
+                assert sum(trial_probabilities(t, arity)) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("counts", [(1.5, 0), (True, 2), (np.float64(1.0),)])
     def test_rejects_non_integer_counts(self, counts):
         with pytest.raises(TypeError, match="count must be an integer"):
@@ -1048,7 +1061,6 @@ class TestMultinomialLimit:
         # all length-N class sequences, classes weighted by the trial probabilities
         n, t, counts = 8, 1.0, (4, 2)
         probs = trial_probabilities(t, len(counts))
-        assert probs == pytest.approx([0.5, 0.25, 0.25], rel=1e-12)
         total = 0.0
         for sequence in itertools.product(range(len(probs)), repeat=n):
             observed = [sequence.count(c) for c in range(len(counts))]

@@ -141,6 +141,19 @@ def test_every_cache_is_bounded():
     assert [name for name, cache in caches.items() if getattr(cache, "__code__", None) is not slot] == []
 
 
+def test_cache_clear_empties_both_joint_tables():
+    # a benchmark pass that empties every cache found by ``cache_clear`` rebuilds the joint tables
+    caches = {f"{module}.{name}": cache for module, name, cache in _caches()}
+    for name in ("boltzgas.distributions._joint_term_table", "boltzgas.enumeration._joint_weight_table"):
+        table = caches[name]
+        first = table(6, 8, (0, 1, 2))
+        assert table(6, 8, (0, 1, 2)) is first
+        table.cache_clear()
+        second = table(6, 8, (0, 1, 2))
+        assert second is not first and second == first
+        table.cache_clear()
+
+
 # Loaded only by the calls that use them: the identity battery, the
 # standard-library modules for JSON and for writing files, inspect, which
 # only NumPy imports, and typing, which only the identity battery, the figures
