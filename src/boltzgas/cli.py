@@ -9,9 +9,9 @@ argparse checks every flag: a check on one flag is that flag's ``type``, so a
 bad value fails as one line "error: argument --FLAG: ..." before any command
 runs. A ``cmd_*`` checks only flag combinations (table sizes, through
 ``system.check_budget``; --counts length, default T = M/N, N*T overflow).
-``jointpdf`` without --counts reads its whole count lattice from
-``distributions.joint_pdf_lattice``, one Taylor shift of the joint table,
-whose budget bounds the lattice.
+``pdf`` and ``jointpdf`` stream rows from integer numerators (``_exact_rows``),
+``jointpdf`` without --counts from ``distributions.joint_pdf_lattice``, whose
+budget bounds the lattice; only --check-oracle holds a whole law.
 ``identities --name`` takes a family of the battery, checked in its type, and
 runs only that family.
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import os
 import sys
@@ -48,11 +49,11 @@ from .distributions import (
     joint_pdf_exact,
     joint_pdf_lattice,
     occupation_pdf_binomial_limit,
-    occupation_pdf_exact,
+    occupation_pdf_window,
 )
 from .enumeration import oracle_joint_pdf, oracle_moment, oracle_pdf
 from .moments import exact_moment
-from .system import MAX_OUTPUT_ROWS, SystemParams, check_budget, microstate_count
+from .system import MAX_OUTPUT_ROWS, DistributionTable, SystemParams, check_budget, microstate_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,15 +94,26 @@ def write_atomic(path, text: str) -> None:
 
 
 def _render_table(header, rows, fmt="csv") -> str:
-    """Rows under ``header`` as CSV text, or as a JSON list of records when ``fmt`` is "json"."""
-    if fmt == "json":
-        return json_text([dict(zip(header, row)) for row in rows]) + "\n"
+    """Rows, read once, under ``header`` as CSV text, or as a JSON list of records when ``fmt`` is "json"."""
     buffer = io.StringIO()
+    if fmt == "json":  # json_text of 1024 records at a time, brackets cut: the text of one json_text of all
+        rows = iter(rows)
+        while batch := [dict(zip(header, row)) for row in itertools.islice(rows, 1024)]:
+            buffer.write(",\n" if buffer.tell() else "[\n")
+            buffer.write(json_text(batch)[2:-2])
+        buffer.write("\n]\n" if buffer.tell() else "[]\n")
+        return buffer.getvalue()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_format_cell(v) for v in row])
     return buffer.getvalue()
+
+
+def _exact_rows(points, numerators, denominator: int):
+    """Lazy rows [*point, Fraction(v, denominator), v / denominator], the float correctly rounded."""
+    for point, v in zip(points, numerators):
+        yield [*point, Fraction(v, denominator), v / denominator]
 
 
 # Python's default int_max_str_digits; longer integer text is refused even with the cap lifted
@@ -245,18 +257,17 @@ def cmd_moments(args) -> tuple:
 
 def cmd_pdf(args) -> tuple:
     params = SystemParams(args.n, args.m)
-    table = occupation_pdf_exact(params, args.level)
+    counts, numerators, total = occupation_pdf_window(params, args.level, 0, args.n)
     header = ["count", "exact", "value"]
-    columns = [table.support, table.probabilities, table.as_floats()]
+    rows = _exact_rows(zip(counts), numerators, total)
     if args.compare_limit:
-        limit = occupation_pdf_binomial_limit(
-            params.n_particles, float(params.temperature), args.level
-        )
         header.append("limit")
-        columns.append(limit.probabilities)
-    failed = args.check_oracle and oracle_pdf(params, args.level) != table
+        limit = occupation_pdf_binomial_limit(args.n, float(params.temperature), args.level).probabilities
+        rows = (row + [p] for row, p in zip(rows, limit))
+    exact = DistributionTable.from_numerators(numerators, total) if args.check_oracle else None
+    failed = exact is not None and oracle_pdf(params, args.level) != exact
     failure = "closed-form law disagrees with the enumeration oracle" if failed else None
-    return _render_table(header, zip(*columns), args.format), failure
+    return _render_table(header, rows, args.format), failure
 
 
 def cmd_jointpdf(args) -> tuple:
@@ -265,16 +276,16 @@ def cmd_jointpdf(args) -> tuple:
     if args.counts:
         if len(args.counts) != len(args.levels):
             raise ValueError("--counts must match the number of levels")
-        lattice, values = [args.counts], [joint_pdf_exact(params, args.levels, args.counts)]
+        value = joint_pdf_exact(params, args.levels, args.counts)
+        rows = _exact_rows([args.counts], [value.numerator], value.denominator)
     else:
-        lattice, numerators, total = joint_pdf_lattice(params, args.levels)
-        values = [Fraction(v, total) for v in numerators]
-    rows = []
+        numerators, total = joint_pdf_lattice(params, args.levels)
+        lattice = itertools.product(range(args.n + 1), repeat=len(args.levels))
+        rows = _exact_rows(lattice, numerators, total)
     failed = False
-    for counts, value in zip(lattice, values):
-        if args.check_oracle and value != oracle_joint_pdf(params, args.levels, counts):
-            failed = True
-        rows.append(list(counts) + [value, float(value)])
+    if args.check_oracle:
+        rows = list(rows)
+        failed = any(row[-2] != oracle_joint_pdf(params, args.levels, row[:-2]) for row in rows)
     failure = "closed-form joint law disagrees with the enumeration oracle" if failed else None
     return _render_table(header, rows, args.format), failure
 

@@ -5,8 +5,8 @@ binomial coefficients, evaluated in integer arithmetic and normalized once at
 the end, so cancellation is never an issue. A 1-D law is integer numerators
 over C(M+N-1, N-1), read through one entry point, ``occupation_pdf_window``;
 the joint law inverts a table of binomial moments, one entry per count vector
-of ``system.fitting_vectors``, and its whole count lattice, read through
-``joint_pdf_lattice`` alone, is the 1-D law's Taylor shift of that table.
+of ``system.fitting_vectors``, and the numerators of its whole count lattice,
+read through ``joint_pdf_lattice`` alone, are the 1-D law's Taylor shift of it.
 Each is refused before it is built past the work budget of
 ``system.check_budget`` (README, "Limits"). The limit laws (binomial, normal,
 energy-conditioned normal, multinomial) depend on the specific energy T alone
@@ -14,7 +14,6 @@ and are evaluated in log space to stay finite at large N.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -280,10 +279,10 @@ def joint_pdf_exact(params: SystemParams, levels, counts) -> Fraction:
 
 
 def joint_pdf_lattice(params: SystemParams, levels) -> tuple:
-    """(points, numerators, denominator): the exact joint law at every point of its count lattice.
+    """(numerators, denominator): the exact joint law at every point of its count lattice.
 
     The points run over 0..N at each of ``levels``, in ``itertools.product``
-    order over the levels as given, and the law at points[i] is
+    order over the levels as given, and the law at the i-th point is
     numerators[i] / denominator, over C(M+N-1, N-1). The binomial moments of
     ``_joint_term_table`` fill the (N+1)^k box, and ``_taylor_shift`` runs on
     each line of it that meets the table, axis by axis. A line of support s
@@ -314,7 +313,7 @@ def joint_pdf_lattice(params: SystemParams, levels) -> tuple:
             values = box[line]
             _taylor_shift(values, support, support)
             box[line] = values
-    return list(itertools.product(range(n + 1), repeat=k)), box, microstate_count(params)
+    return box, microstate_count(params)
 
 
 def joint_pdf_multinomial_limit(n_particles: int, temperature, counts) -> float:

@@ -5,7 +5,7 @@ log-derivative expansion, the nested geometric sum, joint normalization) are
 asserted exactly; the log-derivative expansion is compared as two integer
 exponential polynomials, and joint normalization sums the integer numerators
 of ``distributions.joint_pdf_lattice``, which alone shifts and bounds the
-count lattice. The power-sum expansion, whose claimed coefficients
+count lattice, to its denominator. The power-sum expansion, whose claimed coefficients
 conflict with the classical ones, is measured and reported, never asserted.
 """
 from __future__ import annotations
@@ -220,12 +220,12 @@ def sum_of_powers_residual_slope(n: int):
 def check_joint_normalization(n: int, m: int, levels) -> IdentityReport:
     """Sum the exact joint law over its whole count lattice; must equal 1.
 
-    The lattice is ``joint_pdf_lattice``'s, refused past its work budget before its table is built.
+    Sums the integer numerators of ``joint_pdf_lattice``, refused past its work budget before its table is built.
     """
     params_obj = SystemParams(n, m)
     levels = [params_obj.check_level(j) for j in levels]
     params = {"N": params_obj.n_particles, "M": params_obj.energy_units, "levels": levels}
-    _, numerators, total = joint_pdf_lattice(params_obj, levels)
+    numerators, total = joint_pdf_lattice(params_obj, levels)
     mass = sum(numerators)
     if mass == total:
         return IdentityReport(name="joint-normalization", params=params, verdict="exact-equal")

@@ -320,11 +320,6 @@ class DistributionTable(_Value):
         """Entry k is P(count = k): a Fraction when exact, a float when limit."""
         return tuple(map(self._value, self._weights))
 
-    @property
-    def support(self) -> tuple:
-        """The counts 0..len-1."""
-        return tuple(range(len(self._weights)))
-
     def probability(self, count):
         """P(count); 0 outside 0..len-1. ``count`` is an integer (see ``integral_value``)."""
         count = integral_value("count", count)

@@ -1,16 +1,23 @@
+import itertools
 import json
 import math
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from boltzgas import cli, distributions, identities, system
+from boltzgas import cli, distributions, enumeration, identities, system
 from boltzgas.cli import main
-from boltzgas.distributions import DistributionTable
+from boltzgas.distributions import (
+    DistributionTable,
+    joint_pdf_exact,
+    occupation_pdf_binomial_limit,
+    occupation_pdf_exact,
+)
 from boltzgas.identities import IdentityReport
 
 GOLDEN_MOMENTS = """\
@@ -45,6 +52,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def table_text(header, rows, argv):
+    """The text a table command should print for ``rows``, built apart from the CLI's writer.
+
+    CSV cells are ints, "numerator/denominator" and floats to 12 significant
+    digits; JSON is one ``json.dumps`` of the whole list of records.
+    """
+    def exact(value):
+        return f"{value.numerator}/{value.denominator}"
+
+    if "json" in argv:
+        records = [dict(zip(header, row)) for row in rows]
+        return json.dumps(records, indent=2, default=exact) + "\n"
+    cells = {Fraction: exact, float: lambda v: format(v, ".12g"), int: str}
+    lines = [header] + [[cells[type(v)](v) for v in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 class TestMicrostates:
@@ -197,6 +221,32 @@ class TestPdf:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "pdf --n 6 --m 9 --level 1",
+            "pdf --n 6 --m 9 --level 0 --format json",
+            "pdf --n 50 --m 100 --level 1 --compare-limit",
+            "pdf --n 50 --m 100 --level 1 --compare-limit --format json",
+            "pdf --n 8 --m 12 --level 2 --check-oracle",
+            "pdf --n 8 --m 12 --level 1 --compare-limit --check-oracle --format json",
+            "pdf --n 2100 --m 5 --level 1 --format json",  # past one batch of JSON records
+        ],
+    )
+    def test_rows_are_the_exact_law(self, capsys, argv):
+        args = argv.split()
+        n, m, level = (int(args[args.index(flag) + 1]) for flag in ("--n", "--m", "--level"))
+        law = occupation_pdf_exact(system.SystemParams(n, m), level).probabilities
+        header = ["count", "exact", "value"]
+        rows = [[k, p, float(p)] for k, p in enumerate(law)]
+        if "--compare-limit" in args:
+            header.append("limit")
+            limit = occupation_pdf_binomial_limit(n, m / n, level).probabilities
+            rows = [row + [p] for row, p in zip(rows, limit)]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == table_text(header, rows, args)
+
 
 class TestJointPdf:
     def test_single_point(self, capsys):
@@ -247,6 +297,69 @@ class TestJointPdf:
         # 36**3 rows from about 10**6 words of shift, in well under a second
         code, out, _ = run(capsys, "jointpdf", "--n", "35", "--m", "50", "--levels", "0,1,2")
         assert code == 0 and len(out.splitlines()) == 1 + 36**3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "jointpdf --n 3 --m 4 --levels 0,1",
+            "jointpdf --n 3 --m 4 --levels 0,1 --format json",
+            "jointpdf --n 3 --m 4 --levels 2,0",
+            "jointpdf --n 2 --m 4 --levels 0,1,2,3",
+            "jointpdf --n 11 --m 12 --levels 0,1,2 --format json",  # past one batch of JSON records
+            "jointpdf --n 4 --m 6 --levels 1,0 --counts 2,1",
+            "jointpdf --n 4 --m 6 --levels 1,0 --counts 2,1 --format json",
+            "jointpdf --n 4 --m 6 --levels 0,2 --check-oracle",
+            "jointpdf --n 4 --m 6 --levels 0,2 --check-oracle --format json",
+        ],
+    )
+    def test_rows_are_the_per_point_law(self, capsys, argv):
+        args = argv.split()
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == self.expected(args)
+
+    @staticmethod
+    def expected(args):
+        n, m = (int(args[args.index(flag) + 1]) for flag in ("--n", "--m"))
+        levels = [int(j) for j in args[args.index("--levels") + 1].split(",")]
+        if "--counts" in args:
+            points = [[int(c) for c in args[args.index("--counts") + 1].split(",")]]
+        else:
+            points = itertools.product(range(n + 1), repeat=len(levels))
+        params = system.SystemParams(n, m)
+        rows = []
+        for point in points:
+            value = joint_pdf_exact(params, levels, point)
+            rows.append([*point, value, float(value)])
+        return table_text([f"count_level_{j}" for j in levels] + ["exact", "value"], rows, args)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failed_oracle_check_still_writes_every_row(self, capsys, monkeypatch, fmt):
+        # the oracle disagrees at one point of 25 alone
+        oracle = cli.oracle_joint_pdf
+        monkeypatch.setattr(
+            cli, "oracle_joint_pdf",
+            lambda params, levels, counts: oracle(params, levels, counts) + (list(counts) == [3, 1]),
+        )
+        args = f"jointpdf --n 4 --m 6 --levels 0,2 --check-oracle --format {fmt}".split()
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert err == "verification failed: closed-form joint law disagrees with the enumeration oracle\n"
+        assert out == self.expected(args)
+
+    def test_a_lattice_holds_no_row_list(self, tmp_path):
+        # the numerators and the output text alone: 17.7 MiB when every row was held as a list
+        distributions._joint_term_table.cache_clear()
+        enumeration._joint_weight_table.cache_clear()
+        tracemalloc.start()
+        try:
+            code = main(["jointpdf", "--n", "35", "--m", "50", "--levels", "0,1,2", "--out", str(tmp_path / "j.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            distributions._joint_term_table.cache_clear()
+        assert code == 0
+        assert peak < 10 * 2**20, peak
 
     def test_counts_of_the_wrong_length(self, capsys):
         code, out, err = run(

@@ -156,7 +156,7 @@ class TestJointNormalization:
 
     def test_mismatch_reports_the_residual(self, monkeypatch):
         # three numerators of 1 over 2: the lattice sums to 3/2
-        monkeypatch.setattr(identities, "joint_pdf_lattice", lambda *args: ([(0,), (1,), (2,)], [1, 1, 1], 2))
+        monkeypatch.setattr(identities, "joint_pdf_lattice", lambda *args: ([1, 1, 1], 2))
         report = check_joint_normalization(2, 2, (0,))
         assert report.verdict == "mismatch" and report.residual == Fraction(1, 2)
         assert report.params == {"N": 2, "M": 2, "levels": [0]}
