@@ -94,7 +94,7 @@ def write_atomic(path, text: str) -> None:
 
 
 def _render_table(header, rows, fmt="csv") -> str:
-    """Rows, read once, under ``header`` as CSV text, or as a JSON list of records when ``fmt`` is "json"."""
+    """Rows (read once) under ``header`` as CSV text, or a JSON list of records when ``fmt`` is "json"."""
     buffer = io.StringIO()
     if fmt == "json":  # json_text of 1024 records at a time, brackets cut: the text of one json_text of all
         rows = iter(rows)

@@ -126,10 +126,11 @@ def _multinomial_log_pmf(n: int, counts, log_probs) -> float:
 def _success_probability(n_particles: int, temperature, level: int) -> tuple:
     """Checked (N, p), p = T^j/(T+1)^(j+1), for a limit law over the counts 0..N.
 
-    Warns on behalf of the public law that calls it when level >= T.
+    Warns on behalf of the public law that calls it when level >= T, once T is valid.
     """
     n_particles = check_particle_count(n_particles)
     level = integral_value("level", level, 0)
+    check_temperature(temperature)
     if level >= temperature:
         warnings.warn(
             f"the limit law is only valid for level < T; got level={level}, T={temperature}",

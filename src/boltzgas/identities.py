@@ -3,10 +3,10 @@
 Identities the production formulas rely on (the bivariate power expansion, the
 log-derivative expansion, the nested geometric sum, joint normalization) are
 asserted exactly; the log-derivative expansion is compared as two integer
-exponential polynomials, and joint normalization sums the integer numerators
-of ``distributions.joint_pdf_lattice``, which alone shifts and bounds the
-count lattice, to its denominator. The power-sum expansion, whose claimed coefficients
-conflict with the classical ones, is measured and reported, never asserted.
+exponential polynomials, and joint normalization checks that the integer
+numerators of ``distributions.joint_pdf_lattice``, which alone shifts and
+bounds the count lattice, sum to its denominator. The power-sum expansion,
+whose claimed coefficients conflict with the classical ones, is measured and reported, never asserted.
 """
 from __future__ import annotations
 
@@ -220,7 +220,7 @@ def sum_of_powers_residual_slope(n: int):
 def check_joint_normalization(n: int, m: int, levels) -> IdentityReport:
     """Sum the exact joint law over its whole count lattice; must equal 1.
 
-    Sums the integer numerators of ``joint_pdf_lattice``, refused past its work budget before its table is built.
+    Sums ``joint_pdf_lattice``'s integer numerators, refused past its budget before its table is built.
     """
     params_obj = SystemParams(n, m)
     levels = [params_obj.check_level(j) for j in levels]

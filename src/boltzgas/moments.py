@@ -168,6 +168,8 @@ def std_over_mean(n_particles: int, temperature, level: int) -> float:
     """
     n_particles = check_particle_count(n_particles)
     p = float(density_moment_limit(temperature, level))
+    if p == 0.0:
+        raise ValueError(f"p_j underflows to 0 at level={level}, T={temperature}")
     return math.sqrt((1.0 - p) / p) / math.sqrt(n_particles)
 
 

@@ -414,8 +414,10 @@ class TestConditionedLimit:
             law(10, 0.5, 2)
         with pytest.raises(ValueError):
             law(0, 2.0, 1)
-        with pytest.warns(LimitValidityWarning), pytest.raises(ValueError):
-            law(10, 0.0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # T = 0 is refused before any validity warning
+            with pytest.raises(ValueError, match="temperature must be positive and finite"):
+                law(10, 0.0, 0)
         with pytest.warns(LimitValidityWarning), pytest.raises(ValueError):
             law(10, 1e-300, 5)  # p underflows to 0
         with pytest.warns(LimitValidityWarning) as record:

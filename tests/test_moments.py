@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -302,6 +303,11 @@ class TestStdOverMean:
         for j in (0, 1, 2):
             ratio = std_over_mean(100, t, j) / (math.sqrt(t) / 10.0)
             assert ratio == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("t, j", [(1e-3, 200), (1e-300, 2)])
+    def test_an_underflowing_p_is_a_value_error(self, t, j):
+        with pytest.raises(ValueError, match=re.escape(f"level={j}, T={t}")):
+            std_over_mean(10, t, j)
 
 
 class TestMaxVariancePoint:
